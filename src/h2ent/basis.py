@@ -6,7 +6,7 @@ contracted function has unit self-overlap.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ _BUILTIN_FILES = {
 }
 
 _SHELL_LABELS = {"S": 0, "P": 1}
-_CARTESIAN_COMPONENTS = {
+CARTESIAN_COMPONENTS = {
     0: ((0, 0, 0),),
     1: ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
 }
@@ -41,8 +41,7 @@ class PrimitiveGaussian:
 class Shell:
     angular_momentum: int
     primitives: tuple
-    normalized: bool = False
-    normalized_coefficients: tuple = ()
+    normalized_coefficients: tuple = ()  # set by normalize_shell
     center_index: int = None
 
     def __post_init__(self):
@@ -98,10 +97,7 @@ def normalize_shell(shell):
         for cb, ab in zip(coefs, exps):
             self_overlap += ca * cb * _same_center_overlap(aa, ab, powers)
     scale = 1.0 / np.sqrt(self_overlap)
-    normalized = tuple(c * scale for c in coefs)
-    return Shell(shell.angular_momentum, shell.primitives,
-                 normalized=True, normalized_coefficients=normalized,
-                 center_index=shell.center_index)
+    return replace(shell, normalized_coefficients=tuple(c * scale for c in coefs))
 
 
 @dataclass(frozen=True)
@@ -268,12 +264,8 @@ def build_ao_basis(mol, basis):
             raise MissingElementError(
                 f"basis {basis.name!r} has no entry for element {at.element}") from None
         for shell in shells:
-            bound = Shell(shell.angular_momentum, shell.primitives,
-                          normalized=shell.normalized,
-                          normalized_coefficients=shell.normalized_coefficients,
-                          center_index=atom_index)
-            bound_shells.append(bound)
-            for powers in _CARTESIAN_COMPONENTS[shell.angular_momentum]:
+            bound_shells.append(replace(shell, center_index=atom_index))
+            for powers in CARTESIAN_COMPONENTS[shell.angular_momentum]:
                 functions.append(BasisFunction(
                     center=at.position,
                     powers=powers,

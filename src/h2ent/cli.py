@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .basis import build_ao_basis, load_basis
+from .basis import BasisSet, build_ao_basis, load_basis
 from .correlation import (CorrelationReport, correlation_energy, natural_occupations,
                           one_particle_density, rescale_entropy, von_neumann_entropy)
 from .fci import run_fci
@@ -58,9 +58,13 @@ class CurvePoint:
     rescaled_entropy: float = None
 
 
-def run_single_point(r_bohr, basis_name, basis_dir=None, settings=SCFSettings()):
-    """Full pipeline molecule -> integrals -> SCF -> FCI -> report at one R."""
-    basis = load_basis(basis_name, basis_dir=basis_dir)
+def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings()):
+    """Full pipeline molecule -> integrals -> SCF -> FCI -> report at one R.
+
+    basis is a loaded BasisSet, or a basis name or path to load.
+    """
+    if not isinstance(basis, BasisSet):
+        basis = load_basis(basis, basis_dir=basis_dir)
     mol = h2(r_bohr)
     ints = compute_all(build_ao_basis(mol, basis), mol)
     scf_result = run_rhf(ints, mol, settings)
@@ -83,8 +87,8 @@ def scan_grid(config):
         rs = list(np.geomspace(lo, hi, config.n_points))
     else:
         rs = list(np.linspace(lo, hi, config.n_points))
-    if config.far_point is not None and config.far_point * to_bohr > hi:
-        rs.append(config.far_point * to_bohr)
+    if config.far_point is not None and config.far_point > hi:  # far point is in Bohr
+        rs.append(config.far_point)
     return rs
 
 
@@ -92,13 +96,15 @@ def run_scan(config):
     """Scan the dissociation curve; per-point failures are recorded, not fatal.
 
     Returns (points, failures) with failures as (R, message) pairs. Raises
-    RuntimeError only if every point failed.
+    RuntimeError if every point failed; the basis is loaded once, up front, and
+    its errors propagate.
     """
     points = []
     failures = []
+    basis = load_basis(config.basis_name, basis_dir=config.basis_dir)
     for r in scan_grid(config):
         try:
-            rep = run_single_point(r, config.basis_name, basis_dir=config.basis_dir)
+            rep = run_single_point(r, basis)
         except Exception as exc:  # record and continue
             failures.append((r, str(exc)))
             continue

@@ -1,8 +1,8 @@
 """Analytic one- and two-electron integrals over contracted Cartesian Gaussians.
 
 McMurchie-Davidson Hermite expansion with a Boys-function kernel shared by the
-nuclear-attraction and electron-repulsion integrals. Everything is in Hartree
-atomic units.
+nuclear-attraction and electron-repulsion integrals, batched by shell-pair
+class. Everything is in Hartree atomic units.
 """
 
 from dataclasses import dataclass
@@ -10,9 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, gamma, gammainc
 
-from .basis import BasisFunction
+from .basis import CARTESIAN_COMPONENTS
 
 _BOYS_SWITCH = 25.0
+
+
+def _exp(x):
+    # in place, numpy runs one vector kernel at every size: batch-independent values
+    return np.exp(x, out=x)
 
 
 def boys_table(mmax, x):
@@ -24,7 +29,7 @@ def boys_table(mmax, x):
     small = x < _BOYS_SWITCH
     if np.any(small):
         xs = x[small]
-        expx = np.exp(-xs)
+        expx = _exp(-xs)
         # lower incomplete gamma at the highest order, then downward recursion;
         # the two leading Taylor terms take over where x**a would underflow
         a = mmax + 0.5
@@ -40,7 +45,7 @@ def boys_table(mmax, x):
         out[:, small] = col
     if np.any(~small):
         xl = x[~small]
-        expx = np.exp(-xl)
+        expx = _exp(-xl)
         col = np.empty((mmax + 1,) + xl.shape)
         col[0] = 0.5 * np.sqrt(np.pi / xl) * erf(np.sqrt(xl))
         for m in range(mmax):
@@ -79,143 +84,139 @@ def hermite_expansion(i, j, t, q_x, a, b):
             + (t + 1) * hermite_expansion(i, j - 1, t + 1, q_x, a, b))
 
 
-def _hermite_coulomb_all(lmax, alpha, xpq, ypq, zpq, fn):
-    """All Hermite Coulomb integrals R_{tuv} with t+u+v <= lmax (vectorized).
-
-    Dynamic programming over the total Hermite order: level L holds every
-    R^n_{tuv} with t+u+v = L that the next level still needs.
-    """
-    level = {(n, 0, 0, 0): (-2.0 * alpha) ** n * fn[n] for n in range(lmax + 1)}
-    out = {(0, 0, 0): level[(0, 0, 0, 0)]}
+def _hermite_coulomb_all(lmax, alpha, pq):
+    """R_{tuv} for t+u+v <= lmax, built up in t+u+v with r[tuv][n] = R^n_{tuv}; pq = P - Q."""
+    fn = boys_table(lmax, alpha * sum(c * c for c in pq))
+    r = {(0, 0, 0): np.stack([(-2.0 * alpha) ** n * fn[n] for n in range(lmax + 1)])}
     for length in range(1, lmax + 1):
-        nxt = {}
         for t in range(length + 1):
             for u in range(length + 1 - t):
-                v = length - t - u
-                for n in range(lmax + 1 - length):
-                    if t > 0:
-                        val = xpq * level[(n + 1, t - 1, u, v)]
-                        if t > 1:
-                            val = val + (t - 1) * level[(n + 1, t - 2, u, v)]
-                    elif u > 0:
-                        val = ypq * level[(n + 1, t, u - 1, v)]
-                        if u > 1:
-                            val = val + (u - 1) * level[(n + 1, t, u - 2, v)]
-                    else:
-                        val = zpq * level[(n + 1, t, u, v - 1)]
-                        if v > 1:
-                            val = val + (v - 1) * level[(n + 1, t, u, v - 2)]
-                    nxt[(n, t, u, v)] = val
-                    if n == 0:
-                        out[(t, u, v)] = val
-        level.update(nxt)
-    return out
+                tuv = (t, u, length - t - u)
+                d = 0 if t else 1 if u else 2  # recur on the first nonzero index
+                lower = [tuv[:d] + (tuv[d] - s,) + tuv[d + 1:] for s in (1, 2)]
+                r[tuv] = pq[d] * r[lower[0]][1:]
+                if tuv[d] > 1:
+                    r[tuv] = r[tuv] + (tuv[d] - 1) * r[lower[1]][1:-1]
+    return {tuv: val[0] for tuv, val in r.items()}
 
 
-class _PairTable:
-    """Hermite expansion of the charge distribution of one function pair.
+class _ShellPairs:
+    """The primitive pairs of shell pairs of one angular class, stacked.
 
-    Arrays run over all primitive pairs of the contracted pair; lam maps the
-    nonzero Hermite indices (t, u, v) to per-pair coefficients that already
-    include contraction weights.
+    A shell is (l, center, exponents, coefficients, Cartesian components).
+    `e[h, c, q]` is Hermite coefficient `herm[h]` of component pair `ij[c]` and
+    primitive pair q, weights included; integrals are (ij, shell pair) arrays.
     """
 
-    __slots__ = ("p", "center", "lam", "l_total", "beta")
+    def __init__(self, pairs):
+        (la, *_, comps_a), (lb, *_, comps_b) = pairs[0]
+        self.ij = [(i, j) for i in range(len(comps_a)) for j in range(len(comps_b))]
+        prims = [(x, y, cx * cy, *sa[1], *sb[1]) for sa, sb in pairs
+                 for x, cx in zip(sa[2], sa[3]) for y, cy in zip(sb[2], sb[3])]
+        a, b, self.coef, *xyz = np.array(prims).T
+        ra, rb = np.reshape(xyz, (2, 3, -1))
+        self.p, self.beta, self.l = a + b, b, la + lb
+        self.center = (a * ra + b * rb) / self.p
+        self.cube = np.pi / self.p * np.sqrt(np.pi / self.p)  # (pi/p)^(3/2)
+        self.start = np.cumsum([0] + [len(sa[2]) * len(sb[2]) for sa, sb in pairs[:-1]])
+        self.ia, self.jb = map(np.array, zip(*[(comps_a[i], comps_b[j]) for i, j in self.ij]))
+        # E^{ij}_t of each dimension by the recurrences of `hermite_expansion`,
+        # j two higher for the kinetic energy; the last t slot stays zero
+        imax, jmax, q, mu = self.ia.max(), self.jb.max() + 2, ra - rb, a * b / self.p
+        self.e1 = e = np.zeros((imax + 1, jmax + 1, imax + jmax + 2) + q.shape)
+        e[0, 0, 0] = _exp(-mu * q * q)
+        up = np.arange(1.0, imax + jmax + 2)[:, None, None]
+        for i in range(imax + 1):
+            for j in range(jmax + 1):
+                if i or j:
+                    prev, x = (e[i, j - 1], mu * q / b) if j else (e[i - 1, 0], -mu * q / a)
+                    e[i, j, :-1] = x * prev[:-1] + up * prev[1:]
+                    e[i, j, 1:-1] += prev[:-2] / (2.0 * self.p)
+        self.herm = [(t, u, v) for t in range(self.l + 1) for u in range(self.l + 1 - t)
+                     for v in range(self.l + 1 - t - u)]
+        tuv = np.minimum(self.herm, e.shape[2] - 1)  # t > i + j reads zero
+        g = e[self.ia, self.jb, tuv[:, None], np.arange(3)]
+        self.e = self.coef * g[:, :, 0] * g[:, :, 1] * g[:, :, 2]
+        # terms with all-zero coefficients add exact zeros; one-pair batches skip many
+        self.terms = [(h, key) for h, key in enumerate(self.herm) if not h or self.e[h].any()]
 
-    def __init__(self, f, g):
-        ea, eb = f.exponent_array, g.exponent_array
-        ca, cb = f.coefficient_array, g.coefficient_array
-        a = np.repeat(ea, len(eb))
-        b = np.tile(eb, len(ea))
-        coef = np.repeat(ca, len(cb)) * np.tile(cb, len(ca))
-        p = a + b
-        acoords = f.center_array
-        bcoords = g.center_array
-        self.p = p
-        self.beta = b
-        self.center = (a[:, None] * acoords + b[:, None] * bcoords) / p[:, None]
-        self.l_total = f.total_angular_momentum + g.total_angular_momentum
-        e_dim = []
-        for d in range(3):
-            i, j = f.powers[d], g.powers[d]
-            q_x = acoords[d] - bcoords[d]
-            e_dim.append([np.asarray(hermite_expansion(i, j, t, q_x, a, b))
-                          for t in range(i + j + 1)])
-        lam = {}
-        for t, ex in enumerate(e_dim[0]):
-            for u, ey in enumerate(e_dim[1]):
-                for v, ez in enumerate(e_dim[2]):
-                    lam[(t, u, v)] = coef * ex * ey * ez
-        self.lam = lam
+    def contract(self, x):
+        return np.add.reduceat(x, self.start, axis=-1)
+
+    def overlap(self):
+        return self.contract(self.e[0] * self.cube)
+
+    def kinetic(self):
+        """-1/2 <a|del^2|b> by the exponent-shift relations on 1-D overlaps."""
+        e, d, j = self.e1, np.arange(3), self.jb[..., None]
+        s = e[self.ia, self.jb, 0, d]
+        k = (self.beta * (2 * j + 1) * s - 2.0 * self.beta ** 2 * e[self.ia, self.jb + 2, 0, d]
+             - 0.5 * j * (j - 1) * e[self.ia, np.maximum(self.jb - 2, 0), 0, d])
+        cross = k[:, 0] * s[:, 1] * s[:, 2] + s[:, 0] * k[:, 1] * s[:, 2] \
+            + s[:, 0] * s[:, 1] * k[:, 2]
+        return self.contract(self.coef * self.cube * cross)
+
+    def nuclear(self, mol):
+        """-sum_C Z_C <a| 1/|r-R_C| |b>, all nuclei in one Boys/R_tuv pass."""
+        pc = self.center[:, None] - np.array([at.position for at in mol.atoms]).T[..., None]
+        rts = _hermite_coulomb_all(self.l, self.p, pc)
+        acc = sum(self.e[h][:, None] * rts[key] for h, key in self.terms)
+        v = sum(-at.nuclear_charge * acc[:, n] for n, at in enumerate(mol.atoms))
+        return self.contract(2.0 * np.pi / self.p * v)
+
+
+def _eri_block(bra, ket):
+    """(bra|ket) for all shell and component pairs of two classes, as rows x columns."""
+    pb, pk = bra.p[:, None], ket.p[None, :]
+    alpha = pb * pk / (pb + pk)
+    rts = _hermite_coulomb_all(bra.l + ket.l, alpha, bra.center[..., None] - ket.center[:, None])
+    ek = ket.e * np.array([(-1.0) ** sum(key) for key in ket.herm])[:, None, None]
+    acc = 0.0
+    for hb, (t, u, v) in bra.terms:
+        w = sum(ek[hk][:, None, :] * rts[(t + s, u + r, v + q)] for hk, (s, r, q) in ket.terms)
+        acc = acc + bra.e[hb][:, None, :, None] * w
+    acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
+    out = np.add.reduceat(np.add.reduceat(acc, ket.start, axis=3), bra.start, axis=2)
+    return out.transpose(0, 2, 1, 3).reshape(len(bra.ij) * len(bra.start), -1)
+
+
+def _function_key(shell, comp=0):
+    """Functions are ordered by (l, center, exponents, coefficients, powers)."""
+    return shell[:4] + (shell[4][comp],)
+
+
+def _pair_key(kf, kg):
+    """Pairs (kf >= kg) are ordered by angular class first; the larger is the bra."""
+    return kf[0], kg[0], kf, kg
+
+
+def _pair(f, g):
+    """(pair key, one-pair batch) of two functions, in `compute_all`'s order."""
+    sf, sg = sorted(((sum(h.powers), tuple(h.center), tuple(h.exponents),
+                      tuple(h.coefficients), (tuple(h.powers),)) for h in (f, g)),
+                    key=_function_key, reverse=True)
+    return _pair_key(_function_key(sf), _function_key(sg)), _ShellPairs([(sf, sg)])
 
 
 def overlap(f, g):
     """<f|g> for contracted functions."""
-    tb = _PairTable(f, g)
-    return float(np.sum((np.pi / tb.p) ** 1.5 * tb.lam[(0, 0, 0)]))
-
-
-def _overlap_pair_vector(f, g):
-    tb = _PairTable(f, g)
-    return (np.pi / tb.p) ** 1.5 * tb.lam[(0, 0, 0)]
+    return float(_pair(f, g)[1].overlap()[0, 0])
 
 
 def kinetic(f, g):
     """-1/2 <f|del^2|g> via exponent-shift relations on overlaps."""
-    j1, j2, j3 = g.powers
-    beta = _PairTable(f, g).beta
-    val = beta * (2 * (j1 + j2 + j3) + 3) * _overlap_pair_vector(f, g)
-    for d in range(3):
-        raised = list(g.powers)
-        raised[d] += 2
-        g_up = BasisFunction(g.center, tuple(raised), g.exponents, g.coefficients)
-        val = val - 2.0 * beta ** 2 * _overlap_pair_vector(f, g_up)
-        if g.powers[d] >= 2:
-            lowered = list(g.powers)
-            lowered[d] -= 2
-            g_dn = BasisFunction(g.center, tuple(lowered), g.exponents, g.coefficients)
-            val = val - 0.5 * g.powers[d] * (g.powers[d] - 1) * _overlap_pair_vector(f, g_dn)
-    return float(np.sum(val))
+    return float(_pair(f, g)[1].kinetic()[0, 0])
 
 
 def nuclear_attraction(f, g, mol):
     """-sum_A Z_A <f| 1/|r-R_A| |g> over the nuclei of mol."""
-    tb = _PairTable(f, g)
-    total = 0.0
-    for at in mol.atoms:
-        pc = tb.center - at.coords
-        r2 = np.einsum("qi,qi->q", pc, pc)
-        fn = boys_table(tb.l_total, tb.p * r2)
-        rts = _hermite_coulomb_all(tb.l_total, tb.p, pc[:, 0], pc[:, 1], pc[:, 2], fn)
-        acc = np.zeros_like(tb.p)
-        for key, lam in tb.lam.items():
-            acc += lam * rts[key]
-        total -= at.nuclear_charge * float(np.sum(2.0 * np.pi / tb.p * acc))
-    return total
-
-
-def _eri_pair_tables(bra, ket):
-    """(bra|ket) between two Hermite charge distributions."""
-    pa = bra.p[:, None]
-    pb = ket.p[None, :]
-    alpha = pa * pb / (pa + pb)
-    pq = bra.center[:, None, :] - ket.center[None, :, :]
-    r2 = np.einsum("abi,abi->ab", pq, pq)
-    lmax = bra.l_total + ket.l_total
-    fn = boys_table(lmax, alpha * r2)
-    rts = _hermite_coulomb_all(lmax, alpha, pq[..., 0], pq[..., 1], pq[..., 2], fn)
-    acc = np.zeros(alpha.shape)
-    for (t, u, v), la in bra.lam.items():
-        for (s, w, x), lb in ket.lam.items():
-            sign = -1.0 if (s + w + x) % 2 else 1.0
-            acc += sign * la[:, None] * lb[None, :] * rts[(t + s, u + w, v + x)]
-    pref = 2.0 * np.pi ** 2.5 / (pa * pb * np.sqrt(pa + pb))
-    return float(np.sum(pref * acc))
+    return float(_pair(f, g)[1].nuclear(mol)[0, 0])
 
 
 def eri(f, g, h, k):
     """Two-electron repulsion integral (fg|hk) in chemists' notation."""
-    return _eri_pair_tables(_PairTable(f, g), _PairTable(h, k))
+    (_, bra), (_, ket) = sorted((_pair(f, g), _pair(h, k)), key=lambda kb: kb[0], reverse=True)
+    return float(_eri_block(bra, ket)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -235,45 +236,43 @@ class IntegralSet:
 
     def dump(self, path):
         """Text dump of the unique integrals, one record per line."""
-        n = self.n
+        pairs = [(i, j) for i in range(self.n) for j in range(i + 1)]
         with open(path, "w") as fh:
-            for label, mat in (("S", self.overlap), ("T", self.kinetic),
-                               ("V", self.nuclear)):
-                for i in range(n):
-                    for j in range(i + 1):
-                        fh.write(f"{label} {i} {j} {mat[i, j]:.17g}\n")
-            seen = set()
-            for i in range(n):
-                for j in range(i + 1):
-                    for k in range(n):
-                        for l in range(k + 1):
-                            if (k, l, i, j) in seen:
-                                continue
-                            seen.add((i, j, k, l))
-                            fh.write(f"ERI {i} {j} {k} {l} {self.eri[i, j, k, l]:.17g}\n")
+            for label, mat in zip("STV", (self.overlap, self.kinetic, self.nuclear)):
+                fh.writelines(f"{label} {i} {j} {mat[i, j]:.17g}\n" for i, j in pairs)
+            fh.writelines(f"ERI {i} {j} {k} {l} {self.eri[i, j, k, l]:.17g}\n"
+                          for a, (i, j) in enumerate(pairs) for k, l in pairs[a:])
 
 
 def compute_all(basis, mol):
-    """All one- and two-electron integrals for an AO basis; deterministic."""
-    n = basis.n
-    funcs = basis.functions
-    s = np.zeros((n, n))
-    t = np.zeros((n, n))
-    v = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            s[i, j] = s[j, i] = overlap(funcs[i], funcs[j])
-            t[i, j] = t[j, i] = kinetic(funcs[i], funcs[j])
-            v[i, j] = v[j, i] = nuclear_attraction(funcs[i], funcs[j], mol)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
-    tables = [_PairTable(funcs[i], funcs[j]) for i, j in pairs]
-    g = np.zeros((n, n, n, n))
-    for a, (i, j) in enumerate(pairs):
-        for b in range(a + 1):
-            k, l = pairs[b]
-            val = _eri_pair_tables(tables[a], tables[b])
-            for (p, q) in ((i, j), (j, i)):
-                for (r, u) in ((k, l), (l, k)):
-                    g[p, q, r, u] = val
-                    g[r, u, p, q] = val
-    return IntegralSet(overlap=s, kinetic=t, nuclear=v, eri=g)
+    """All one- and two-electron integrals for an AO basis; deterministic.
+
+    Each unique pair and quartet is computed once, in the order of `_pair`.
+    """
+    shells = [(sh.angular_momentum, mol.atoms[sh.center_index].position,
+               tuple(p.exponent for p in sh.primitives), sh.normalized_coefficients,
+               CARTESIAN_COMPONENTS[sh.angular_momentum]) for sh in basis.shells]
+    fkeys = [_function_key(sh, c) for sh in shells for c in range(len(sh[4]))]  # AO order
+    shells.sort(key=lambda sh: sh[:4], reverse=True)
+    pairs = [(sa, sb) for x, sa in enumerate(shells) for sb in shells[x:]]
+    batches, rows, offsets = [], [], [0]
+    for cls in sorted({(sa[0], sb[0]) for sa, sb in pairs}, reverse=True):
+        members = [(sa, sb) for sa, sb in pairs if (sa[0], sb[0]) == cls]
+        batches.append(_ShellPairs(members))
+        rows += [(_function_key(sa, i), _function_key(sb, j))
+                 for i, j in batches[-1].ij for sa, sb in members]
+        offsets.append(len(rows))
+    s, t, v = (np.concatenate([integral(b).ravel() for b in batches]) for integral in (
+        _ShellPairs.overlap, _ShellPairs.kinetic, lambda b: b.nuclear(mol)))
+    g = np.zeros((len(rows), len(rows)))
+    for x, bra in enumerate(batches):
+        for y, ket in enumerate(batches[x:], x):
+            g[offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_block(bra, ket)
+    # every pair and quartet reads the entry computed in its canonical order
+    row_of = {key: r for r, key in enumerate(rows)}
+    src = np.array([[row_of[tuple(sorted((ki, kj), reverse=True))] for kj in fkeys]
+                    for ki in fkeys])
+    rank = np.argsort(sorted(range(len(rows)), key=lambda r: _pair_key(*rows[r])))
+    g = np.where(rank[:, None] >= rank[None, :], g, g.T)
+    return IntegralSet(overlap=s[src], kinetic=t[src], nuclear=v[src],
+                       eri=g[src[:, :, None, None], src])

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from h2ent import cli
+from h2ent.basis import load_basis
 from h2ent.cli import (CurvePoint, ScanConfig, emit, main, run_scan,
                        run_single_point, scan_grid)
 from h2ent.molecule import ANGSTROM_TO_BOHR
@@ -43,6 +45,26 @@ def test_scan_grid_linear_log_and_units():
     rs = scan_grid(config(far_point=20.0))
     assert len(rs) == 4 and rs[-1] == 20.0
     assert len(scan_grid(config(far_point=1.5))) == 3  # inside range: skipped
+
+
+def test_far_point_is_in_bohr_in_both_units():
+    for unit in ("bohr", "angstrom"):
+        rs = scan_grid(config(unit=unit, far_point=20.0))
+        assert len(rs) == 4 and rs[-1] == 20.0
+    # 3 Bohr lies inside the 1-2 Angstrom range, so it is not appended
+    assert len(scan_grid(config(unit="angstrom", far_point=3.0))) == 3
+
+
+def test_scan_loads_the_basis_once(monkeypatch):
+    loads = []
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return load_basis(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_basis", counting_load)
+    points, failures = run_scan(config(far_point=20.0))
+    assert len(points) + len(failures) == 4 and len(loads) == 1
 
 
 def test_run_single_point_values():

@@ -5,11 +5,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
+from h2ent.fci import run_fci
 from h2ent.integrals import (boys, boys_table, compute_all, eri,
                              hermite_expansion, kinetic, nuclear_attraction,
                              overlap)
 from h2ent.molecule import Molecule, atom, h2
 from h2ent.quadrature import quadrature_oracle, quadrature_oracle_eri
+from h2ent.scf import run_rhf
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -168,6 +170,49 @@ def test_compute_all_matches_single_calls():
             val = overlap(ao.functions[i], ao.functions[j])
             assert ints.overlap[i, j] == val
             assert ints.overlap[j, i] == val
+
+
+def off_axis_h2(r):
+    """H2 with a generic bond direction, so every Cartesian branch is used."""
+    origin = np.array([0.3, -0.2, 0.1])
+    direction = np.array([0.48, -0.6, 0.64])  # unit vector
+    return Molecule((atom("H", origin), atom("H", origin + r * direction)), 2)
+
+
+def test_off_axis_h2_matches_bond_along_z():
+    basis = load_basis("6-31gss")
+    energies = []
+    for mol in (h2(1.4), off_axis_h2(1.4)):
+        ints = compute_all(build_ao_basis(mol, basis), mol)
+        scf = run_rhf(ints, mol)
+        energies.append((scf.e_hf, run_fci(ints, scf, mol).e_fci))
+    assert energies[1] == pytest.approx(energies[0], abs=1e-10)
+
+
+def test_off_axis_one_electron_oracle_spot_checks():
+    mol = off_axis_h2(1.4)
+    ao = build_ao_basis(mol, load_basis("6-31gss"))
+    ints = compute_all(ao, mol)
+    # single-primitive s (0.161) and p (1.1) functions: inside the oracle's range
+    for i, j in ((1, 7), (3, 8), (4, 6)):
+        f, g = ao.functions[i], ao.functions[j]
+        assert ints.overlap[i, j] == pytest.approx(
+            quadrature_oracle(f, g, "overlap"), abs=1e-6)
+        assert ints.kinetic[i, j] == pytest.approx(
+            quadrature_oracle(f, g, "kinetic"), abs=1e-6)
+        assert ints.nuclear[i, j] == pytest.approx(
+            quadrature_oracle(f, g, "nuclear", mol), abs=1e-6)
+
+
+def test_compute_all_is_deterministic_and_exactly_symmetric():
+    mol = off_axis_h2(1.4)
+    ao = build_ao_basis(mol, load_basis("6-31gss"))
+    a, b = compute_all(ao, mol), compute_all(ao, mol)
+    for name in ("overlap", "kinetic", "nuclear", "eri"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    g = a.eri
+    for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        assert np.array_equal(g, g.transpose(axes))
 
 
 def test_integral_matrices_well_formed():
