@@ -14,6 +14,7 @@ from . import bell
 from .basis import BasisSet, build_ao_basis, load_basis
 from .correlation import (CorrelationReport, correlation_energy, natural_occupations,
                           one_particle_density, rescale_entropy, von_neumann_entropy)
+from .errors import H2entError, SCFConvergenceError
 from .fci import run_fci
 from .integrals import compute_all
 from .molecule import ANGSTROM_TO_BOHR, h2
@@ -69,8 +70,8 @@ def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings()):
     ints = compute_all(build_ao_basis(mol, basis), mol)
     scf_result = run_rhf(ints, mol, settings)
     if not scf_result.converged:
-        raise RuntimeError(f"SCF did not converge at R = {r_bohr} Bohr "
-                           f"({scf_result.iterations} iterations)")
+        raise SCFConvergenceError(f"SCF did not converge at R = {r_bohr} Bohr "
+                                  f"({scf_result.iterations} iterations)")
     ci = run_fci(ints, scf_result, mol)
     occ = natural_occupations(one_particle_density(ci))
     return CorrelationReport(
@@ -95,7 +96,8 @@ def scan_grid(config):
 def run_scan(config):
     """Scan the dissociation curve; per-point failures are recorded, not fatal.
 
-    Returns (points, failures) with failures as (R, message) pairs. Raises
+    Returns (points, failures) with failures as (R, message) pairs; a point
+    fails on an H2entError, and any other exception propagates. Raises
     RuntimeError if every point failed; the basis is loaded once, up front, and
     its errors propagate.
     """
@@ -105,7 +107,7 @@ def run_scan(config):
     for r in scan_grid(config):
         try:
             rep = run_single_point(r, basis)
-        except Exception as exc:  # record and continue
+        except H2entError as exc:  # record and continue
             failures.append((r, str(exc)))
             continue
         points.append(CurvePoint(

@@ -1,17 +1,20 @@
 """Electron-correlation measures derived from the CI ground state.
 
-The spin-summed one-particle density matrix, its natural occupations in
-[0, 2], the occupation-number von Neumann entropy in bits, the correlation
-energy E_HF - E_FCI, the two-orbital closed form for the minimal basis, and
-the curve rescaling that anchors the entropy to the correlation energy at the
-largest scanned distance.
+The spin-summed one-particle density matrix C C^T + C^T C of the K x K CI
+coefficient matrix C (the alpha plus the beta density), its natural
+occupations in [0, 2], which for the singlet (symmetric C) are 2 sigma_k^2
+from the singular values of C, i.e. the Schmidt decomposition of the
+two-electron state; the occupation-number von Neumann entropy in bits, the
+correlation energy E_HF - E_FCI, the two-orbital closed form for the minimal
+basis, and the curve rescaling that anchors the entropy to the correlation
+energy at the largest scanned distance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fci import Determinant, _single_sign
+from .errors import NumericalCheckError
 
 
 @dataclass(frozen=True)
@@ -59,37 +62,16 @@ class MinimalBasisInputs:
 
 
 def one_particle_density(ci):
-    """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> from the CI vector."""
-    basis = ci.basis
-    coef = ci.coefficients
-    k = basis.n_orbitals
-    index = basis.index()
-    gamma = np.zeros((k, k))
-    for i, det in enumerate(basis.determinants):
-        ci2 = coef[i] ** 2
-        for spin, mask in (("a", det.alpha), ("b", det.beta)):
-            occ = det.occupied(spin)
-            for p in occ:
-                gamma[p, p] += ci2
-            for p in occ:
-                for q in range(k):
-                    if mask & (1 << q):
-                        continue
-                    new_mask = (mask ^ (1 << p)) | (1 << q)
-                    other = Determinant(new_mask, det.beta) if spin == "a" \
-                        else Determinant(det.alpha, new_mask)
-                    j = index.get(other)
-                    if j is None:
-                        continue
-                    gamma[q, p] += _single_sign(mask, p, q) * coef[j] * coef[i]
-    return OPDM(0.5 * (gamma + gamma.T))
+    """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq."""
+    c = ci.coefficients
+    return OPDM(c @ c.T + c.T @ c)
 
 
 def natural_occupations(opdm):
     """Descending eigenvalues of the spin-summed density matrix."""
     vals = np.linalg.eigvalsh(opdm.gamma)[::-1]
     if vals.min() < -1e-8 or vals.max() > 2.0 + 1e-8:
-        raise ValueError(f"occupations outside [0, 2]: {vals}")
+        raise NumericalCheckError(f"occupations outside [0, 2]: {vals}")
     return NaturalOccupations(np.clip(vals, 0.0, 2.0))
 
 
@@ -104,7 +86,7 @@ def correlation_energy(e_hf, e_fci):
     """E_corr = E_HF - E_FCI (non-negative by the variational principle)."""
     diff = e_hf - e_fci
     if diff < -1e-9:
-        raise ValueError(
+        raise NumericalCheckError(
             f"E_FCI above E_HF by {-diff:.3e} Hartree; variational violation")
     return diff
 

@@ -29,3 +29,7 @@ class LinearDependenceError(H2entError):
 
 class SCFConvergenceError(H2entError):
     """SCF failed to converge where a converged reference is required."""
+
+
+class NumericalCheckError(H2entError):
+    """A computed result breaks a bound that exact arithmetic guarantees."""

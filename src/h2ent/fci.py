@@ -1,86 +1,28 @@
-"""Full configuration interaction in the molecular-orbital basis.
+"""Full configuration interaction for two electrons in the MO basis.
 
-Determinants are pairs of occupation bit strings (alpha, beta) over K spatial
-orbitals. Spin orbitals are ordered with all alpha before all beta for the
-fermionic sign convention; because every Hamiltonian term moves an even number
-of operators across the alpha block, per-string signs multiply.
+With one alpha and one beta electron in K spatial orbitals, every CI state is
+a K x K coefficient matrix C[a, b] over the determinants a+_(a alpha)
+a+_(b beta)|0>, alpha before beta, flattened as a*K + b. In that basis
+
+    H = h (x) 1 + 1 (x) h + (ac|bd),   row (a, b), column (c, d),
+
+with chemists' ERIs; no sign enters. The singlet ground state has symmetric
+C, and the SVD of C is the Schmidt decomposition of the two-electron state.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
+from .errors import SCFConvergenceError
 from .molecule import nuclear_repulsion
-
-
-@dataclass(frozen=True)
-class Determinant:
-    alpha: int  # occupation bit string over spatial orbitals
-    beta: int
-
-    def occupied(self, spin):
-        mask = self.alpha if spin == "a" else self.beta
-        return _bits(mask)
-
-
-def _bits(mask):
-    out = []
-    pos = 0
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return out
-
-
-def _single_sign(mask, p, q):
-    """Sign of a_q^dag a_p acting within one occupation string."""
-    lo, hi = (p, q) if p < q else (q, p)
-    between = mask & (((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1))
-    return -1.0 if bin(between).count("1") % 2 else 1.0
-
-
-@dataclass(frozen=True)
-class CIBasis:
-    determinants: tuple
-    n_orbitals: int
-    n_alpha: int
-    n_beta: int
-
-    @property
-    def size(self):
-        return len(self.determinants)
-
-    def index(self):
-        return {d: i for i, d in enumerate(self.determinants)}
 
 
 @dataclass(frozen=True)
 class CIResult:
     e_fci: float
-    coefficients: np.ndarray
-    basis: CIBasis
+    coefficients: np.ndarray  # K x K, C[alpha orbital, beta orbital]
     mo_reference: object  # the SCFResult whose orbitals define the CI space
-
-
-def enumerate_determinants(n_orbitals, n_alpha, n_beta):
-    """All C(K, Na) * C(K, Nb) determinants in lexicographic bit order."""
-    if n_alpha > n_orbitals or n_beta > n_orbitals:
-        raise ValueError("cannot place more electrons than orbitals per spin")
-    if n_alpha < 0 or n_beta < 0:
-        raise ValueError("negative electron count")
-    strings = {}
-    for n in {n_alpha, n_beta}:
-        masks = sorted(sum(1 << i for i in occ)
-                       for occ in combinations(range(n_orbitals), n))
-        strings[n] = masks
-    dets = tuple(Determinant(a, b)
-                 for a in strings[n_alpha] for b in strings[n_beta])
-    assert len(dets) == comb(n_orbitals, n_alpha) * comb(n_orbitals, n_beta)
-    return CIBasis(dets, n_orbitals, n_alpha, n_beta)
 
 
 def mo_transform(ints, c):
@@ -101,136 +43,42 @@ def mo_transform(ints, c):
     return 0.5 * (h_mo + h_mo.T), g
 
 
-def _diagonal_element(det, h, g):
-    occ_a = det.occupied("a")
-    occ_b = det.occupied("b")
-    e = sum(h[p, p] for p in occ_a) + sum(h[p, p] for p in occ_b)
-    for occ in (occ_a, occ_b):
-        for p in occ:
-            for q in occ:
-                e += 0.5 * (g[p, p, q, q] - g[p, q, q, p])
-    for p in occ_a:
-        for q in occ_b:
-            e += g[p, p, q, q]
-    return e
-
-
-def _single_element(det_from, p, q, spin, h, g):
-    """<det_to|H|det_from> where det_to = det_from with p->q in the given spin."""
-    occ_same = det_from.occupied(spin)
-    occ_other = det_from.occupied("b" if spin == "a" else "a")
-    val = h[q, p]
-    for r in occ_same:
-        if r == p:
-            continue
-        val += g[q, p, r, r] - g[q, r, r, p]
-    for r in occ_other:
-        val += g[q, p, r, r]
-    mask = det_from.alpha if spin == "a" else det_from.beta
-    return _single_sign(mask, p, q) * val
-
-
-def build_hamiltonian(basis, h, g):
-    """Dense Hamiltonian matrix by Slater-Condon rules (chemists' ERIs)."""
-    dets = basis.determinants
-    size = len(dets)
-    ham = np.zeros((size, size))
-    for i in range(size):
-        ham[i, i] = _diagonal_element(dets[i], h, g)
-        for j in range(i):
-            ham[i, j] = ham[j, i] = _off_diagonal(dets[i], dets[j], h, g)
-    return ham
-
-
-def _off_diagonal(di, dj, h, g):
-    diff_a = di.alpha ^ dj.alpha
-    diff_b = di.beta ^ dj.beta
-    na = bin(diff_a).count("1")
-    nb = bin(diff_b).count("1")
-    degree = (na + nb) // 2
-    if degree > 2:
-        return 0.0
-    if degree == 1:
-        if na == 2:
-            p = _bits(diff_a & dj.alpha)[0]
-            q = _bits(diff_a & di.alpha)[0]
-            return _single_element(dj, p, q, "a", h, g)
-        p = _bits(diff_b & dj.beta)[0]
-        q = _bits(diff_b & di.beta)[0]
-        return _single_element(dj, p, q, "b", h, g)
-    # degree == 2
-    if na == 4 or nb == 4:
-        spin = "a" if na == 4 else "b"
-        mj = dj.alpha if spin == "a" else dj.beta
-        mi = di.alpha if spin == "a" else di.beta
-        p, q = _bits(mj & (mj ^ mi))
-        r, s = _bits(mi & (mj ^ mi))
-        sign = _apply_string_sign(mj, (p, q), (r, s))
-        return sign * (g[r, p, s, q] - g[s, p, r, q])
-    # one alpha and one beta excitation
-    pa = _bits(diff_a & dj.alpha)[0]
-    ra = _bits(diff_a & di.alpha)[0]
-    pb = _bits(diff_b & dj.beta)[0]
-    rb = _bits(diff_b & di.beta)[0]
-    sign = _single_sign(dj.alpha, pa, ra) * _single_sign(dj.beta, pb, rb)
-    return sign * g[ra, pa, rb, pb]
-
-
-def _apply_string_sign(mask, annihilate, create):
-    """Sign of a_c2^dag a_c1^dag a_a2 a_a1 on one occupation string."""
-    sign = 1.0
-    for p in annihilate:
-        below = mask & ((1 << p) - 1)
-        if bin(below).count("1") % 2:
-            sign = -sign
-        mask ^= 1 << p
-    for p in create:
-        below = mask & ((1 << p) - 1)
-        if bin(below).count("1") % 2:
-            sign = -sign
-        mask |= 1 << p
-    return sign
-
-
-def solve_ground(ham):
-    """Lowest eigenpair of a dense symmetric matrix."""
-    vals, vecs = np.linalg.eigh(0.5 * (ham + ham.T))
-    return float(vals[0]), vecs[:, 0]
+def build_hamiltonian(h, g):
+    """Dense K^2 x K^2 Hamiltonian on vec(C), index a*K + b."""
+    k = h.shape[0]
+    one = np.eye(k)
+    # h (x) 1 + 1 (x) h + g[a, c, b, d], each indexed [a, b, c, d]
+    ham = (h[:, None, :, None] * one[None, :, None, :]
+           + one[:, None, :, None] * h[None, :, None, :] + g.transpose(0, 2, 1, 3))
+    return ham.reshape(k * k, k * k)
 
 
 def run_fci(ints, scf_result, mol):
     """Full CI ground state in the converged RHF orbital basis.
 
     Phase convention: largest-magnitude coefficient positive. In a degenerate
-    ground manifold the state with maximal overlap on the HF determinant is
-    selected, matching the adiabatic ground-state narrative.
+    ground manifold the state with maximal overlap on the HF determinant
+    C[0, 0] is selected, matching the adiabatic ground-state narrative.
     """
     if not scf_result.converged:
-        raise ValueError("FCI requires a converged SCF reference")
-    n_orb = scf_result.mo_coefficients.shape[1]
-    n_pairs = mol.n_electrons // 2
+        raise SCFConvergenceError("FCI requires a converged SCF reference")
+    if mol.n_electrons != 2:
+        raise ValueError(f"FCI handles two electrons, got {mol.n_electrons}")
+    k = scf_result.mo_coefficients.shape[1]
     h, g = mo_transform(ints, scf_result.mo_coefficients)
-    basis = enumerate_determinants(n_orb, n_pairs, mol.n_electrons - n_pairs)
-    ham = build_hamiltonian(basis, h, g)
-    vals, vecs = np.linalg.eigh(ham)
+    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g))
     e0 = vals[0]
-    hf_det = Determinant(*(2 * [(1 << n_pairs) - 1]))
-    hf_index = basis.index()[hf_det]
     degenerate = np.where(vals <= e0 + 1e-8)[0]
-    proj = vecs[:, degenerate] @ vecs[hf_index, degenerate]
+    proj = vecs[:, degenerate] @ vecs[0, degenerate]
     norm = np.linalg.norm(proj)
-    vec = proj / norm if norm > 1e-6 else vecs[:, degenerate[0]]
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
+    c = (proj / norm if norm > 1e-6 else vecs[:, degenerate[0]]).reshape(k, k)
+    # The ground state is a singlet, C = C^T. Past R ~ 6 Bohr the lowest
+    # triplet comes within 1e-4 to 1e-8 Hartree of it, and eigh leaves up to
+    # ~1e-9 of that triplet in the vector; keep the symmetric part only.
+    c = c + c.T
+    c /= np.linalg.norm(c)
+    if c.flat[np.argmax(np.abs(c))] < 0:
+        c = -c
     e_nuc = nuclear_repulsion(mol) if len(mol.atoms) > 1 else 0.0
-    return CIResult(e_fci=float(e0 + e_nuc), coefficients=vec,
-                    basis=basis, mo_reference=scf_result)
-
-
-def dump_ci(ci, path):
-    """Text dump of the CI vector: index, alpha bits, beta bits, coefficient."""
-    k = ci.basis.n_orbitals
-    with open(path, "w") as fh:
-        for i, det in enumerate(ci.basis.determinants):
-            fh.write(f"{i} {det.alpha:0{k}b} {det.beta:0{k}b} "
-                     f"{ci.coefficients[i]:.17g}\n")
+    return CIResult(e_fci=float(e0 + e_nuc), coefficients=c,
+                    mo_reference=scf_result)

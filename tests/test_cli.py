@@ -1,12 +1,14 @@
 """Command-line interface: scans, single points, CHSH demo, exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from h2ent import cli
+from h2ent import cli, correlation, fci
 from h2ent.basis import load_basis
+from h2ent.correlation import OPDM
 from h2ent.cli import (CurvePoint, ScanConfig, emit, main, run_scan,
                        run_single_point, scan_grid)
 from h2ent.molecule import ANGSTROM_TO_BOHR
@@ -65,6 +67,47 @@ def test_scan_loads_the_basis_once(monkeypatch):
     monkeypatch.setattr(cli, "load_basis", counting_load)
     points, failures = run_scan(config(far_point=20.0))
     assert len(points) + len(failures) == 4 and len(loads) == 1
+
+
+def test_single_point_enters_each_traced_layer_once(monkeypatch):
+    # perfbench's tracer wraps these names in every h2ent module that binds
+    # them and reports one span of each per scan point
+    calls = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("h2ent")]
+    for owner, name in ((fci, "build_hamiltonian"), (fci, "mo_transform"),
+                        (correlation, "one_particle_density")):
+        original = getattr(owner, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting(name, original))
+    run_single_point(1.4, "sto-3g")
+    assert calls == {"build_hamiltonian": 1, "mo_transform": 1,
+                     "one_particle_density": 1}
+
+
+def test_run_scan_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a computation failure")
+
+    monkeypatch.setattr(cli, "run_single_point", broken)
+    with pytest.raises(TypeError):
+        run_scan(config())
+
+
+def test_numerical_check_failure_exit_2(monkeypatch, capsys):
+    # occupations outside [0, 2] are a computation failure, not a usage error
+    monkeypatch.setattr(cli, "one_particle_density",
+                        lambda ci: OPDM(np.diag([2.5, -0.5])))
+    assert main(["point", "-R", "1.4"]) == 2
+    assert "occupations outside [0, 2]" in capsys.readouterr().err
 
 
 def test_run_single_point_values():

@@ -10,22 +10,20 @@ from h2ent.correlation import (MinimalBasisInputs, NaturalOccupations, OPDM,
                                minimal_basis_inputs, natural_occupations,
                                one_particle_density, rescale_entropy,
                                von_neumann_entropy)
-from h2ent.fci import enumerate_determinants
+from h2ent.errors import NumericalCheckError
 from test_fci import annihilation_matrix, embed
 
 
-def ci_state(basis, coefficients):
-    return SimpleNamespace(basis=basis,
-                           coefficients=np.asarray(coefficients, float))
+def ci_state(coefficients):
+    return SimpleNamespace(coefficients=np.asarray(coefficients, float))
 
 
-def brute_force_opdm(basis, coefficients):
+def brute_force_opdm(coefficients):
     """gamma_pq = <Psi|a+_p a_q|Psi> summed over spin, via dense operators."""
-    k = basis.n_orbitals
+    k = coefficients.shape[0]
     ann = [annihilation_matrix(i, 2 * k) for i in range(2 * k)]
-    idx = [embed(det, k) for det in basis.determinants]
     x = np.zeros(1 << (2 * k))
-    x[idx] = coefficients
+    x[embed(k)] = coefficients.ravel()
     gamma = np.zeros((k, k))
     for p in range(k):
         for q in range(k):
@@ -41,44 +39,46 @@ def test_opdm_requires_symmetry():
 
 
 def test_single_determinant_density():
-    basis = enumerate_determinants(2, 1, 1)
-    vec = np.zeros(4)
-    vec[basis.index()[basis.determinants[0]]] = 1.0
-    gamma = one_particle_density(ci_state(basis, vec)).gamma
+    gamma = one_particle_density(ci_state([[1.0, 0.0], [0.0, 0.0]])).gamma
     assert np.allclose(gamma, np.diag([2.0, 0.0]), atol=1e-15)
 
 
 def test_two_configuration_density():
-    basis = enumerate_determinants(2, 1, 1)
-    index = basis.index()
     c1, c2 = np.cos(0.3), np.sin(0.3)
-    vec = np.zeros(4)
-    from h2ent.fci import Determinant
-    vec[index[Determinant(0b01, 0b01)]] = c1
-    vec[index[Determinant(0b10, 0b10)]] = c2
-    gamma = one_particle_density(ci_state(basis, vec)).gamma
+    gamma = one_particle_density(ci_state([[c1, 0.0], [0.0, c2]])).gamma
     assert np.allclose(gamma, np.diag([2 * c1 ** 2, 2 * c2 ** 2]), atol=1e-14)
 
 
-@pytest.mark.parametrize("k,na,nb,seed", [(2, 1, 1, 1), (3, 1, 1, 2), (3, 2, 1, 3)])
-def test_density_matches_fock_space_oracle(k, na, nb, seed):
-    basis = enumerate_determinants(k, na, nb)
+# ids keep the (K, N_alpha, N_beta, seed) form of the determinant-space tests
+@pytest.mark.parametrize("k,seed", [(2, 1), (3, 2), (4, 3)],
+                         ids=["2-1-1-1", "3-1-1-2", "4-1-1-3"])
+def test_density_matches_fock_space_oracle(k, seed):
     rng = np.random.default_rng(seed)
-    vec = rng.normal(size=basis.size)
-    vec /= np.linalg.norm(vec)
-    gamma = one_particle_density(ci_state(basis, vec)).gamma
-    ref = brute_force_opdm(basis, vec)
-    assert np.allclose(gamma, ref, atol=1e-12)
-    assert np.trace(gamma) == pytest.approx(na + nb, abs=1e-12)
+    c = rng.normal(size=(k, k))  # not symmetric: alpha and beta densities differ
+    c /= np.linalg.norm(c)
+    gamma = one_particle_density(ci_state(c)).gamma
+    assert np.allclose(gamma, brute_force_opdm(c), atol=1e-12)
+    assert np.trace(gamma) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
+def test_occupations_are_the_schmidt_coefficients(curve, request):
+    # the singlet C is symmetric, so C C^T + C^T C = 2 C C^T and the natural
+    # occupations are twice the squared singular values of C
+    for rec in request.getfixturevalue(curve)[0]:
+        c = rec.ci.coefficients
+        assert np.abs(c - c.T).max() <= 1e-12, rec.r
+        sigma = np.linalg.svd(c, compute_uv=False)
+        assert np.abs(rec.occupations - 2.0 * sigma ** 2).max() <= 1e-12, rec.r
 
 
 def test_natural_occupations_descending_and_bounded():
     occ = natural_occupations(OPDM(np.diag([0.3, 1.7])))
     assert np.allclose(occ.n, [1.7, 0.3])
     assert occ.total == pytest.approx(2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalCheckError):
         natural_occupations(OPDM(np.diag([2.5, 0.0])))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalCheckError):
         natural_occupations(OPDM(np.diag([-0.2, 1.0])))
 
 
@@ -94,7 +94,7 @@ def test_entropy_reference_values():
 def test_correlation_energy_sign_handling():
     assert correlation_energy(-1.0, -1.1) == pytest.approx(0.1)
     assert correlation_energy(-1.0, -1.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalCheckError):
         correlation_energy(-1.1, -1.0)
 
 

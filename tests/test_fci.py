@@ -1,19 +1,18 @@
-"""Full CI: determinant space, Slater-Condon matrix elements, ground state.
+"""Full CI: the two-electron Hamiltonian on vec(C) and its ground state.
 
 The Hamiltonian builder is cross-checked against a brute-force second-quantized
 construction: dense creation/annihilation matrices over the full Fock space,
-which fixes every fermionic sign independently of the Slater-Condon rules.
+which fixes every fermionic sign independently of the Kronecker form.
 """
 
 import numpy as np
 import pytest
 
 from h2ent.basis import build_ao_basis, load_basis
-from h2ent.fci import (CIBasis, Determinant, build_hamiltonian, dump_ci,
-                       enumerate_determinants, mo_transform, run_fci,
-                       solve_ground)
+from h2ent.errors import SCFConvergenceError
+from h2ent.fci import build_hamiltonian, mo_transform, run_fci
 from h2ent.integrals import compute_all
-from h2ent.molecule import h2, nuclear_repulsion
+from h2ent.molecule import Molecule, h2, nuclear_repulsion
 from h2ent.scf import SCFResult, run_rhf
 
 
@@ -32,7 +31,8 @@ def fock_space_hamiltonian(h, g):
     """Brute-force H = sum h_pq a+_p a_q + 1/2 sum (pq|rs) a+_p a+_r a_s a_q.
 
     Spin orbitals are ordered all alpha (0..K-1) then all beta (K..2K-1),
-    matching the determinant convention of the package.
+    matching the CI convention of the package. The two-electron sum is taken
+    as sum_pr a+_p a+_r (sum_qs (pq|rs) a_s a_q), which keeps K = 4 fast.
     """
     k = h.shape[0]
     n_so = 2 * k
@@ -43,26 +43,23 @@ def fock_space_hamiltonian(h, g):
     ham = np.zeros((dim, dim))
     for p in range(k):
         for q in range(k):
-            if h[p, q] == 0.0:
-                continue
             for sigma in (0, 1):
                 ham += h[p, q] * cre[spat(p, sigma)] @ ann[spat(q, sigma)]
-    for p in range(k):
-        for q in range(k):
-            for r in range(k):
-                for s in range(k):
-                    if g[p, q, r, s] == 0.0:
-                        continue
-                    for sigma in (0, 1):
-                        for tau in (0, 1):
-                            ham += 0.5 * g[p, q, r, s] * (
-                                cre[spat(p, sigma)] @ cre[spat(r, tau)]
-                                @ ann[spat(s, tau)] @ ann[spat(q, sigma)])
+    for sigma in (0, 1):
+        for tau in (0, 1):
+            lower = {(q, s): ann[spat(s, tau)] @ ann[spat(q, sigma)]
+                     for q in range(k) for s in range(k)}
+            for p in range(k):
+                for r in range(k):
+                    ops = sum(g[p, q, r, s] * lower[q, s]
+                              for q in range(k) for s in range(k))
+                    ham += 0.5 * cre[spat(p, sigma)] @ (cre[spat(r, tau)] @ ops)
     return ham
 
 
-def embed(det, k):
-    return det.alpha | (det.beta << k)
+def embed(k):
+    """Fock-space index of each CI index a*K + b: alpha bit a, beta bit K + b."""
+    return [(1 << a) | (1 << (k + b)) for a in range(k) for b in range(k)]
 
 
 def random_mo_integrals(k, seed):
@@ -77,33 +74,15 @@ def random_mo_integrals(k, seed):
     return h, g
 
 
-def test_enumeration_counts():
-    assert enumerate_determinants(2, 1, 1).size == 4
-    assert enumerate_determinants(10, 1, 1).size == 100
-    assert enumerate_determinants(1, 1, 1).size == 1
-    assert enumerate_determinants(3, 2, 1).size == 9
-    with pytest.raises(ValueError):
-        enumerate_determinants(2, 3, 1)
-    with pytest.raises(ValueError):
-        enumerate_determinants(2, -1, 1)
-
-
-def test_determinant_occupation_listing():
-    det = Determinant(0b101, 0b010)
-    assert det.occupied("a") == [0, 2]
-    assert det.occupied("b") == [1]
-
-
-@pytest.mark.parametrize("k,na,nb,seed", [(2, 1, 1, 3), (3, 1, 1, 4),
-                                          (3, 2, 1, 5), (3, 2, 2, 6)])
-def test_hamiltonian_matches_fock_space_oracle(k, na, nb, seed):
+# ids keep the (K, N_alpha, N_beta, seed) form of the determinant-space tests
+@pytest.mark.parametrize("k,seed", [(2, 3), (3, 4), (4, 5)],
+                         ids=["2-1-1-3", "3-1-1-4", "4-1-1-5"])
+def test_hamiltonian_matches_fock_space_oracle(k, seed):
     h, g = random_mo_integrals(k, seed)
-    basis = enumerate_determinants(k, na, nb)
-    ham = build_hamiltonian(basis, h, g)
+    ham = build_hamiltonian(h, g)
     big = fock_space_hamiltonian(h, g)
-    idx = [embed(det, k) for det in basis.determinants]
-    ref = big[np.ix_(idx, idx)]
-    assert np.allclose(ham, ref, atol=1e-12)
+    idx = embed(k)
+    assert np.allclose(ham, big[np.ix_(idx, idx)], atol=1e-12)
 
 
 def test_mo_transform_identity_is_symmetrization():
@@ -127,21 +106,17 @@ def sto3g_solution():
 def test_hf_diagonal_reproduces_scf_energy(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_transform(ints, scf.mo_coefficients)
-    basis = enumerate_determinants(2, 1, 1)
-    ham = build_hamiltonian(basis, h, g)
-    i = basis.index()[Determinant(0b01, 0b01)]
-    assert ham[i, i] + nuclear_repulsion(mol) == pytest.approx(scf.e_hf, abs=1e-10)
+    ham = build_hamiltonian(h, g)
+    assert ham[0, 0] + nuclear_repulsion(mol) == pytest.approx(scf.e_hf, abs=1e-10)
 
 
 def test_double_excitation_coupling_is_exchange_integral(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_transform(ints, scf.mo_coefficients)
-    basis = enumerate_determinants(2, 1, 1)
-    ham = build_hamiltonian(basis, h, g)
-    index = basis.index()
-    i = index[Determinant(0b01, 0b01)]
-    j = index[Determinant(0b10, 0b10)]
-    assert ham[i, j] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
+    ham = build_hamiltonian(h, g)
+    k = h.shape[0]
+    # C[0, 0] (sigma_g^2) couples to C[1, 1] (sigma_u^2), index K + 1
+    assert ham[0, k + 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
 
 
 def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
@@ -149,15 +124,10 @@ def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
     # configurations; its lower eigenvalue is available in closed form
     mol, ints, scf = sto3g_solution
     h, g = mo_transform(ints, scf.mo_coefficients)
-    basis = enumerate_determinants(2, 1, 1)
-    ham = build_hamiltonian(basis, h, g)
-    index = basis.index()
-    i = index[Determinant(0b01, 0b01)]
-    j = index[Determinant(0b10, 0b10)]
-    a, b, c = ham[i, i], ham[j, j], ham[i, j]
+    ham = build_hamiltonian(h, g)
+    a, b, c = ham[0, 0], ham[3, 3], ham[0, 3]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
-    e0, vec = solve_ground(ham)
-    assert e0 == pytest.approx(lower, abs=1e-12)
+    assert np.linalg.eigvalsh(ham)[0] == pytest.approx(lower, abs=1e-12)
     ci = run_fci(ints, scf, mol)
     assert ci.e_fci == pytest.approx(lower + nuclear_repulsion(mol), abs=1e-12)
 
@@ -166,14 +136,21 @@ def test_fci_requires_converged_reference(sto3g_solution):
     mol, ints, scf = sto3g_solution
     bad = SCFResult(scf.mo_coefficients, scf.orbital_energies, scf.e_hf,
                     scf.iterations, converged=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(SCFConvergenceError):
         run_fci(ints, bad, mol)
+
+
+def test_fci_rejects_other_electron_counts(sto3g_solution):
+    mol, ints, scf = sto3g_solution
+    with pytest.raises(ValueError):
+        run_fci(ints, scf, Molecule(mol.atoms, 4))
 
 
 def test_phase_convention(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    ci = run_fci(ints, scf, mol)
-    assert ci.coefficients[np.argmax(np.abs(ci.coefficients))] > 0.0
+    c = run_fci(ints, scf, mol).coefficients
+    assert c.shape == (2, 2)
+    assert c.flat[np.argmax(np.abs(c))] > 0.0
 
 
 def test_inverse_iteration_oracle_polarized_basis():
@@ -183,17 +160,16 @@ def test_inverse_iteration_oracle_polarized_basis():
     ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
     scf = run_rhf(ints, mol)
     h, g = mo_transform(ints, scf.mo_coefficients)
-    basis = enumerate_determinants(10, 1, 1)
-    ham = build_hamiltonian(basis, h, g)
-    x = np.zeros(basis.size)
-    x[basis.index()[Determinant(0b1, 0b1)]] = 1.0
+    ham = build_hamiltonian(h, g)
+    assert ham.shape == (100, 100)
+    x = np.zeros(100)
+    x[0] = 1.0  # the HF determinant C[0, 0]
     mu = x @ ham @ x
     for _ in range(50):
-        x = np.linalg.solve(ham - mu * np.eye(basis.size), x)
+        x = np.linalg.solve(ham - mu * np.eye(100), x)
         x /= np.linalg.norm(x)
         mu = x @ ham @ x
-    e0, _ = solve_ground(ham)
-    assert e0 == pytest.approx(mu, abs=1e-9)
+    assert np.linalg.eigvalsh(ham)[0] == pytest.approx(mu, abs=1e-9)
     ci = run_fci(ints, scf, mol)
     assert ci.e_fci == pytest.approx(mu + nuclear_repulsion(mol), abs=1e-9)
 
@@ -215,19 +191,6 @@ def test_dissociation_configurations_equalize(sto3g_curve):
     records, _ = sto3g_curve
     far = records[-1]
     assert far.r == 20.0
-    basis = far.ci.basis
-    index = basis.index()
-    c_gg = far.ci.coefficients[index[Determinant(0b01, 0b01)]]
-    c_uu = far.ci.coefficients[index[Determinant(0b10, 0b10)]]
+    c_gg, c_uu = far.ci.coefficients[0, 0], far.ci.coefficients[1, 1]
     assert abs(c_gg) == pytest.approx(abs(c_uu), abs=1e-3)
     assert c_gg > 0.0
-
-
-def test_dump_ci(tmp_path, sto3g_solution):
-    mol, ints, scf = sto3g_solution
-    ci = run_fci(ints, scf, mol)
-    path = tmp_path / "ci.txt"
-    dump_ci(ci, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4
-    assert float(lines[0].split()[-1]) == ci.coefficients[0]
