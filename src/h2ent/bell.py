@@ -1,9 +1,11 @@
 """CHSH/Bell-inequality machinery for two-spin states.
 
 Spin observables sigma.v, the singlet and product reference states, the
-factorized and symmetrized two-spin mean values, CHSH evaluation and its
-maximization (spherical grid plus coordinate descent) with the standard
-two-qubit closed-form criterion as oracle.
+factorized and symmetrized two-spin mean values and CHSH evaluation. The
+CHSH maximum comes twice: `chsh_max_grid` builds the optimal settings from
+the eigenvectors of T^T T (T the correlation tensor) and evaluates them on
+the density matrix, and `chsh_max_closed_form` is the Horodecki criterion
+2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as the oracle.
 """
 
 from dataclasses import dataclass
@@ -163,17 +165,6 @@ def chsh_max_closed_form(state):
     return float(2.0 * np.sqrt(m[-1] + m[-2]))
 
 
-def _sph(theta, phi):
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-
-
-def _objective(t, bvec, cvec):
-    """max over a, d of the CHSH combination for fixed b, c:
-    ||T(b - c)|| + ||T(b + c)||."""
-    return np.linalg.norm(t @ (bvec - cvec)) + np.linalg.norm(t @ (bvec + cvec))
-
-
 def _party1_settings(t, bvec, cvec):
     def normalized(v):
         n = np.linalg.norm(v)
@@ -182,49 +173,22 @@ def _party1_settings(t, bvec, cvec):
 
 
 def chsh_max_grid(state, angular_resolution=1.0):
-    """Maximize CHSH over measurement settings.
+    """Maximize CHSH with the optimal settings, built in closed form.
 
-    Coarse spherical mesh over the second party's pair (b, c) (the first
-    party's optimal vectors are closed-form for fixed b, c), followed by
-    coordinate descent on the four spherical angles down to well below the
-    requested resolution (degrees).
+    For fixed b, c the best a, d give ||T(b - c)|| + ||T(b + c)||. With v1, v2
+    the eigenvectors of T^T T for its largest eigenvalues m1 >= m2, the choice
+    b, c = cos(theta) v1 +- sin(theta) v2, tan(theta) = sqrt(m2 / m1), makes
+    this 2 sqrt(m1 + m2). The value is evaluated on the density matrix.
+
+    `angular_resolution` has no effect, since the settings are exact; it is
+    accepted so that callers passing it by keyword or position keep working.
     """
     t = state.correlation_tensor()
-    coarse = max(np.radians(angular_resolution), np.radians(12.0))
-    thetas = np.arange(0.0, np.pi + 1e-9, coarse)
-    phis = np.arange(0.0, 2.0 * np.pi - 1e-9, coarse)
-    bgrid = np.array([_sph(th, ph) for th in thetas for ph in phis])
-    tb = bgrid @ t.T
-    diff = tb[:, None, :] - tb[None, :, :]
-    summ = tb[:, None, :] + tb[None, :, :]
-    vals = np.linalg.norm(diff, axis=-1) + np.linalg.norm(summ, axis=-1)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    angles = []
-    n_ang = len(phis)
-    for idx in (i, j):
-        angles.extend([thetas[idx // n_ang], phis[idx % n_ang]])
-    angles = np.array(angles)
-
-    def f(ang):
-        return _objective(t, _sph(ang[0], ang[1]), _sph(ang[2], ang[3]))
-
-    best = f(angles)
-    step = coarse
-    for _ in range(200):
-        improved = False
-        for k in range(4):
-            for delta in (step, -step):
-                trial = angles.copy()
-                trial[k] += delta
-                val = f(trial)
-                if val > best + 1e-15:
-                    best, angles, improved = val, trial, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-8:
-                break
-    bvec = _sph(angles[0], angles[1])
-    cvec = _sph(angles[2], angles[3])
+    m, v = np.linalg.eigh(t.T @ t)
+    m = np.clip(m, 0.0, None)
+    theta = np.arctan2(np.sqrt(m[-2]), np.sqrt(m[-1]))
+    bvec = np.cos(theta) * v[:, -1] + np.sin(theta) * v[:, -2]
+    cvec = np.cos(theta) * v[:, -1] - np.sin(theta) * v[:, -2]
     avec, dvec = _party1_settings(t, bvec, cvec)
     settings = MeasurementSettings(a=avec, d=dvec, b=bvec, c=cvec)
     value = chsh_value(state, settings)

@@ -43,7 +43,6 @@ class CorrelationReport:
     e_corr: float
     entropy: float               # bits
     occupations: NaturalOccupations
-    rescaled_entropy: float = None  # Hartree, set by curve rescaling
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ class SCFSettings:
     max_iterations: int = 200
     energy_tolerance: float = 1e-10
     density_tolerance: float = 1e-8
-    level_shift: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -81,7 +80,7 @@ def run_rhf(ints, mol, settings=SCFSettings(), trace_path=None):
     energies = []
     damping = False
     damping_since = None
-    shift = settings.level_shift
+    shift = 0.0
     trace = []
     converged = False
     iterations = 0

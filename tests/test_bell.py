@@ -108,10 +108,10 @@ def test_closed_form_maxima():
 
 
 def test_grid_maximization_on_reference_states():
-    rep = chsh_max_grid(singlet(), angular_resolution=1.0)
+    rep = chsh_max_grid(singlet())
     assert rep.value == pytest.approx(TSIRELSON, abs=1e-6)
     assert rep.violated
-    rep = chsh_max_grid(product_updown(), angular_resolution=1.0)
+    rep = chsh_max_grid(product_updown())
     assert rep.value == pytest.approx(2.0, abs=1e-6)
     assert not rep.violated
 
@@ -121,7 +121,38 @@ def test_grid_matches_closed_form_on_random_states():
     for _ in range(5):
         state = random_density_matrix(rng)
         assert chsh_max_grid(state).value \
-            == pytest.approx(chsh_max_closed_form(state), abs=1e-3)
+            == pytest.approx(chsh_max_closed_form(state), abs=1e-12)
+
+
+def werner(p):
+    """p singlet + (1 - p) maximally mixed: CHSH maximum 2 sqrt(2) p."""
+    return TwoQubitState(p * singlet().rho + (1.0 - p) * np.eye(4) / 4.0)
+
+
+def bell_diagonal(weights):
+    """Mixture of |Phi+>, |Phi->, |Psi+>, |Psi-> with the given weights."""
+    r = 1.0 / np.sqrt(2.0)
+    basis = np.array([[r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]])
+    return TwoQubitState(sum(w * np.outer(v, v) for w, v in zip(weights, basis)))
+
+
+@pytest.mark.parametrize("state, violated", [
+    (singlet(), True),                                 # m1 = m2 = m3
+    (product_updown(), False),                         # m2 = 0
+    (TwoQubitState(np.eye(4) / 4.0), False),           # T = 0
+    (werner(0.70), False),                             # below p = 1/sqrt(2)
+    (werner(0.72), True),                              # above it
+    (bell_diagonal([0.8, 0.1, 0.07, 0.03]), True),     # m1 > m2 > m3
+], ids=["singlet", "product", "mixed", "werner-0.70", "werner-0.72",
+        "bell-diagonal"])
+def test_optimal_settings_reach_closed_form(state, violated):
+    rep = chsh_max_grid(state)
+    for name in "adbc":
+        assert np.linalg.norm(getattr(rep.settings, name)) \
+            == pytest.approx(1.0, abs=1e-12)
+    assert rep.value == chsh_value(state, rep.settings)
+    assert rep.value == pytest.approx(chsh_max_closed_form(state), abs=1e-12)
+    assert rep.violated == violated
 
 
 def test_settings_validated():
