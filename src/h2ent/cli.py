@@ -36,6 +36,10 @@ class ScanConfig:
     basis_dir: str = None
 
     def __post_init__(self):
+        for name in ("r_min", "r_max", "far_point"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.r_min <= 0 or self.r_max <= self.r_min:
             raise ValueError("need 0 < r_min < r_max")
         if self.n_points < 2:

@@ -3,16 +3,24 @@
 McMurchie-Davidson Hermite expansion with a Boys-function kernel shared by the
 nuclear-attraction and electron-repulsion integrals, batched by shell-pair
 class. Everything is in Hartree atomic units.
+
+The Boys function is tabulated (Helgaker, Jorgensen & Olsen, Molecular
+Electronic-Structure Theory, sec. 9.8.2): F_m on the grid x = 0, 0.05, ...
+is built at import. Below x = 36 a 7-term Taylor step from the nearest grid
+point gives the top order and downward recursion the rest; from x = 36 on,
+F_0 = sqrt(pi/x)/2 and upward recursion.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gamma, gammainc
 
 from .basis import CARTESIAN_COMPONENTS
 
-_BOYS_SWITCH = 25.0
+_BOYS_SWITCH = 36.0  # F_0 = sqrt(pi/x)/2 from here on drops erf(sqrt(x)): 1 - erf(6) ~ 2e-17
+_BOYS_STEP = 0.05
+_BOYS_MMAX = 16
+_TAYLOR = 7  # terms; the first one left out, F_{m+7} 0.025^7 / 7!, is below 1e-16
 
 
 def _exp(x):
@@ -20,8 +28,32 @@ def _exp(x):
     return np.exp(x, out=x)
 
 
+def _boys_grid():
+    """F_m(x_k) for m < _BOYS_MMAX + _TAYLOR and x_k up to one step past the switch: the
+    top order by its series e^-x sum_k (2x)^k / ((2m+1)(2m+3)...(2m+2k+1)), the rest downward."""
+    x = np.arange(round(_BOYS_SWITCH / _BOYS_STEP) + 2) * _BOYS_STEP
+    top = _BOYS_MMAX + _TAYLOR - 1
+    term = np.full_like(x, 1.0 / (2 * top + 1))
+    total, k = term.copy(), top
+    while np.any(term > 1e-17 * total):
+        k += 1
+        term *= 2.0 * x / (2 * k + 1)
+        total += term
+    expx = _exp(-x)
+    grid = np.empty((top + 1, x.size))
+    grid[top] = expx * total
+    for m in range(top, 0, -1):
+        grid[m - 1] = (2.0 * x * grid[m] + expx) / (2 * m - 1)
+    return grid
+
+
+_BOYS_GRID = _boys_grid()
+
+
 def boys_table(mmax, x):
-    """Boys functions F_0..F_mmax evaluated at x (array ok), shape (mmax+1, ...)."""
+    """Boys functions F_0..F_mmax (mmax <= 16) at x >= 0 (array ok), shape (mmax+1, ...)."""
+    if mmax > _BOYS_MMAX:
+        raise ValueError(f"Boys order {mmax} is above the tabulated {_BOYS_MMAX}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -30,14 +62,14 @@ def boys_table(mmax, x):
     if np.any(small):
         xs = x[small]
         expx = _exp(-xs)
-        # lower incomplete gamma at the highest order, then downward recursion;
-        # the two leading Taylor terms take over where x**a would underflow
-        a = mmax + 0.5
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fm = gammainc(a, xs) * gamma(a) / (2.0 * xs ** a)
-        tiny = xs < 1e-13
-        if np.any(tiny):
-            fm[tiny] = 1.0 / (2 * mmax + 1) - xs[tiny] / (2 * mmax + 3)
+        if xs.min() < 0:
+            raise ValueError(f"Boys function argument must be non-negative, got {xs.min()}")
+        k = np.rint(xs / _BOYS_STEP).astype(np.intp)
+        d = k * _BOYS_STEP - xs  # F_m' = -F_{m+1}, so the step is -(x - x_k)
+        g = _BOYS_GRID[mmax:mmax + _TAYLOR, k]
+        fm = g[-1]
+        for j in range(_TAYLOR - 1, 0, -1):
+            fm = g[j - 1] + fm * d / j
         col = np.empty((mmax + 1,) + xs.shape)
         col[mmax] = fm
         for m in range(mmax, 0, -1):
@@ -47,7 +79,7 @@ def boys_table(mmax, x):
         xl = x[~small]
         expx = _exp(-xl)
         col = np.empty((mmax + 1,) + xl.shape)
-        col[0] = 0.5 * np.sqrt(np.pi / xl) * erf(np.sqrt(xl))
+        col[0] = 0.5 * np.sqrt(np.pi / xl)
         for m in range(mmax):
             col[m + 1] = ((2 * m + 1) * col[m] - expx) / (2.0 * xl)
         out[:, ~small] = col
@@ -58,8 +90,6 @@ def boys(m, x):
     """Boys function F_m(x) = integral of t^(2m) exp(-x t^2) over [0, 1]."""
     if m < 0 or int(m) != m:
         raise ValueError(f"order must be a non-negative integer, got {m}")
-    if x < 0:
-        raise ValueError(f"argument must be non-negative, got {x}")
     return float(boys_table(int(m), float(x))[int(m)])
 
 

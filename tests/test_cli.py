@@ -1,11 +1,15 @@
 """Command-line interface: scans, single points, CHSH demo, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import h2ent
 from h2ent import cli, correlation, fci
 from h2ent.basis import load_basis
 from h2ent.correlation import OPDM
@@ -200,6 +204,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # bad numeric configuration: ValueError path, exit code 1
     assert main(["scan", "--rmin", "-1", "--out", str(tmp_path / "x.csv")]) == 1
     capsys.readouterr()
+
+
+def test_scan_rejects_non_finite_distances(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for flag, value, name in (("--rmin", "nan", "r_min"), ("--rmax", "inf", "r_max"),
+                              ("--far-point", "nan", "far_point")):
+        assert main(["scan", flag, value, "--out", out]) == 1
+        assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(h2ent.__file__).resolve().parents[1])
+    code = ("import h2ent, h2ent.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_computation_failure_exit_2(tmp_path, capsys):

@@ -26,9 +26,10 @@ def p_prim(alpha, powers, center=(0.0, 0.0, 0.0)):
 
 
 def boys_quadrature(m, x, n=400):
+    """F_m(x) by Gauss-Legendre quadrature; x may be an array."""
     t, w = leggauss(n)
     t = 0.5 * (t + 1.0)
-    return float(np.sum(0.5 * w * t ** (2 * m) * np.exp(-x * t * t)))
+    return np.sum(0.5 * w * t ** (2 * m) * np.exp(-np.multiply.outer(x, t * t)), axis=-1)
 
 
 def test_boys_exact_at_zero():
@@ -47,6 +48,22 @@ def test_boys_agrees_with_quadrature_across_branches():
     for m in range(5):
         for x in (1e-8, 0.5, 3.0, 12.0, 24.9, 25.1, 60.0):
             assert boys(m, x) == pytest.approx(boys_quadrature(m, x), abs=1e-13)
+
+
+def test_boys_dense_sweep_against_quadrature():
+    # grid midpoints are the longest Taylor steps; 36 is the asymptotic switch
+    x = np.concatenate([0.025 + 0.05 * np.arange(1200), [35.99, 36.0, 36.01, 1e-8, 1e-14]])
+    table = boys_table(8, x)
+    for m in range(9):
+        assert np.abs(table[m] - boys_quadrature(m, x)).max() < 1e-13
+
+
+def test_boys_table_domain_errors():
+    assert boys_table(16, 1.0)[16] == pytest.approx(boys_quadrature(16, 1.0), abs=1e-13)
+    with pytest.raises(ValueError):
+        boys_table(17, 1.0)
+    with pytest.raises(ValueError):
+        boys_table(2, np.array([1.0, -0.5]))
 
 
 def test_boys_domain_errors():
