@@ -51,10 +51,6 @@ class Shell:
         if not self.primitives:
             raise ValueError("shell needs at least one primitive")
 
-    @property
-    def exponents(self):
-        return np.array([p.exponent for p in self.primitives])
-
 
 def _double_factorial(n):
     out = 1
@@ -85,8 +81,7 @@ def _same_center_overlap(a, b, powers):
 def normalize_shell(shell):
     """Attach fully normalized contraction coefficients to a shell.
 
-    The stored raw primitives are kept untouched so the file contents
-    round-trip through serialization.
+    The stored raw primitives keep the coefficients as the file gives them.
     """
     l = shell.angular_momentum
     powers = (l, 0, 0)  # all Cartesian components of an l<=1 shell share the norm
@@ -137,16 +132,22 @@ def parse_basis(text, name="custom"):
             if len(fields) != 2:
                 raise BasisParseError(f"expected element header, got {line!r}", lineno)
             element = fields[0].capitalize()
+            if element in shells_per_element:
+                raise BasisParseError(f"element block {element} appears twice", lineno)
             continue
-        # shell header: LABEL n_prim scale
+        # shell header: LABEL n_prim [scale]; exponents are multiplied by scale^2
         label = fields[0].upper()
         if label not in _SHELL_LABELS and label != "SP":
             raise UnsupportedShellError(
                 f"line {lineno}: unsupported shell type {label!r} (s and p only)")
         try:
             n_prim = int(fields[1])
+            scale = float(fields[2]) if len(fields) > 2 else 1.0
         except (IndexError, ValueError):
             raise BasisParseError(f"bad shell header {line!r}", lineno) from None
+        if not 0.0 < scale < np.inf:
+            raise BasisParseError(f"shell scale factor must be positive and finite, got {scale}",
+                                  lineno)
         rows = []
         for k in range(n_prim):
             if i >= n:
@@ -164,6 +165,7 @@ def parse_basis(text, name="custom"):
                              for x in prim_fields])
             except ValueError:
                 raise BasisParseError(f"bad number in {lines[i-1]!r}", prim_lineno) from None
+        rows = [[r[0] * scale ** 2, *r[1:]] for r in rows]
         if label == "SP":
             s_prims = tuple(PrimitiveGaussian(r[0], r[1]) for r in rows)
             p_prims = tuple(PrimitiveGaussian(r[0], r[2]) for r in rows)
@@ -177,20 +179,6 @@ def parse_basis(text, name="custom"):
     if not shells_per_element:
         raise BasisParseError("no element blocks", None)
     return BasisSet(name, shells_per_element)
-
-
-def serialize_basis(basis):
-    """Write a BasisSet back out in the Gaussian94 layout (raw coefficients)."""
-    out = []
-    labels = {0: "S", 1: "P"}
-    for element, shells in basis.shells_per_element.items():
-        out.append(f"{element} 0")
-        for shell in shells:
-            out.append(f"{labels[shell.angular_momentum]} {len(shell.primitives)} 1.00")
-            for prim in shell.primitives:
-                out.append(f"  {prim.exponent!r} {prim.coefficient!r}")
-        out.append("****")
-    return "\n".join(out) + "\n"
 
 
 def load_basis(name_or_path, basis_dir=None):
@@ -221,22 +209,6 @@ class BasisFunction:
     powers: tuple
     exponents: tuple
     coefficients: tuple
-
-    @property
-    def center_array(self):
-        return np.asarray(self.center)
-
-    @property
-    def exponent_array(self):
-        return np.asarray(self.exponents)
-
-    @property
-    def coefficient_array(self):
-        return np.asarray(self.coefficients)
-
-    @property
-    def total_angular_momentum(self):
-        return sum(self.powers)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """CHSH/Bell-inequality machinery for two-spin states.
 
-Spin observables sigma.v, the singlet and product reference states, the
-factorized and symmetrized two-spin mean values and CHSH evaluation. The
-CHSH maximum comes twice: `chsh_max_grid` builds the optimal settings from
-the eigenvectors of T^T T (T the correlation tensor) and evaluates them on
-the density matrix, and `chsh_max_closed_form` is the Horodecki criterion
-2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as the oracle.
+Spin observables sigma.v, the singlet and product reference states and CHSH
+evaluation. The CHSH maximum comes twice: `chsh_max_grid` builds the optimal
+settings from the eigenvectors of T^T T (T the correlation tensor) and
+evaluates them on the density matrix, and `chsh_max_closed_form` is the
+Horodecki criterion 2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as
+the oracle.
 """
 
 from dataclasses import dataclass
@@ -97,47 +97,6 @@ def product_updown():
     return TwoQubitState(np.outer(psi, psi.conj()))
 
 
-def dissociation_spin_state():
-    """Spin factor of the stretched two-configuration state.
-
-    The equal superposition of both doubly-occupied configurations factorizes
-    into a symmetric spatial function times the spin singlet, so the reduced
-    spin state is exactly the singlet.
-    """
-    return singlet()
-
-
-def spatial_factor_norm(overlap_gu=0.0):
-    """Norm of the symmetric spatial factor (g(1)g(2) + u(1)u(2))/sqrt(2)
-    for normalized orbitals with mutual overlap overlap_gu."""
-    return float(np.sqrt(1.0 + overlap_gu ** 2))
-
-
-def _expect(spinor, direction):
-    m = spin_observable(direction)
-    return float(np.real(spinor.conj() @ m @ spinor))
-
-
-def _check_spinor(spinor):
-    spinor = np.asarray(spinor, dtype=complex)
-    if abs(np.linalg.norm(spinor) - 1.0) > 1e-12:
-        raise ValueError("spinor must be normalized")
-    return spinor
-
-
-def mean_product(alpha_spinor, beta_spinor, a, b):
-    """Factorized mean value <alpha|sigma.a|alpha><beta|sigma.b|beta>."""
-    alpha_spinor = _check_spinor(alpha_spinor)
-    beta_spinor = _check_spinor(beta_spinor)
-    return _expect(alpha_spinor, a) * _expect(beta_spinor, b)
-
-
-def mean_symmetrized(alpha_spinor, beta_spinor, a, b):
-    """Symmetrized mean value over the two measurement assignments."""
-    return 0.5 * (mean_product(alpha_spinor, beta_spinor, a, b)
-                  + mean_product(alpha_spinor, beta_spinor, b, a))
-
-
 def correlation(state, u, w):
     """E(u, w) = Tr[rho (sigma.u x sigma.w)], u on party 1, w on party 2."""
     op = np.kron(spin_observable(u), spin_observable(w))
@@ -149,13 +108,6 @@ def chsh_value(state, settings):
     s = settings
     return (correlation(state, s.a, s.b) + correlation(state, s.d, s.b)
             + correlation(state, s.d, s.c) - correlation(state, s.a, s.c))
-
-
-def chsh_value_abs(state, settings):
-    """|E(a,b) - E(a,c)| + |E(b,d) + E(c,d)| form of the inequality."""
-    s = settings
-    return (abs(correlation(state, s.a, s.b) - correlation(state, s.a, s.c))
-            + abs(correlation(state, s.d, s.b) + correlation(state, s.d, s.c)))
 
 
 def chsh_max_closed_form(state):

@@ -162,7 +162,8 @@ def emit(points, fmt, path, n_orbitals=None):
 _BELL_STATES = {
     "singlet": bell.singlet,
     "product": bell.product_updown,
-    "dissociation": bell.dissociation_spin_state,
+    # the stretched two-configuration state is a symmetric spatial factor times the singlet
+    "dissociation": bell.singlet,
 }
 
 

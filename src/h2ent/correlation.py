@@ -5,9 +5,8 @@ coefficient matrix C (the alpha plus the beta density), its natural
 occupations in [0, 2], which for the singlet (symmetric C) are 2 sigma_k^2
 from the singular values of C, i.e. the Schmidt decomposition of the
 two-electron state; the occupation-number von Neumann entropy in bits, the
-correlation energy E_HF - E_FCI, the two-orbital closed form for the minimal
-basis, and the curve rescaling that anchors the entropy to the correlation
-energy at the largest scanned distance.
+correlation energy E_HF - E_FCI, and the curve rescaling that anchors the
+entropy to the correlation energy at the largest scanned distance.
 """
 
 from dataclasses import dataclass
@@ -31,10 +30,6 @@ class OPDM:
 class NaturalOccupations:
     n: np.ndarray  # descending, each in [0, 2]
 
-    @property
-    def total(self):
-        return float(np.sum(self.n))
-
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -43,21 +38,6 @@ class CorrelationReport:
     e_corr: float
     entropy: float               # bits
     occupations: NaturalOccupations
-
-
-@dataclass(frozen=True)
-class MinimalBasisInputs:
-    eps1: float
-    eps2: float
-    j11: float
-    j22: float
-    j12: float
-    k12: float
-
-    def __post_init__(self):
-        vals = (self.eps1, self.eps2, self.j11, self.j22, self.j12, self.k12)
-        if not all(np.isfinite(vals)):
-            raise ValueError("minimal-basis inputs must be finite")
 
 
 def one_particle_density(ci):
@@ -88,26 +68,6 @@ def correlation_energy(e_hf, e_fci):
         raise NumericalCheckError(
             f"E_FCI above E_HF by {-diff:.3e} Hartree; variational violation")
     return diff
-
-
-def minimal_basis_corr(inputs):
-    """Two-orbital closed form: returns (Delta, E_corr_closed).
-
-    E_corr_closed = Delta - sqrt(Delta^2 + K12^2) is non-positive; it is the
-    negative of the E_HF - E_FCI convention and is returned unmodified.
-    """
-    delta = 0.5 * (2.0 * (inputs.eps2 - inputs.eps1)
-                   + inputs.j11 + inputs.j22 - 4.0 * inputs.j12 + 2.0 * inputs.k12)
-    return delta, delta - np.sqrt(delta ** 2 + inputs.k12 ** 2)
-
-
-def minimal_basis_inputs(scf_result, h_mo, g_mo):
-    """Assemble the two-orbital closed-form inputs from MO quantities."""
-    eps = scf_result.orbital_energies
-    return MinimalBasisInputs(
-        eps1=float(eps[0]), eps2=float(eps[1]),
-        j11=float(g_mo[0, 0, 0, 0]), j22=float(g_mo[1, 1, 1, 1]),
-        j12=float(g_mo[0, 0, 1, 1]), k12=float(g_mo[0, 1, 0, 1]))
 
 
 def rescale_entropy(entropies, correlations):

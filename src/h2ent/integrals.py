@@ -93,27 +93,6 @@ def boys(m, x):
     return float(boys_table(int(m), float(x))[int(m)])
 
 
-def hermite_expansion(i, j, t, q_x, a, b):
-    """Hermite expansion coefficient E_t^{ij} for a 1-D Gaussian product.
-
-    q_x is the center separation A_x - B_x; a, b are exponents (scalars or
-    aligned arrays).
-    """
-    p = a + b
-    mu = a * b / p
-    if t < 0 or t > i + j:
-        return np.zeros(np.broadcast(a, b).shape) if np.ndim(a) or np.ndim(b) else 0.0
-    if i == j == t == 0:
-        return np.exp(-mu * q_x * q_x) * np.ones_like(p)
-    if j == 0:
-        return (hermite_expansion(i - 1, j, t - 1, q_x, a, b) / (2.0 * p)
-                - (mu * q_x / a) * hermite_expansion(i - 1, j, t, q_x, a, b)
-                + (t + 1) * hermite_expansion(i - 1, j, t + 1, q_x, a, b))
-    return (hermite_expansion(i, j - 1, t - 1, q_x, a, b) / (2.0 * p)
-            + (mu * q_x / b) * hermite_expansion(i, j - 1, t, q_x, a, b)
-            + (t + 1) * hermite_expansion(i, j - 1, t + 1, q_x, a, b))
-
-
 def _hermite_coulomb_all(lmax, alpha, pq):
     """R_{tuv} for t+u+v <= lmax, built up in t+u+v with r[tuv][n] = R^n_{tuv}; pq = P - Q."""
     fn = boys_table(lmax, alpha * sum(c * c for c in pq))
@@ -150,8 +129,8 @@ class _ShellPairs:
         self.cube = np.pi / self.p * np.sqrt(np.pi / self.p)  # (pi/p)^(3/2)
         self.start = np.cumsum([0] + [len(sa[2]) * len(sb[2]) for sa, sb in pairs[:-1]])
         self.ia, self.jb = map(np.array, zip(*[(comps_a[i], comps_b[j]) for i, j in self.ij]))
-        # E^{ij}_t of each dimension by the recurrences of `hermite_expansion`,
-        # j two higher for the kinetic energy; the last t slot stays zero
+        # E^{ij}_t of each dimension by the McMurchie-Davidson recurrences, up in i
+        # then j, with j two higher for the kinetic energy; the last t slot stays zero
         imax, jmax, q, mu = self.ia.max(), self.jb.max() + 2, ra - rb, a * b / self.p
         self.e1 = e = np.zeros((imax + 1, jmax + 1, imax + jmax + 2) + q.shape)
         e[0, 0, 0] = _exp(-mu * q * q)
@@ -259,19 +238,6 @@ class IntegralSet:
     @property
     def hcore(self):
         return self.kinetic + self.nuclear
-
-    @property
-    def n(self):
-        return self.overlap.shape[0]
-
-    def dump(self, path):
-        """Text dump of the unique integrals, one record per line."""
-        pairs = [(i, j) for i in range(self.n) for j in range(i + 1)]
-        with open(path, "w") as fh:
-            for label, mat in zip("STV", (self.overlap, self.kinetic, self.nuclear)):
-                fh.writelines(f"{label} {i} {j} {mat[i, j]:.17g}\n" for i, j in pairs)
-            fh.writelines(f"ERI {i} {j} {k} {l} {self.eri[i, j, k, l]:.17g}\n"
-                          for a, (i, j) in enumerate(pairs) for k, l in pairs[a:])
 
 
 def compute_all(basis, mol):

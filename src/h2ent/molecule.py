@@ -47,10 +47,6 @@ class Molecule:
             raise ValueError("electron count must be non-negative")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def total_charge(self):
-        return sum(a.nuclear_charge for a in self.atoms)
-
 
 def atom(element, position):
     return Atom(element, ELEMENT_CHARGES[element], tuple(position))

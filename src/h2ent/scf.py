@@ -60,7 +60,7 @@ def build_fock(hcore, d, eri):
     return hcore + j - 0.5 * k
 
 
-def run_rhf(ints, mol, settings=SCFSettings(), trace_path=None):
+def run_rhf(ints, mol, settings=SCFSettings()):
     """Roothaan RHF. Non-convergence is reported via the converged flag."""
     if mol.n_electrons % 2 != 0:
         raise ValueError("restricted HF needs an even electron count")
@@ -81,7 +81,6 @@ def run_rhf(ints, mol, settings=SCFSettings(), trace_path=None):
     damping = False
     damping_since = None
     shift = 0.0
-    trace = []
     converged = False
     iterations = 0
     for it in range(1, settings.max_iterations + 1):
@@ -96,7 +95,6 @@ def run_rhf(ints, mol, settings=SCFSettings(), trace_path=None):
         d_new = density_from_coeffs(c, n_occ)
         delta_e = e_total - e_old
         rms_d = np.sqrt(np.mean((d_new - d) ** 2))
-        trace.append(f"{it:4d} {e_total:.12f} {delta_e:+.3e} {rms_d:.3e}")
         energies.append(e_total)
         if it > 1 and abs(delta_e) < settings.energy_tolerance \
                 and rms_d < settings.density_tolerance:
@@ -121,9 +119,6 @@ def run_rhf(ints, mol, settings=SCFSettings(), trace_path=None):
     f = build_fock(hcore, d, ints.eri)
     e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
     eps, c = diagonalize(f)
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            fh.write("\n".join(trace) + "\n")
     return SCFResult(mo_coefficients=c, orbital_energies=eps,
                      e_hf=float(e_total), iterations=iterations,
                      converged=converged)

@@ -128,7 +128,7 @@ def quadrature_oracle(f, g, kind, mol=None):
         for a, ca in zip(f.exponents, f.coefficients):
             for b, cb in zip(g.exponents, g.coefficients):
                 p = a + b
-                center = (a * f.center_array + b * g.center_array) / p
+                center = (a * np.asarray(f.center) + b * np.asarray(g.center)) / p
                 pts, w = _gauss_hermite_points(p, center, n=22)
                 left = ca * _eval_primitive(f.center, f.powers, a, pts)
                 if kind == "overlap":
@@ -146,7 +146,7 @@ def quadrature_oracle(f, g, kind, mol=None):
             for a, ca in zip(f.exponents, f.coefficients):
                 for b, cb in zip(g.exponents, g.coefficients):
                     p = a + b
-                    center = (a * f.center_array + b * g.center_array) / p
+                    center = (a * np.asarray(f.center) + b * np.asarray(g.center)) / p
                     pts, w = _coulomb_grid_batch(at.coords, center, p,
                                                  n_r=90, n_v=48, n_phi=16, span=45.0)
                     rho = (ca * _eval_primitive(f.center, f.powers, a, pts[0])
@@ -164,14 +164,14 @@ def quadrature_oracle_eri(f, g, h, k):
     for a, ca in zip(f.exponents, f.coefficients):
         for b, cb in zip(g.exponents, g.coefficients):
             p = a + b
-            bra_center = (a * f.center_array + b * g.center_array) / p
+            bra_center = (a * np.asarray(f.center) + b * np.asarray(g.center)) / p
             pts, w = _gauss_hermite_points(p, bra_center, n=12)
             rho_bra = (ca * _eval_primitive(f.center, f.powers, a, pts)
                        * cb * _eval_primitive(g.center, g.powers, b, pts))
             for c, cc in zip(h.exponents, h.coefficients):
                 for d, cd in zip(k.exponents, k.coefficients):
                     q = c + d
-                    ket_center = (c * h.center_array + d * k.center_array) / q
+                    ket_center = (c * np.asarray(h.center) + d * np.asarray(k.center)) / q
                     pot = np.empty(len(pts))
                     for lo in range(0, len(pts), 216):
                         chunk = pts[lo:lo + 216]

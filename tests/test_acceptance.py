@@ -18,8 +18,8 @@ from h2ent.cli import main
 from h2ent.fci import mo_transform
 from h2ent.integrals import boys, eri, kinetic, nuclear_attraction, overlap
 from h2ent.molecule import h2
-from h2ent.quadrature import quadrature_oracle, quadrature_oracle_eri
 from conftest import SCAN_GRID, compute_point
+from oracles import quadrature_oracle, quadrature_oracle_eri
 
 
 def report(number, ok, summary):

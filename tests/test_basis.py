@@ -5,13 +5,14 @@ import pytest
 
 from h2ent.basis import (AOBasis, BasisFunction, PrimitiveGaussian, Shell,
                          build_ao_basis, load_basis, parse_basis,
-                         primitive_norm, serialize_basis)
+                         primitive_norm)
+from h2ent.cli import run_single_point
 from h2ent.errors import (BasisParseError, MissingElementError,
                           UnsupportedShellError)
 from h2ent.integrals import overlap
 from h2ent.molecule import (ANGSTROM_TO_BOHR, Molecule, atom, h2, helium,
                             nuclear_repulsion)
-from h2ent.quadrature import quadrature_oracle
+from oracles import quadrature_oracle
 
 
 def test_h2_geometry():
@@ -135,17 +136,25 @@ def test_parse_errors_carry_line_numbers():
         parse_basis("H 0\nD 1 1.00\n 1.0 1.0\n****\n")
 
 
-def test_serialize_round_trip():
-    for name in ("sto-3g", "6-31gss"):
-        basis = load_basis(name)
-        again = parse_basis(serialize_basis(basis), name=name)
-        for element, shells in basis.shells_per_element.items():
-            other = again.shells_per_element[element]
-            assert len(shells) == len(other)
-            for s, o in zip(shells, other):
-                assert s.angular_momentum == o.angular_momentum
-                assert s.primitives == o.primitives
-                assert s.normalized_coefficients == o.normalized_coefficients
+def test_shell_scale_factor_multiplies_exponents_by_its_square():
+    scaled = parse_basis("H 0\nS 1 2.00\n 0.25 1.0\n****\n")
+    plain = parse_basis("H 0\nS 1 1.00\n 1.0 1.0\n****\n")
+    assert scaled.shells_per_element["H"][0].primitives[0].exponent == 1.0
+    assert run_single_point(1.4, scaled).e_hf == run_single_point(1.4, plain).e_hf
+    # a header without a scale keeps the exponents
+    bare = parse_basis("H 0\nS 1\n 0.25 1.0\n****\n")
+    assert bare.shells_per_element["H"][0].primitives[0].exponent == 0.25
+    for scale in ("0.0", "-1.0", "nan", "inf", "abc"):
+        with pytest.raises(BasisParseError) as err:
+            parse_basis(f"H 0\nS 1 {scale}\n 0.1 1.0\n****\n")
+        assert err.value.line_number == 2
+
+
+def test_repeated_element_block_rejected():
+    text = "H 0\nS 1 1.00\n 1.0 1.0\n****\nH 0\nS 1 1.00\n 0.5 1.0\n****\n"
+    with pytest.raises(BasisParseError) as err:
+        parse_basis(text)
+    assert err.value.line_number == 5
 
 
 def test_basis_dir_env_override(tmp_path, monkeypatch):

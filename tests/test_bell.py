@@ -5,9 +5,7 @@ import pytest
 
 from h2ent.bell import (MeasurementSettings, TSIRELSON, TwoQubitState,
                         chsh_max_closed_form, chsh_max_grid, chsh_value,
-                        chsh_value_abs, correlation, dissociation_spin_state,
-                        mean_product, mean_symmetrized, product_updown,
-                        singlet, spatial_factor_norm, spin_observable)
+                        correlation, product_updown, singlet, spin_observable)
 
 
 def random_unit_vectors(n, rng):
@@ -55,12 +53,6 @@ def test_product_state_correlation_tensor():
     assert np.allclose(t, np.diag([0.0, 0.0, -1.0]), atol=1e-14)
 
 
-def test_dissociation_spin_state_is_singlet():
-    assert np.allclose(dissociation_spin_state().rho, singlet().rho, atol=1e-15)
-    assert spatial_factor_norm(0.0) == 1.0
-    assert spatial_factor_norm(0.3) == pytest.approx(np.sqrt(1.09))
-
-
 def test_singlet_correlations_are_minus_cosine():
     state = singlet()
     rng = np.random.default_rng(1)
@@ -68,26 +60,12 @@ def test_singlet_correlations_are_minus_cosine():
         assert correlation(state, u, w) == pytest.approx(-np.dot(u, w), abs=1e-12)
 
 
-def test_factorized_means():
-    up = np.array([1.0, 0.0])
-    down = np.array([0.0, 1.0])
-    z = np.array([0.0, 0.0, 1.0])
-    x = np.array([1.0, 0.0, 0.0])
-    assert mean_product(up, down, z, z) == pytest.approx(-1.0)
-    assert mean_product(up, down, z, x) == pytest.approx(0.0)
-    assert mean_symmetrized(up, down, z, z) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        mean_product(2.0 * up, down, z, z)
-
-
 def test_product_state_means_match_density_matrix():
-    up = np.array([1.0, 0.0])
-    down = np.array([0.0, 1.0])
+    # <up|sigma.u|up> <down|sigma.w|down> = u_z (-w_z)
     state = product_updown()
     rng = np.random.default_rng(2)
     for u, w in zip(random_unit_vectors(5, rng), random_unit_vectors(5, rng)):
-        assert mean_product(up, down, u, w) \
-            == pytest.approx(correlation(state, u, w), abs=1e-12)
+        assert correlation(state, u, w) == pytest.approx(-u[2] * w[2], abs=1e-12)
 
 
 def test_singlet_standard_settings_reach_tsirelson():
@@ -97,7 +75,6 @@ def test_singlet_standard_settings_reach_tsirelson():
         a=z, d=x, b=-(z + x) / np.sqrt(2.0), c=(z - x) / np.sqrt(2.0))
     val = chsh_value(singlet(), settings)
     assert val == pytest.approx(TSIRELSON, abs=1e-12)
-    assert chsh_value_abs(singlet(), settings) == pytest.approx(TSIRELSON, abs=1e-12)
 
 
 def test_closed_form_maxima():

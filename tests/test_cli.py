@@ -192,6 +192,10 @@ def test_main_bell(capsys):
     assert "violated: True" in out
     assert main(["bell", "--state", "product"]) == 0
     assert "violated: False" in capsys.readouterr().out
+    assert main(["bell", "--state", "dissociation"]) == 0
+    out = capsys.readouterr().out
+    assert "2.828427" in out
+    assert "violated: True" in out
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

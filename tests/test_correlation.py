@@ -5,11 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from h2ent.correlation import (MinimalBasisInputs, NaturalOccupations, OPDM,
-                               correlation_energy, minimal_basis_corr,
-                               minimal_basis_inputs, natural_occupations,
-                               one_particle_density, rescale_entropy,
-                               von_neumann_entropy)
+from h2ent.correlation import (NaturalOccupations, OPDM, correlation_energy,
+                               natural_occupations, one_particle_density,
+                               rescale_entropy, von_neumann_entropy)
 from h2ent.errors import NumericalCheckError
 from test_fci import annihilation_matrix, embed
 
@@ -75,7 +73,7 @@ def test_occupations_are_the_schmidt_coefficients(curve, request):
 def test_natural_occupations_descending_and_bounded():
     occ = natural_occupations(OPDM(np.diag([0.3, 1.7])))
     assert np.allclose(occ.n, [1.7, 0.3])
-    assert occ.total == pytest.approx(2.0)
+    assert occ.n.sum() == pytest.approx(2.0)
     with pytest.raises(NumericalCheckError):
         natural_occupations(OPDM(np.diag([2.5, 0.0])))
     with pytest.raises(NumericalCheckError):
@@ -96,37 +94,6 @@ def test_correlation_energy_sign_handling():
     assert correlation_energy(-1.0, -1.0) == 0.0
     with pytest.raises(NumericalCheckError):
         correlation_energy(-1.1, -1.0)
-
-
-def test_minimal_basis_closed_form_values():
-    # Delta = 0 collapses the closed form to -K12
-    inp = MinimalBasisInputs(eps1=0.0, eps2=0.0, j11=1.0, j22=1.0, j12=0.5,
-                             k12=0.0)
-    delta, corr = minimal_basis_corr(inp)
-    assert delta == 0.0 and corr == 0.0
-    inp = MinimalBasisInputs(eps1=0.0, eps2=0.0, j11=0.0, j22=0.0, j12=0.0,
-                             k12=0.7)
-    delta, corr = minimal_basis_corr(inp)
-    assert delta == pytest.approx(0.7)
-    assert corr == pytest.approx(0.7 - np.sqrt(0.49 + 0.49))
-    # a 3-4-5 triangle: Delta = 0.375, K12 = 0.5 gives sqrt term 0.625
-    inp = MinimalBasisInputs(eps1=0.0, eps2=0.375, j11=0.0, j22=0.0, j12=0.0,
-                             k12=0.5)
-    delta, corr = minimal_basis_corr(inp)
-    assert delta == pytest.approx(0.875)
-    with pytest.raises(ValueError):
-        MinimalBasisInputs(np.nan, 0, 0, 0, 0, 0)
-
-
-def test_minimal_basis_inputs_from_scf(sto3g_curve):
-    from h2ent.fci import mo_transform
-    rec = sto3g_curve[0][0]
-    h, g = mo_transform(rec.ints, rec.scf.mo_coefficients)
-    inp = minimal_basis_inputs(rec.scf, h, g)
-    assert inp.eps1 == rec.scf.orbital_energies[0]
-    assert inp.j11 == g[0, 0, 0, 0]
-    assert inp.k12 == g[0, 1, 0, 1]
-    assert inp.k12 > 0.0
 
 
 def test_rescale_entropy():

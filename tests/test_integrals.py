@@ -6,12 +6,11 @@ from numpy.polynomial.legendre import leggauss
 
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
 from h2ent.fci import run_fci
-from h2ent.integrals import (boys, boys_table, compute_all, eri,
-                             hermite_expansion, kinetic, nuclear_attraction,
-                             overlap)
+from h2ent.integrals import (boys, boys_table, compute_all, eri, kinetic,
+                             nuclear_attraction, overlap)
 from h2ent.molecule import Molecule, atom, h2
-from h2ent.quadrature import quadrature_oracle, quadrature_oracle_eri
 from h2ent.scf import run_rhf
+from oracles import quadrature_oracle, quadrature_oracle_eri
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -73,13 +72,6 @@ def test_boys_domain_errors():
         boys(0.5, 1.0)
     with pytest.raises(ValueError):
         boys(0, -1.0)
-
-
-def test_hermite_expansion_base_cases():
-    assert hermite_expansion(0, 0, 0, 0.7, 1.2, 0.8) \
-        == pytest.approx(np.exp(-1.2 * 0.8 / 2.0 * 0.49))
-    assert hermite_expansion(1, 0, 2, 0.7, 1.2, 0.8) == 0.0
-    assert hermite_expansion(0, 1, -1, 0.7, 1.2, 0.8) == 0.0
 
 
 def test_overlap_closed_forms():
@@ -241,16 +233,3 @@ def test_integral_matrices_well_formed():
     assert np.linalg.eigvalsh(ints.overlap).min() > 0.0
     assert np.all(ints.nuclear.diagonal() < 0.0)
     assert np.all(ints.kinetic.diagonal() > 0.0)
-
-
-def test_integral_dump_round_trip(tmp_path):
-    mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("sto-3g")), mol)
-    path = tmp_path / "ints.txt"
-    ints.dump(path)
-    records = {}
-    for line in path.read_text().splitlines():
-        fields = line.split()
-        records[(fields[0],) + tuple(fields[1:-1])] = float(fields[-1])
-    assert records[("S", "1", "0")] == ints.overlap[1, 0]
-    assert records[("ERI", "1", "0", "1", "0")] == ints.eri[1, 0, 1, 0]

@@ -5,7 +5,7 @@ import pytest
 
 from h2ent.basis import BasisFunction, primitive_norm
 from h2ent.molecule import Molecule, atom
-from h2ent.quadrature import quadrature_oracle, quadrature_oracle_eri
+from oracles import quadrature_oracle, quadrature_oracle_eri
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):

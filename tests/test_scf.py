@@ -116,15 +116,6 @@ def test_stretched_polarized_basis_converges():
     assert res.e_hf == pytest.approx(-0.7480776723549947, abs=1e-8)
 
 
-def test_iteration_trace_written(tmp_path, h2_sto3g):
-    mol, ints = h2_sto3g
-    path = tmp_path / "scf.log"
-    run_rhf(ints, mol, trace_path=path)
-    lines = path.read_text().splitlines()
-    assert len(lines) >= 2
-    assert lines[0].split()[0] == "1"
-
-
 def test_nonconvergence_is_reported_not_raised(h2_sto3g):
     mol, ints = h2_sto3g
     res = run_rhf(ints, mol, SCFSettings(max_iterations=1))
