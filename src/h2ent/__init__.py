@@ -1,20 +1,4 @@
 """Hartree-Fock / full-CI engine for two-electron diatomics, with
 occupation-number entanglement entropy and CHSH analysis."""
 
-from .basis import build_ao_basis, load_basis, parse_basis
-from .cli import run_single_point
-from .correlation import (correlation_energy, natural_occupations,
-                          one_particle_density, von_neumann_entropy)
-from .fci import run_fci
-from .integrals import compute_all
-from .molecule import ANGSTROM_TO_BOHR, h2, helium
-from .scf import SCFSettings, run_rhf
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANGSTROM_TO_BOHR", "SCFSettings", "build_ao_basis", "compute_all",
-    "correlation_energy", "h2", "helium", "load_basis",
-    "natural_occupations", "one_particle_density", "parse_basis", "run_fci",
-    "run_rhf", "run_single_point", "von_neumann_entropy",
-]

@@ -1,12 +1,12 @@
 """Gaussian94-format basis-set parsing and atom-centered basis construction.
 
-Contraction coefficients in the files refer to normalized primitives; a final
-contracted normalization factor is attached at parse time so that every
-contracted function has unit self-overlap.
+Contraction coefficients in the files refer to normalized primitives. Parsing
+multiplies in the primitive norms and a contraction norm, so every contracted
+function has unit self-overlap.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,71 +28,34 @@ CARTESIAN_COMPONENTS = {
 
 
 @dataclass(frozen=True)
-class PrimitiveGaussian:
-    exponent: float
-    coefficient: float
-
-    def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError(f"primitive exponent must be positive, got {self.exponent}")
-
-
-@dataclass(frozen=True)
 class Shell:
+    """One contracted shell; the coefficients include the primitive norms and
+    the contraction norm, so each Cartesian component has unit self-overlap."""
     angular_momentum: int
-    primitives: tuple
-    normalized_coefficients: tuple = ()  # set by normalize_shell
-    center_index: int = None
+    exponents: tuple
+    coefficients: tuple
 
     def __post_init__(self):
         if self.angular_momentum not in (0, 1):
             raise UnsupportedShellError(
                 f"only s and p shells supported, got l={self.angular_momentum}")
-        if not self.primitives:
-            raise ValueError("shell needs at least one primitive")
-
-
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def primitive_norm(exponent, powers):
-    """Normalization constant of a Cartesian Gaussian primitive."""
-    i, j, k = powers
-    l = i + j + k
-    dfac = _double_factorial(2 * i - 1) * _double_factorial(2 * j - 1) * _double_factorial(2 * k - 1)
-    return np.sqrt((2.0 * exponent / np.pi) ** 1.5 * (4.0 * exponent) ** l / dfac)
+    """Normalization constant of a Cartesian Gaussian primitive, powers <= 1."""
+    return np.sqrt((2.0 * exponent / np.pi) ** 1.5 * (4.0 * exponent) ** sum(powers))
 
 
-def _same_center_overlap(a, b, powers):
-    """Overlap of two unnormalized primitives with identical center and powers."""
-    p = a + b
-    i, j, k = powers
-    val = (np.pi / p) ** 1.5
-    for n in (i, j, k):
-        val *= _double_factorial(2 * n - 1) / (2.0 * p) ** n
-    return val
-
-
-def normalize_shell(shell):
-    """Attach fully normalized contraction coefficients to a shell.
-
-    The stored raw primitives keep the coefficients as the file gives them.
-    """
-    l = shell.angular_momentum
-    powers = (l, 0, 0)  # all Cartesian components of an l<=1 shell share the norm
-    exps = [p.exponent for p in shell.primitives]
-    coefs = [p.coefficient * primitive_norm(p.exponent, powers) for p in shell.primitives]
+def _normalized_shell(l, exponents, coefficients):
+    """A shell from file coefficients, which refer to normalized primitives."""
+    coefs = [c * primitive_norm(a, (l, 0, 0)) for a, c in zip(exponents, coefficients)]
     self_overlap = 0.0
-    for ca, aa in zip(coefs, exps):
-        for cb, ab in zip(coefs, exps):
-            self_overlap += ca * cb * _same_center_overlap(aa, ab, powers)
+    for ca, a in zip(coefs, exponents):
+        for cb, b in zip(coefs, exponents):
+            p = a + b  # overlap of two same-center primitives with powers (l, 0, 0)
+            self_overlap += ca * cb * ((np.pi / p) ** 1.5 * (1 / (2.0 * p)) ** l)
     scale = 1.0 / np.sqrt(self_overlap)
-    return replace(shell, normalized_coefficients=tuple(c * scale for c in coefs))
+    return Shell(l, exponents, tuple(c * scale for c in coefs))
 
 
 @dataclass(frozen=True)
@@ -145,35 +108,39 @@ def parse_basis(text, name="custom"):
             scale = float(fields[2]) if len(fields) > 2 else 1.0
         except (IndexError, ValueError):
             raise BasisParseError(f"bad shell header {line!r}", lineno) from None
+        if n_prim < 1:
+            raise BasisParseError(f"shell needs at least one primitive, got {n_prim}", lineno)
         if not 0.0 < scale < np.inf:
             raise BasisParseError(f"shell scale factor must be positive and finite, got {scale}",
                                   lineno)
+        want = 3 if label == "SP" else 2
         rows = []
         for k in range(n_prim):
             if i >= n:
                 raise BasisParseError(f"unexpected end of file in {label} shell", n)
             prim_lineno = i + 1
-            prim_fields = lines[i].split()
+            prim_line = lines[i]
             i += 1
-            want = 3 if label == "SP" else 2
+            prim_fields = prim_line.split()
             if len(prim_fields) != want:
                 raise BasisParseError(
-                    f"expected {want} columns in primitive line, got {lines[i-1]!r}",
-                    prim_lineno)
+                    f"expected {want} columns in primitive line, got {prim_line!r}", prim_lineno)
             try:
-                rows.append([float(x.replace("D", "E").replace("d", "e"))
-                             for x in prim_fields])
+                exponent, *coefs = [float(x.replace("D", "E").replace("d", "e"))
+                                    for x in prim_fields]
             except ValueError:
-                raise BasisParseError(f"bad number in {lines[i-1]!r}", prim_lineno) from None
-        rows = [[r[0] * scale ** 2, *r[1:]] for r in rows]
-        if label == "SP":
-            s_prims = tuple(PrimitiveGaussian(r[0], r[1]) for r in rows)
-            p_prims = tuple(PrimitiveGaussian(r[0], r[2]) for r in rows)
-            shells.append(normalize_shell(Shell(0, s_prims)))
-            shells.append(normalize_shell(Shell(1, p_prims)))
-        else:
-            prims = tuple(PrimitiveGaussian(r[0], r[1]) for r in rows)
-            shells.append(normalize_shell(Shell(_SHELL_LABELS[label], prims)))
+                raise BasisParseError(f"bad number in {prim_line!r}", prim_lineno) from None
+            exponent *= scale ** 2
+            if not 0.0 < exponent < np.inf:
+                raise BasisParseError(
+                    f"exponent must be positive and finite in {prim_line!r}", prim_lineno)
+            if not np.isfinite(coefs).all():
+                raise BasisParseError(f"coefficients must be finite in {prim_line!r}",
+                                      prim_lineno)
+            rows.append((exponent, *coefs))
+        exponents, *columns = zip(*rows)
+        ls = (0, 1) if label == "SP" else (_SHELL_LABELS[label],)
+        shells += [_normalized_shell(l, exponents, c) for l, c in zip(ls, columns)]
     if element is not None:
         raise BasisParseError(f"element block {element} not terminated by ****", n)
     if not shells_per_element:
@@ -214,7 +181,7 @@ class BasisFunction:
 @dataclass(frozen=True)
 class AOBasis:
     functions: tuple
-    shells: tuple  # shells bound to atom centers, in build order
+    shells: tuple  # (center, Shell) pairs, in build order
 
     @property
     def n(self):
@@ -228,19 +195,16 @@ def build_ao_basis(mol, basis):
     Cartesian components in (x, y, z) order.
     """
     functions = []
-    bound_shells = []
-    for atom_index, at in enumerate(mol.atoms):
+    shells = []
+    for at in mol.atoms:
         try:
-            shells = basis.shells_per_element[at.element]
+            element_shells = basis.shells_per_element[at.element]
         except KeyError:
             raise MissingElementError(
                 f"basis {basis.name!r} has no entry for element {at.element}") from None
-        for shell in shells:
-            bound_shells.append(replace(shell, center_index=atom_index))
+        for shell in element_shells:
+            shells.append((at.position, shell))
             for powers in CARTESIAN_COMPONENTS[shell.angular_momentum]:
-                functions.append(BasisFunction(
-                    center=at.position,
-                    powers=powers,
-                    exponents=tuple(p.exponent for p in shell.primitives),
-                    coefficients=shell.normalized_coefficients))
-    return AOBasis(tuple(functions), tuple(bound_shells))
+                functions.append(BasisFunction(at.position, powers, shell.exponents,
+                                               shell.coefficients))
+    return AOBasis(tuple(functions), tuple(shells))

@@ -6,14 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 computation failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bell
 from .basis import BasisSet, build_ao_basis, load_basis
-from .correlation import (CorrelationReport, correlation_energy, natural_occupations,
-                          one_particle_density, rescale_entropy, von_neumann_entropy)
+from .correlation import (correlation_energy, natural_occupations, one_particle_density,
+                          rescale_entropy, von_neumann_entropy)
 from .errors import H2entError, SCFConvergenceError
 from .fci import run_fci
 from .integrals import compute_all
@@ -59,12 +59,12 @@ class CurvePoint:
     e_fci: float
     e_corr: float
     entropy: float  # bits
-    occupations: tuple
+    occupations: np.ndarray  # descending
     rescaled_entropy: float = None
 
 
 def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings()):
-    """Full pipeline molecule -> integrals -> SCF -> FCI -> report at one R.
+    """Full pipeline molecule -> integrals -> SCF -> FCI -> CurvePoint at one R.
 
     basis is a loaded BasisSet, or a basis name or path to load.
     """
@@ -78,8 +78,8 @@ def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings()):
                                   f"({scf_result.iterations} iterations)")
     ci = run_fci(ints, scf_result, mol)
     occ = natural_occupations(one_particle_density(ci))
-    return CorrelationReport(
-        e_hf=scf_result.e_hf, e_fci=ci.e_fci,
+    return CurvePoint(
+        r=float(r_bohr), e_hf=scf_result.e_hf, e_fci=ci.e_fci,
         e_corr=correlation_energy(scf_result.e_hf, ci.e_fci),
         entropy=von_neumann_entropy(occ), occupations=occ)
 
@@ -110,22 +110,16 @@ def run_scan(config):
     basis = load_basis(config.basis_name, basis_dir=config.basis_dir)
     for r in scan_grid(config):
         try:
-            rep = run_single_point(r, basis)
+            points.append(run_single_point(r, basis))
         except H2entError as exc:  # record and continue
             failures.append((r, str(exc)))
-            continue
-        points.append(CurvePoint(
-            r=float(r), e_hf=rep.e_hf, e_fci=rep.e_fci, e_corr=rep.e_corr,
-            entropy=rep.entropy, occupations=tuple(float(x) for x in rep.occupations.n)))
     if not points:
         raise RuntimeError("all scan points failed: "
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))
     if config.rescale:
         scaled = rescale_entropy([p.entropy for p in points],
                                  [p.e_corr for p in points])
-        points = [CurvePoint(p.r, p.e_hf, p.e_fci, p.e_corr, p.entropy,
-                             p.occupations, rescaled_entropy=float(s))
-                  for p, s in zip(points, scaled)]
+        points = [replace(p, rescaled_entropy=float(s)) for p, s in zip(points, scaled)]
     return points, failures
 
 
@@ -247,7 +241,7 @@ def main(argv=None):
             print(f"E_FCI   = {rep.e_fci:.17g}")
             print(f"E_corr  = {rep.e_corr:.17g}")
             print(f"entropy = {rep.entropy:.17g} bits")
-            occ = ", ".join(f"{x:.12g}" for x in rep.occupations.n)
+            occ = ", ".join(f"{x:.12g}" for x in rep.occupations)
             print(f"occupations = [{occ}]")
         else:
             bell_demo(args.state)

@@ -26,20 +26,6 @@ class OPDM:
             raise ValueError("density matrix must be symmetric")
 
 
-@dataclass(frozen=True)
-class NaturalOccupations:
-    n: np.ndarray  # descending, each in [0, 2]
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    e_hf: float
-    e_fci: float
-    e_corr: float
-    entropy: float               # bits
-    occupations: NaturalOccupations
-
-
 def one_particle_density(ci):
     """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq."""
     c = ci.coefficients
@@ -47,16 +33,16 @@ def one_particle_density(ci):
 
 
 def natural_occupations(opdm):
-    """Descending eigenvalues of the spin-summed density matrix."""
+    """Descending eigenvalues of the spin-summed density matrix, clipped to [0, 2]."""
     vals = np.linalg.eigvalsh(opdm.gamma)[::-1]
     if vals.min() < -1e-8 or vals.max() > 2.0 + 1e-8:
         raise NumericalCheckError(f"occupations outside [0, 2]: {vals}")
-    return NaturalOccupations(np.clip(vals, 0.0, 2.0))
+    return np.clip(vals, 0.0, 2.0)
 
 
 def von_neumann_entropy(occ):
-    """S = -sum_k (n_k/2) log2(n_k/2) in bits, with 0 log 0 = 0."""
-    x = occ.n / 2.0
+    """S = -sum_k (n_k/2) log2(n_k/2) in bits for an occupation array, 0 log 0 = 0."""
+    x = occ / 2.0
     x = x[x > 0.0]
     return float(-np.sum(x * np.log2(x)))
 

@@ -22,7 +22,6 @@ from .molecule import nuclear_repulsion
 class CIResult:
     e_fci: float
     coefficients: np.ndarray  # K x K, C[alpha orbital, beta orbital]
-    mo_reference: object  # the SCFResult whose orbitals define the CI space
 
 
 def mo_transform(ints, c):
@@ -79,6 +78,4 @@ def run_fci(ints, scf_result, mol):
     c /= np.linalg.norm(c)
     if c.flat[np.argmax(np.abs(c))] < 0:
         c = -c
-    e_nuc = nuclear_repulsion(mol) if len(mol.atoms) > 1 else 0.0
-    return CIResult(e_fci=float(e0 + e_nuc), coefficients=c,
-                    mo_reference=scf_result)
+    return CIResult(e_fci=float(e0 + nuclear_repulsion(mol)), coefficients=c)

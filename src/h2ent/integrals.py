@@ -245,9 +245,8 @@ def compute_all(basis, mol):
 
     Each unique pair and quartet is computed once, in the order of `_pair`.
     """
-    shells = [(sh.angular_momentum, mol.atoms[sh.center_index].position,
-               tuple(p.exponent for p in sh.primitives), sh.normalized_coefficients,
-               CARTESIAN_COMPONENTS[sh.angular_momentum]) for sh in basis.shells]
+    shells = [(sh.angular_momentum, center, sh.exponents, sh.coefficients,
+               CARTESIAN_COMPONENTS[sh.angular_momentum]) for center, sh in basis.shells]
     fkeys = [_function_key(sh, c) for sh in shells for c in range(len(sh[4]))]  # AO order
     shells.sort(key=lambda sh: sh[:4], reverse=True)
     pairs = [(sa, sb) for x, sa in enumerate(shells) for sb in shells[x:]]

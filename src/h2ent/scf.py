@@ -67,7 +67,7 @@ def run_rhf(ints, mol, settings=SCFSettings()):
     n_occ = mol.n_electrons // 2
     hcore = ints.hcore
     x = symmetric_orthogonalizer(ints.overlap)
-    e_nuc = nuclear_repulsion(mol) if len(mol.atoms) > 1 else 0.0
+    e_nuc = nuclear_repulsion(mol)
 
     def diagonalize(f):
         fp = x.T @ f @ x

@@ -39,7 +39,7 @@ def compute_point(r, basis_name):
     return PointRecord(
         r=float(r), ints=ints, scf=scf, ci=ci, e_hf=scf.e_hf, e_fci=ci.e_fci,
         e_corr=correlation_energy(scf.e_hf, ci.e_fci),
-        entropy=von_neumann_entropy(occ), occupations=occ.n)
+        entropy=von_neumann_entropy(occ), occupations=occ)
 
 
 SCAN_GRID = np.linspace(0.7, 10.0, 40)

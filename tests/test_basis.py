@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from h2ent.basis import (AOBasis, BasisFunction, PrimitiveGaussian, Shell,
+from h2ent.basis import (AOBasis, BasisFunction, Shell,
                          build_ao_basis, load_basis, parse_basis,
                          primitive_norm)
 from h2ent.cli import run_single_point
@@ -48,8 +48,8 @@ def test_sto3g_contents():
         shells = basis.shells_per_element[element]
         assert len(shells) == 1
         assert shells[0].angular_momentum == 0
-        assert len(shells[0].primitives) == 3
-    assert basis.shells_per_element["H"][0].primitives[0].exponent \
+        assert len(shells[0].exponents) == 3
+    assert basis.shells_per_element["H"][0].exponents[0] \
         == pytest.approx(3.42525091)
 
 
@@ -57,7 +57,7 @@ def test_631gss_contents():
     basis = load_basis("6-31gss")
     shells = basis.shells_per_element["H"]
     assert [s.angular_momentum for s in shells] == [0, 0, 1]
-    assert [len(s.primitives) for s in shells] == [3, 1, 1]
+    assert [len(s.exponents) for s in shells] == [3, 1, 1]
 
 
 def test_load_basis_alias_and_unknown():
@@ -112,14 +112,17 @@ def test_parse_sp_shell_expansion():
     basis = parse_basis(text)
     shells = basis.shells_per_element["H"]
     assert [s.angular_momentum for s in shells] == [0, 1]
-    assert shells[1].primitives[0].coefficient == 0.2
-    assert shells[1].primitives[1].coefficient == 0.9
+    # the S shell takes the second column and the P shell the third
+    s_only = parse_basis("H 0\nS 2 1.00\n 1.0 0.5\n 0.3 0.6\n****\n")
+    p_only = parse_basis("H 0\nS 1 1.00\n 1.0 1.0\nP 2 1.00\n 1.0 0.2\n 0.3 0.9\n****\n")
+    assert shells[0] == s_only.shells_per_element["H"][0]
+    assert shells[1] == p_only.shells_per_element["H"][1]
 
 
 def test_parse_fortran_exponents_and_comments():
     text = "! a comment\nH 0\nS 1 1.00\n 1.0D-01 1.0\n****\n"
     basis = parse_basis(text)
-    assert basis.shells_per_element["H"][0].primitives[0].exponent == 0.1
+    assert basis.shells_per_element["H"][0].exponents[0] == 0.1
 
 
 def test_parse_errors_carry_line_numbers():
@@ -134,16 +137,25 @@ def test_parse_errors_carry_line_numbers():
         parse_basis("H 0\nS 1 1.00\n 1.0 abc\n****\n")
     with pytest.raises(UnsupportedShellError):
         parse_basis("H 0\nD 1 1.00\n 1.0 1.0\n****\n")
+    # non-finite or non-positive exponents, non-finite coefficients, empty shells
+    for shell, line in [("S 1 1.00\n nan 1.0", 3), ("S 1 1.00\n inf 1.0", 3),
+                        ("S 1 1.00\n -1.0 1.0", 3), ("S 1 1.00\n 0.0 1.0", 3),
+                        ("S 1 1e10\n 1.0D300 1.0", 3),  # finite, but not once scaled
+                        ("S 2 1.00\n 1.0 0.5\n 0.5 nan", 4), ("S 1 1.00\n 1.0 -inf", 3),
+                        ("SP 1 1.00\n 1.0 1.0 inf", 3), ("S 0 1.00", 2), ("S -1 1.00", 2)]:
+        with pytest.raises(BasisParseError) as err:
+            parse_basis(f"H 0\n{shell}\n****\n")
+        assert err.value.line_number == line, shell
 
 
 def test_shell_scale_factor_multiplies_exponents_by_its_square():
     scaled = parse_basis("H 0\nS 1 2.00\n 0.25 1.0\n****\n")
     plain = parse_basis("H 0\nS 1 1.00\n 1.0 1.0\n****\n")
-    assert scaled.shells_per_element["H"][0].primitives[0].exponent == 1.0
+    assert scaled.shells_per_element["H"][0].exponents[0] == 1.0
     assert run_single_point(1.4, scaled).e_hf == run_single_point(1.4, plain).e_hf
     # a header without a scale keeps the exponents
     bare = parse_basis("H 0\nS 1\n 0.25 1.0\n****\n")
-    assert bare.shells_per_element["H"][0].primitives[0].exponent == 0.25
+    assert bare.shells_per_element["H"][0].exponents[0] == 0.25
     for scale in ("0.0", "-1.0", "nan", "inf", "abc"):
         with pytest.raises(BasisParseError) as err:
             parse_basis(f"H 0\nS 1 {scale}\n 0.1 1.0\n****\n")
@@ -162,7 +174,7 @@ def test_basis_dir_env_override(tmp_path, monkeypatch):
     (tmp_path / "sto-3g.gbs").write_text(custom)
     monkeypatch.setenv("H2E_BASIS_DIR", str(tmp_path))
     basis = load_basis("sto-3g")
-    assert len(basis.shells_per_element["H"][0].primitives) == 1
+    assert len(basis.shells_per_element["H"][0].exponents) == 1
 
 
 def test_missing_element_raises():
@@ -173,6 +185,4 @@ def test_missing_element_raises():
 
 def test_shell_validation():
     with pytest.raises(UnsupportedShellError):
-        Shell(2, (PrimitiveGaussian(1.0, 1.0),))
-    with pytest.raises(ValueError):
-        PrimitiveGaussian(-1.0, 1.0)
+        Shell(2, (1.0,), (1.0,))

@@ -119,7 +119,8 @@ def test_run_single_point_values():
     assert rep.e_hf == pytest.approx(-1.1167143250, abs=1e-9)
     assert rep.e_fci < rep.e_hf
     assert rep.entropy > 0.0
-    assert len(rep.occupations.n) == 2
+    assert rep.r == 1.4
+    assert len(rep.occupations) == 2
 
 
 def test_run_scan_with_rescale():
@@ -226,6 +227,15 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_runs_from_a_checkout_without_warnings():
+    src = str(Path(h2ent.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "h2ent.cli", "bell", "--state", "singlet"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("state: singlet\n")
 
 
 def test_computation_failure_exit_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from h2ent.correlation import (NaturalOccupations, OPDM, correlation_energy,
+from h2ent.correlation import (OPDM, correlation_energy,
                                natural_occupations, one_particle_density,
                                rescale_entropy, von_neumann_entropy)
 from h2ent.errors import NumericalCheckError
@@ -72,8 +72,8 @@ def test_occupations_are_the_schmidt_coefficients(curve, request):
 
 def test_natural_occupations_descending_and_bounded():
     occ = natural_occupations(OPDM(np.diag([0.3, 1.7])))
-    assert np.allclose(occ.n, [1.7, 0.3])
-    assert occ.n.sum() == pytest.approx(2.0)
+    assert np.allclose(occ, [1.7, 0.3])
+    assert occ.sum() == pytest.approx(2.0)
     with pytest.raises(NumericalCheckError):
         natural_occupations(OPDM(np.diag([2.5, 0.0])))
     with pytest.raises(NumericalCheckError):
@@ -81,11 +81,11 @@ def test_natural_occupations_descending_and_bounded():
 
 
 def test_entropy_reference_values():
-    assert von_neumann_entropy(NaturalOccupations(np.array([2.0, 0.0]))) == 0.0
-    assert von_neumann_entropy(NaturalOccupations(np.array([1.0, 1.0]))) \
+    assert von_neumann_entropy(np.array([2.0, 0.0])) == 0.0
+    assert von_neumann_entropy(np.array([1.0, 1.0])) \
         == pytest.approx(1.0, abs=1e-15)
     expected = -(0.95 * np.log2(0.95) + 0.05 * np.log2(0.05))
-    assert von_neumann_entropy(NaturalOccupations(np.array([1.9, 0.1]))) \
+    assert von_neumann_entropy(np.array([1.9, 0.1])) \
         == pytest.approx(expected, abs=1e-15)
 
 
