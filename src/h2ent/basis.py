@@ -7,6 +7,7 @@ function has unit self-overlap.
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ _BUILTIN_FILES = {
 }
 
 _SHELL_LABELS = {"S": 0, "P": 1}
+_FORTRAN = str.maketrans("Dd", "Ee")  # 1.0D-01 is 1.0E-01
 CARTESIAN_COMPONENTS = {
     0: ((0, 0, 0),),
     1: ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -46,7 +48,7 @@ def primitive_norm(exponent, powers):
     return np.sqrt((2.0 * exponent / np.pi) ** 1.5 * (4.0 * exponent) ** sum(powers))
 
 
-def _normalized_shell(l, exponents, coefficients):
+def _normalized_shell(l, exponents, coefficients, lineno):
     """A shell from file coefficients, which refer to normalized primitives."""
     coefs = [c * primitive_norm(a, (l, 0, 0)) for a, c in zip(exponents, coefficients)]
     self_overlap = 0.0
@@ -54,6 +56,8 @@ def _normalized_shell(l, exponents, coefficients):
         for cb, b in zip(coefs, exponents):
             p = a + b  # overlap of two same-center primitives with powers (l, 0, 0)
             self_overlap += ca * cb * ((np.pi / p) ** 1.5 * (1 / (2.0 * p)) ** l)
+    if not self_overlap > 0.0:
+        raise BasisParseError("shell has zero norm (are all its coefficients zero?)", lineno)
     scale = 1.0 / np.sqrt(self_overlap)
     return Shell(l, exponents, tuple(c * scale for c in coefs))
 
@@ -72,15 +76,12 @@ class BasisSet:
 def parse_basis(text, name="custom"):
     """Parse a Gaussian94-style basis definition into a BasisSet."""
     lines = text.splitlines()
+    numbered = enumerate(lines, 1)  # the primitive loop below reads on from the same iterator
     shells_per_element = {}
     element = None
     shells = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        lineno = i + 1
-        line = lines[i].strip()
-        i += 1
+    for lineno, line in numbered:
+        line = line.strip()
         if not line or line.startswith("!"):
             continue
         if line == "****":
@@ -105,7 +106,7 @@ def parse_basis(text, name="custom"):
                 f"line {lineno}: unsupported shell type {label!r} (s and p only)")
         try:
             n_prim = int(fields[1])
-            scale = float(fields[2]) if len(fields) > 2 else 1.0
+            scale = float(fields[2].translate(_FORTRAN)) if len(fields) > 2 else 1.0
         except (IndexError, ValueError):
             raise BasisParseError(f"bad shell header {line!r}", lineno) from None
         if n_prim < 1:
@@ -115,19 +116,13 @@ def parse_basis(text, name="custom"):
                                   lineno)
         want = 3 if label == "SP" else 2
         rows = []
-        for k in range(n_prim):
-            if i >= n:
-                raise BasisParseError(f"unexpected end of file in {label} shell", n)
-            prim_lineno = i + 1
-            prim_line = lines[i]
-            i += 1
+        for prim_lineno, prim_line in islice(numbered, n_prim):
             prim_fields = prim_line.split()
             if len(prim_fields) != want:
                 raise BasisParseError(
                     f"expected {want} columns in primitive line, got {prim_line!r}", prim_lineno)
             try:
-                exponent, *coefs = [float(x.replace("D", "E").replace("d", "e"))
-                                    for x in prim_fields]
+                exponent, *coefs = [float(x.translate(_FORTRAN)) for x in prim_fields]
             except ValueError:
                 raise BasisParseError(f"bad number in {prim_line!r}", prim_lineno) from None
             exponent *= scale ** 2
@@ -138,11 +133,13 @@ def parse_basis(text, name="custom"):
                 raise BasisParseError(f"coefficients must be finite in {prim_line!r}",
                                       prim_lineno)
             rows.append((exponent, *coefs))
+        if len(rows) < n_prim:
+            raise BasisParseError(f"unexpected end of file in {label} shell", len(lines))
         exponents, *columns = zip(*rows)
         ls = (0, 1) if label == "SP" else (_SHELL_LABELS[label],)
-        shells += [_normalized_shell(l, exponents, c) for l, c in zip(ls, columns)]
+        shells += [_normalized_shell(l, exponents, c, lineno) for l, c in zip(ls, columns)]
     if element is not None:
-        raise BasisParseError(f"element block {element} not terminated by ****", n)
+        raise BasisParseError(f"element block {element} not terminated by ****", len(lines))
     if not shells_per_element:
         raise BasisParseError("no element blocks", None)
     return BasisSet(name, shells_per_element)

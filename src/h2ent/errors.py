@@ -27,6 +27,10 @@ class LinearDependenceError(H2entError):
     """Overlap matrix is numerically singular."""
 
 
+class SymmetryError(H2entError):
+    """The molecule and basis lack the inversion symmetry the RHF relies on."""
+
+
 class SCFConvergenceError(H2entError):
     """SCF failed to converge where a converged reference is required."""
 

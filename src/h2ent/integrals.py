@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CARTESIAN_COMPONENTS
+from .errors import SymmetryError
 
 _BOYS_SWITCH = 36.0  # F_0 = sqrt(pi/x)/2 from here on drops erf(sqrt(x)): 1 - erf(6) ~ 2e-17
 _BOYS_STEP = 0.05
@@ -234,6 +235,13 @@ class IntegralSet:
     kinetic: np.ndarray
     nuclear: np.ndarray
     eri: np.ndarray
+    inversion: np.ndarray  # signed AO permutation P of r -> -r about the molecular centre
+
+    def __post_init__(self):
+        p = self.inversion
+        if any(np.max(np.abs(p @ m @ p.T - m)) > 1e-10 for m in (self.overlap, self.hcore)):
+            raise SymmetryError("no inversion symmetry: the engine handles one atom or two "
+                                "identical atoms")
 
     @property
     def hcore(self):
@@ -269,5 +277,12 @@ def compute_all(basis, mol):
                     for ki in fkeys])
     rank = np.argsort(sorted(range(len(rows)), key=lambda r: _pair_key(*rows[r])))
     g = np.where(rank[:, None] >= rank[None, :], g, g.T)
+    # P = D = diag((-1)^l) for one atom, [[0, D], [D, 0]] for two: atom B's
+    # functions mirror atom A's in build order
+    if len(mol.atoms) > 2:
+        raise SymmetryError(f"{len(mol.atoms)} atoms: the engine handles one or two")
+    signs = np.array([(-1.0) ** sum(f.powers) for f in basis.functions])
+    image = np.roll(np.arange(basis.n), basis.n // 2 if len(mol.atoms) == 2 else 0)
     return IntegralSet(overlap=s[src], kinetic=t[src], nuclear=v[src],
-                       eri=g[src[:, :, None, None], src])
+                       eri=g[src[:, :, None, None], src],
+                       inversion=signs[:, None] * np.eye(basis.n)[image])

@@ -1,8 +1,9 @@
-"""Restricted Hartree-Fock via Roothaan iteration.
+"""Restricted Hartree-Fock via Roothaan iteration, blocked by inversion parity.
 
-Closed-shell only; the restricted formalism is kept even at dissociation
-(no symmetry breaking). Plain fixed-point iteration with a core-Hamiltonian
-guess and 0.5 density damping that switches on only if the energy oscillates.
+Closed-shell only, symmetric even at dissociation. Plain fixed-point iteration
+from the core-Hamiltonian guess; F is diagonalised separately in the gerade and
+ungerade spaces of the inversion P and the lowest gerade orbital is occupied,
+so a stretched bond's near-degenerate sigma_g and sigma_u cannot mix.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ class SCFSettings:
 @dataclass(frozen=True)
 class SCFResult:
     mo_coefficients: np.ndarray   # columns are MOs
-    orbital_energies: np.ndarray  # ascending, Hartree
+    orbital_energies: np.ndarray  # lowest gerade first, then ascending; Hartree
     e_hf: float                   # total energy incl. nuclear repulsion
     iterations: int
     converged: bool
@@ -68,57 +69,38 @@ def run_rhf(ints, mol, settings=SCFSettings()):
     hcore = ints.hcore
     x = symmetric_orthogonalizer(ints.overlap)
     e_nuc = nuclear_repulsion(mol)
+    # P commutes with X = S^(-1/2), so X maps P's +1 and -1 eigenvectors to
+    # orthonormal gerade and ungerade AO coefficient bases
+    parity, u = np.linalg.eigh(ints.inversion)
+    xg, xu = x @ u[:, parity > 0], x @ u[:, parity < 0]
 
     def diagonalize(f):
-        fp = x.T @ f @ x
-        eps, cp = np.linalg.eigh(fp)
-        return eps, x @ cp
+        (eg, cg), (eu, cu) = np.linalg.eigh(xg.T @ f @ xg), np.linalg.eigh(xu.T @ f @ xu)
+        eps, c = np.r_[eg, eu], np.hstack([xg @ cg, xu @ cu])
+        order = np.r_[0, 1 + np.argsort(eps[1:], kind="stable")]  # lowest gerade first
+        return eps[order], c[:, order]
 
     eps, c = diagonalize(hcore)
     d = density_from_coeffs(c, n_occ)
     e_old = 0.0
-    energies = []
-    damping = False
-    damping_since = None
-    shift = 0.0
     converged = False
-    iterations = 0
     for it in range(1, settings.max_iterations + 1):
-        iterations = it
         f = build_fock(hcore, d, ints.eri)
         e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
-        if shift:
-            # shift virtual levels only; the fixed-point density is unchanged
-            f = f + shift * (ints.overlap
-                             - 0.5 * ints.overlap @ d @ ints.overlap)
         eps, c = diagonalize(f)
         d_new = density_from_coeffs(c, n_occ)
         delta_e = e_total - e_old
         rms_d = np.sqrt(np.mean((d_new - d) ** 2))
-        energies.append(e_total)
+        d, e_old = d_new, e_total
         if it > 1 and abs(delta_e) < settings.energy_tolerance \
                 and rms_d < settings.density_tolerance:
             converged = True
-            d = d_new
-            e_old = e_total
             break
-        # oscillation over the last 5 iterations turns on simple damping
-        if not damping and len(energies) >= 5:
-            recent = np.diff(energies[-5:])
-            if np.any(recent > 0) and np.any(recent < 0):
-                damping = True
-                damping_since = it
-        # damping alone is marginal near HOMO/LUMO degeneracy; escalate to a
-        # small level shift if it has not settled things
-        if damping and not shift and it - damping_since >= 20:
-            shift = 0.2
-        d = 0.5 * (d + d_new) if damping else d_new
-        e_old = e_total
 
     # final energy from the last density for a consistent report
     f = build_fock(hcore, d, ints.eri)
     e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
     eps, c = diagonalize(f)
     return SCFResult(mo_coefficients=c, orbital_energies=eps,
-                     e_hf=float(e_total), iterations=iterations,
+                     e_hf=float(e_total), iterations=it,
                      converged=converged)

@@ -1,5 +1,7 @@
 """Molecule construction and Gaussian94 basis parsing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,26 @@ def test_shell_scale_factor_multiplies_exponents_by_its_square():
         with pytest.raises(BasisParseError) as err:
             parse_basis(f"H 0\nS 1 {scale}\n 0.1 1.0\n****\n")
         assert err.value.line_number == 2
+
+
+def test_fortran_exponent_in_shell_header():
+    plain = parse_basis("H 0\nS 1 1.00\n 0.25 1.0\n****\n")
+    for scale in ("1.0D0", "1.0d0", "0.1D+01"):
+        basis = parse_basis(f"H 0\nS 1 {scale}\n 0.25 1.0\n****\n")
+        assert basis == plain, scale
+    scaled = parse_basis("H 0\nS 1 2.0D0\n 0.25 1.0\n****\n")
+    assert scaled.shells_per_element["H"][0].exponents[0] == 1.0
+
+
+def test_zero_coefficient_shell_rejected_without_warnings():
+    for shell in ("S 2 1.00\n 1.0 0.0\n 0.5 0.0", "SP 1 1.00\n 1.0 1.0 0.0",
+                  "SP 2 1.00\n 1.0 0.0 0.3\n 0.5 -0.0 0.7"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BasisParseError) as err:
+                parse_basis(f"H 0\nS 1 1.00\n 1.0 1.0\n{shell}\n****\n")
+        assert err.value.line_number == 4, shell
+        assert "zero norm" in str(err.value)
 
 
 def test_repeated_element_block_rejected():

@@ -1,7 +1,8 @@
-"""The names the benchmark in perfbench/ calls or traces must exist in h2ent.
+"""The benchmark in perfbench/ must find the names it calls or traces in h2ent,
+and its correctness gate must pass.
 
 perfbench/ has its own tests, outside this suite; this keeps a deleted or
-renamed name from failing only the benchmark run.
+renamed name, or a result the gate rejects, from failing only the benchmark run.
 """
 
 import importlib
@@ -9,18 +10,18 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_targets_are_callable():
-    spans = _spans()
+    spans = _perfbench("spans")
     assert spans.TARGETS
     for module, function, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(f"h2ent.{module}"), function, None)), \
@@ -37,3 +38,13 @@ def test_directly_called_names_exist():
     assert "angular_resolution" in inspect.signature(bell.chsh_max_grid).parameters
     f = build_ao_basis(h2(1.4), load_basis("6-31gss")).functions[0]
     assert f.exponents and f.powers == (0, 0, 0)
+
+
+def test_scan_workloads_pass_the_gate_at_the_default_seed(tmp_path):
+    workloads = _perfbench("workloads")
+    reference = workloads.load_reference()
+    for name, attempted in (("stretch", 40), ("scan-631gss", 3)):
+        inputs = workloads.make_inputs(name, workloads.DEFAULT_SEED)
+        sample = workloads.run_once(inputs, tmp_path / f"{name}.csv")
+        assert workloads.check(inputs, sample, reference) == [], name
+        assert (sample.failed, sample.attempted) == (0, attempted), (name, sample.failed_r)

@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from h2ent.basis import build_ao_basis, load_basis
-from h2ent.errors import LinearDependenceError
+from h2ent.cli import main
+from h2ent.errors import LinearDependenceError, SymmetryError
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, helium, nuclear_repulsion, Molecule, atom
 from h2ent.scf import (SCFSettings, build_fock, density_from_coeffs, run_rhf,
@@ -107,8 +108,9 @@ def test_converged_state_properties(h2_sto3g):
 
 
 def test_stretched_polarized_basis_converges():
-    # near-degenerate HOMO/LUMO at large R destabilizes plain iteration;
-    # the damping/level-shift stabilizer must still land on the RHF solution
+    # at large R sigma_g and sigma_u are nearly degenerate; diagonalising each
+    # parity block on its own keeps them from mixing, so plain iteration
+    # lands on the symmetric RHF solution
     mol = h2(10.0)
     ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
     res = run_rhf(ints, mol)
@@ -121,3 +123,71 @@ def test_nonconvergence_is_reported_not_raised(h2_sto3g):
     res = run_rhf(ints, mol, SCFSettings(max_iterations=1))
     assert not res.converged
     assert res.iterations == 1
+
+
+SWEEP_R = np.geomspace(0.3, 100.0, 40)
+
+
+@pytest.fixture(scope="module")
+def sweeps():
+    """(R, ints, SCFResult) at 40 log-spaced R from 0.3 to 100 Bohr, per basis."""
+    out = {}
+    for name in ("sto-3g", "6-31gss"):
+        basis = load_basis(name)
+        out[name] = []
+        for r in SWEEP_R:
+            mol = h2(r)
+            ints = compute_all(build_ao_basis(mol, basis), mol)
+            out[name].append((r, ints, run_rhf(ints, mol)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_every_r_converges_fast_to_a_gerade_orbital(sweeps, name):
+    for r, ints, res in sweeps[name]:
+        assert res.converged and res.iterations <= 12, (r, res.iterations)
+        c0 = res.mo_coefficients[:, 0]
+        assert np.allclose(ints.inversion @ c0, c0, rtol=0.0, atol=1e-12), r
+
+
+def test_sto3g_energy_matches_symmetric_closed_form(sweeps):
+    # the only gerade orbital of two 1s functions is c_g = (1, 1)/sqrt(2(1 + S12)),
+    # so E_HF = 2 h_gg + (gg|gg) + 1/R with no iteration at all
+    for r, ints, res in sweeps["sto-3g"]:
+        cg = np.ones(2) / np.sqrt(2.0 * (1.0 + ints.overlap[0, 1]))
+        e_closed = 2.0 * cg @ ints.hcore @ cg \
+            + np.einsum("p,q,r,s,pqrs->", cg, cg, cg, cg, ints.eri) + 1.0 / r
+        assert res.e_hf == pytest.approx(e_closed, abs=1e-12), r
+
+
+@pytest.mark.parametrize("r", [10.0, 10.01])
+def test_polarized_basis_iterations_do_not_hinge_on_last_digits(r):
+    # last-digit changes in the integrals once moved this point between 8 and 42 iterations
+    mol = h2(r)
+    res = run_rhf(compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol), mol)
+    assert res.converged and res.iterations <= 12
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+@pytest.mark.parametrize("mol", [h2(1.4), h2(37.0), helium()], ids=["h2-1.4", "h2-37", "he"])
+def test_inversion_is_a_signed_permutation_and_a_symmetry(name, mol):
+    ints = compute_all(build_ao_basis(mol, load_basis(name)), mol)
+    p = ints.inversion
+    assert np.array_equal(np.abs(p).sum(axis=0), np.ones(len(p)))
+    assert np.array_equal(p @ p, np.eye(len(p)))
+    for m in (ints.overlap, ints.hcore):
+        assert np.max(np.abs(p @ m @ p.T - m)) < 1e-12
+
+
+def test_molecule_without_inversion_symmetry_is_rejected():
+    heh = Molecule((atom("H", (0, 0, 0)), atom("He", (0, 0, 1.4))), 2)
+    h3 = Molecule(tuple(atom("H", (0, 0, z)) for z in (0.0, 1.4, 2.8)), 2)
+    for mol in (heh, h3):
+        for name in ("sto-3g", "6-31gss"):
+            with pytest.raises(SymmetryError):
+                compute_all(build_ao_basis(mol, load_basis(name)), mol)
+
+
+def test_point_at_100_bohr_succeeds(capsys):
+    assert main(["point", "-R", "100", "--basis", "sto-3g"]) == 0
+    assert "E_HF" in capsys.readouterr().out
