@@ -1,11 +1,12 @@
 """CHSH/Bell-inequality machinery for two-spin states.
 
-Spin observables sigma.v, the singlet and product reference states and CHSH
-evaluation. The CHSH maximum comes twice: `chsh_max_grid` builds the optimal
-settings from the eigenvectors of T^T T (T the correlation tensor) and
-evaluates them on the density matrix, and `chsh_max_closed_form` is the
-Horodecki criterion 2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as
-the oracle.
+Two-qubit states, the singlet and product reference states and CHSH
+evaluation. The correlation tensor T_ij = Tr[rho sigma_i x sigma_j] is one
+contraction of rho with the Pauli-pair tensor, built once at import, and each
+correlation E(u, w) is the bilinear form u . T w. The CHSH maximum comes
+twice: `chsh_max_grid` builds the optimal settings from the eigenvectors of
+T^T T and evaluates them on T, and `chsh_max_closed_form` is the Horodecki
+criterion 2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as the oracle.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,10 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
+# _PAULI_PAIRS[i, j] = (sigma_i x sigma_j)^T, so Tr[rho sigma_i x sigma_j] is
+# the sum over a, b of _PAULI_PAIRS[i, j, a, b] rho[a, b].
+_PAULI_PAIRS = np.array([[np.kron(p, q).T for q in PAULI] for p in PAULI])
+
 
 def unit_vector(v):
     v = np.asarray(v, dtype=float)
@@ -26,12 +31,6 @@ def unit_vector(v):
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"vector must have unit norm, |v| = {norm}")
     return v
-
-
-def spin_observable(v):
-    """sigma . v for a unit 3-vector v: a 2x2 Hermitian matrix with eigenvalues +-1."""
-    v = unit_vector(v)
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if not np.allclose(rho, rho.conj().T, atol=1e-12):
+        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12):
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-12:
             raise ValueError("density matrix must have unit trace")
@@ -52,11 +51,7 @@ class TwoQubitState:
 
     def correlation_tensor(self):
         """T_ij = Tr[rho sigma_i x sigma_j]."""
-        t = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                t[i, j] = np.trace(self.rho @ np.kron(PAULI[i], PAULI[j])).real
-        return t
+        return np.einsum("ijab,ab->ij", _PAULI_PAIRS, self.rho).real
 
 
 @dataclass(frozen=True)
@@ -98,22 +93,20 @@ def product_updown():
 
 
 def correlation(state, u, w):
-    """E(u, w) = Tr[rho (sigma.u x sigma.w)], u on party 1, w on party 2."""
-    op = np.kron(spin_observable(u), spin_observable(w))
-    return float(np.trace(state.rho @ op).real)
+    """E(u, w) = Tr[rho (sigma.u x sigma.w)] = u . T w, u on party 1, w on party 2."""
+    return float(unit_vector(u) @ state.correlation_tensor() @ unit_vector(w))
 
 
 def chsh_value(state, settings):
-    """E(a,b) + E(b,d) + E(c,d) - E(a,c); a, d on party 1, b, c on party 2."""
-    s = settings
-    return (correlation(state, s.a, s.b) + correlation(state, s.d, s.b)
-            + correlation(state, s.d, s.c) - correlation(state, s.a, s.c))
+    """E(a,b) + E(d,b) + E(d,c) - E(a,c); a, d on party 1, b, c on party 2."""
+    s, t = settings, state.correlation_tensor()
+    return float(s.a @ t @ s.b + s.d @ t @ s.b + s.d @ t @ s.c - s.a @ t @ s.c)
 
 
 def chsh_max_closed_form(state):
     """2 sqrt(m1 + m2) with m1, m2 the two largest eigenvalues of T^T T."""
     t = state.correlation_tensor()
-    m = np.sort(np.linalg.eigvalsh(t.T @ t))
+    m = np.linalg.eigvalsh(t.T @ t)  # ascending
     return float(2.0 * np.sqrt(m[-1] + m[-2]))
 
 
@@ -130,7 +123,7 @@ def chsh_max_grid(state, angular_resolution=1.0):
     For fixed b, c the best a, d give ||T(b - c)|| + ||T(b + c)||. With v1, v2
     the eigenvectors of T^T T for its largest eigenvalues m1 >= m2, the choice
     b, c = cos(theta) v1 +- sin(theta) v2, tan(theta) = sqrt(m2 / m1), makes
-    this 2 sqrt(m1 + m2). The value is evaluated on the density matrix.
+    this 2 sqrt(m1 + m2). The value is `chsh_value` at these settings.
 
     `angular_resolution` has no effect, since the settings are exact; it is
     accepted so that callers passing it by keyword or position keep working.

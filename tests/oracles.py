@@ -1,9 +1,14 @@
-"""Grid-based reference integrals used to validate the analytic module.
+"""Reference definitions that the fast paths of the package are checked against.
 
-Every routine here evaluates the defining integrand on a numerical grid and
-never touches the Hermite/Boys machinery. Documented accuracy: 1e-6 absolute
-for overlap/kinetic/nuclear (1e-5 for ERIs) over the exponent and separation
-ranges exercised by the tests (exponents in [0.1, 5], separations up to ~3 Bohr).
+Grid-based integrals: every routine evaluates the defining integrand on a
+numerical grid and never touches the Hermite/Boys machinery. Documented
+accuracy: 1e-6 absolute for overlap/kinetic/nuclear (1e-5 for ERIs) over the
+exponent and separation ranges exercised by the tests (exponents in [0.1, 5],
+separations up to ~3 Bohr).
+
+Spin correlations: Tr[rho (sigma.u x sigma.w)] element by element, from
+Kronecker products of the Pauli matrices, without the Pauli-pair contraction
+of `h2ent.bell`.
 """
 
 import numpy as np
@@ -183,3 +188,30 @@ def quadrature_oracle_eri(f, g, h, k):
                         pot[lo:lo + 216] = np.einsum("nm,nm->n", gw, rho_ket)
                     total += float(np.sum(w * rho_bra * pot))
     return total
+
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def spin_observable(v):
+    """sigma . v for a unit 3-vector v: a 2x2 Hermitian matrix with eigenvalues +-1."""
+    v = np.asarray(v, dtype=float)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        raise ValueError(f"vector must have unit norm, |v| = {np.linalg.norm(v)}")
+    return v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2]
+
+
+def correlation_tensor_by_trace(rho):
+    """T_ij = Tr[rho sigma_i x sigma_j], one trace per element."""
+    t = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            t[i, j] = np.trace(rho @ np.kron(_PAULI[i], _PAULI[j])).real
+    return t
+
+
+def correlation_by_trace(rho, u, w):
+    """E(u, w) = Tr[rho (sigma.u x sigma.w)], u on party 1, w on party 2."""
+    return float(np.trace(rho @ np.kron(spin_observable(u), spin_observable(w))).real)

@@ -5,7 +5,9 @@ import pytest
 
 from h2ent.bell import (MeasurementSettings, TSIRELSON, TwoQubitState,
                         chsh_max_closed_form, chsh_max_grid, chsh_value,
-                        correlation, product_updown, singlet, spin_observable)
+                        correlation, product_updown, singlet)
+from h2ent.cli import _BELL_STATES
+from oracles import correlation_by_trace, correlation_tensor_by_trace, spin_observable
 
 
 def random_unit_vectors(n, rng):
@@ -13,11 +15,18 @@ def random_unit_vectors(n, rng):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def random_density_matrix(rng):
-    """Ginibre-ensemble two-qubit density matrix."""
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_state_of_rank(rank, rng):
+    """rho = G G^dagger / Tr for a complex Gaussian 4 x rank matrix G (rank 4: Ginibre)."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = g @ g.conj().T
     return TwoQubitState(rho / np.trace(rho).real)
+
+
+def oracle_states():
+    """The named states of `h2ent bell`, then 210 seeded random states of rank 1, 2 and 4."""
+    rng = np.random.default_rng(4)
+    named = [make() for _, make in sorted(_BELL_STATES.items())]
+    return named + [random_state_of_rank((1, 2, 4)[i % 3], rng) for i in range(210)]
 
 
 def test_spin_observable_properties():
@@ -41,6 +50,40 @@ def test_state_validation():
     bad[0, 0] = 1.0
     with pytest.raises(ValueError):
         TwoQubitState(bad)  # not Hermitian
+
+
+def test_state_hermiticity_bound_is_absolute():
+    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    rho[0, 1] = 0.2
+    rho[1, 0] = 0.2 + 1e-6  # within the relative tolerance allclose applies by default
+    with pytest.raises(ValueError, match="Hermitian"):
+        TwoQubitState(rho)
+
+
+def test_correlation_tensor_matches_trace_oracle():
+    for state in oracle_states():
+        t = state.correlation_tensor()
+        assert np.max(np.abs(t - correlation_tensor_by_trace(state.rho))) <= 1e-15
+
+
+def test_correlation_and_chsh_value_match_trace_oracle():
+    rng = np.random.default_rng(5)
+    for state in oracle_states():
+        a, d, b, c = random_unit_vectors(4, rng)
+        assert abs(correlation(state, a, b) - correlation_by_trace(state.rho, a, b)) <= 1e-14
+        expected = (correlation_by_trace(state.rho, a, b) + correlation_by_trace(state.rho, d, b)
+                    + correlation_by_trace(state.rho, d, c)
+                    - correlation_by_trace(state.rho, a, c))
+        settings = MeasurementSettings(a=a, d=d, b=b, c=c)
+        assert abs(chsh_value(state, settings) - expected) <= 1e-14
+
+
+def test_correlation_rejects_non_unit_vectors():
+    z = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        correlation(singlet(), 2 * z, z)
+    with pytest.raises(ValueError):
+        correlation(singlet(), z, 0.5 * z)
 
 
 def test_singlet_correlation_tensor():
@@ -95,8 +138,7 @@ def test_grid_maximization_on_reference_states():
 
 def test_grid_matches_closed_form_on_random_states():
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        state = random_density_matrix(rng)
+    for state in [random_state_of_rank(4, rng) for _ in range(5)] + oracle_states():
         assert chsh_max_grid(state).value \
             == pytest.approx(chsh_max_closed_form(state), abs=1e-12)
 

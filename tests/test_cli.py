@@ -230,12 +230,16 @@ def test_import_loads_no_scipy():
 
 
 def test_module_runs_from_a_checkout_without_warnings():
+    # `python3 -m h2ent` and `python3 -m h2ent.cli` print the same bytes
     src = str(Path(h2ent.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "h2ent.cli", "bell", "--state", "singlet"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-                          timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith("state: singlet\n")
+    runs = [subprocess.run([sys.executable, "-m", module, "bell", "--state", "singlet"],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            for module in ("h2ent.cli", "h2ent")]
+    for proc in runs:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert runs[0].stdout.startswith("state: singlet\n")
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_computation_failure_exit_2(tmp_path, capsys):

@@ -36,6 +36,12 @@ def test_opdm_requires_symmetry():
         OPDM(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def test_opdm_symmetry_bound_is_absolute():
+    # within the relative tolerance allclose applies by default
+    with pytest.raises(ValueError, match="symmetric"):
+        OPDM(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
+
+
 def test_single_determinant_density():
     gamma = one_particle_density(ci_state([[1.0, 0.0], [0.0, 0.0]])).gamma
     assert np.allclose(gamma, np.diag([2.0, 0.0]), atol=1e-15)
