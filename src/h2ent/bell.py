@@ -99,7 +99,10 @@ def correlation(state, u, w):
 
 def chsh_value(state, settings):
     """E(a,b) + E(d,b) + E(d,c) - E(a,c); a, d on party 1, b, c on party 2."""
-    s, t = settings, state.correlation_tensor()
+    return _chsh(state.correlation_tensor(), settings)
+
+
+def _chsh(t, s):
     return float(s.a @ t @ s.b + s.d @ t @ s.b + s.d @ t @ s.c - s.a @ t @ s.c)
 
 
@@ -123,7 +126,8 @@ def chsh_max_grid(state, angular_resolution=1.0):
     For fixed b, c the best a, d give ||T(b - c)|| + ||T(b + c)||. With v1, v2
     the eigenvectors of T^T T for its largest eigenvalues m1 >= m2, the choice
     b, c = cos(theta) v1 +- sin(theta) v2, tan(theta) = sqrt(m2 / m1), makes
-    this 2 sqrt(m1 + m2). The value is `chsh_value` at these settings.
+    this 2 sqrt(m1 + m2). The value is `chsh_value` at these settings, from the
+    same T.
 
     `angular_resolution` has no effect, since the settings are exact; it is
     accepted so that callers passing it by keyword or position keep working.
@@ -136,6 +140,6 @@ def chsh_max_grid(state, angular_resolution=1.0):
     cvec = np.cos(theta) * v[:, -1] - np.sin(theta) * v[:, -2]
     avec, dvec = _party1_settings(t, bvec, cvec)
     settings = MeasurementSettings(a=avec, d=dvec, b=bvec, c=cvec)
-    value = chsh_value(state, settings)
+    value = _chsh(t, settings)
     return CHSHReport(value=value, settings=settings,
                       violated=value > 2.0 + 1e-9)

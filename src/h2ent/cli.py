@@ -63,15 +63,17 @@ class CurvePoint:
     rescaled_entropy: float = None
 
 
-def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings()):
+def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings(), ints=None):
     """Full pipeline molecule -> integrals -> SCF -> FCI -> CurvePoint at one R.
 
-    basis is a loaded BasisSet, or a basis name or path to load.
+    basis is a loaded BasisSet, or a basis name or path to load. ints, if given,
+    are the integrals of H2 at r_bohr in that basis, computed in a scan's batch.
     """
     if not isinstance(basis, BasisSet):
         basis = load_basis(basis, basis_dir=basis_dir)
     mol = h2(r_bohr)
-    ints = compute_all(build_ao_basis(mol, basis), mol)
+    if ints is None:
+        ints = compute_all(build_ao_basis(mol, basis), mol)
     scf_result = run_rhf(ints, mol, settings)
     if not scf_result.converged:
         raise SCFConvergenceError(f"SCF did not converge at R = {r_bohr} Bohr "
@@ -102,15 +104,19 @@ def run_scan(config):
 
     Returns (points, failures) with failures as (R, message) pairs; a point
     fails on an H2entError, and any other exception propagates. Raises
-    RuntimeError if every point failed; the basis is loaded once, up front, and
-    its errors propagate.
+    RuntimeError if every point failed. The basis is loaded once, and the
+    integrals of every R are computed in one `compute_all` batch, up front; their
+    errors propagate.
     """
     points = []
     failures = []
     basis = load_basis(config.basis_name, basis_dir=config.basis_dir)
-    for r in scan_grid(config):
+    rs = scan_grid(config)
+    mols = [h2(r) for r in rs]
+    batch = compute_all([build_ao_basis(mol, basis) for mol in mols], mols)
+    for r, ints in zip(rs, batch):
         try:
-            points.append(run_single_point(r, basis))
+            points.append(run_single_point(r, basis, ints=ints))
         except H2entError as exc:  # record and continue
             failures.append((r, str(exc)))
     if not points:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .basis import CARTESIAN_COMPONENTS
 from .errors import SymmetryError
+from .molecule import Molecule
 
 _BOYS_SWITCH = 36.0  # F_0 = sqrt(pi/x)/2 from here on drops erf(sqrt(x)): 1 - erf(6) ~ 2e-17
 _BOYS_STEP = 0.05
@@ -67,10 +68,9 @@ def boys_table(mmax, x):
             raise ValueError(f"Boys function argument must be non-negative, got {xs.min()}")
         k = np.rint(xs / _BOYS_STEP).astype(np.intp)
         d = k * _BOYS_STEP - xs  # F_m' = -F_{m+1}, so the step is -(x - x_k)
-        g = _BOYS_GRID[mmax:mmax + _TAYLOR, k]
-        fm = g[-1]
+        fm = _BOYS_GRID[mmax + _TAYLOR - 1, k]  # one grid row at a time: a batch's x is large
         for j in range(_TAYLOR - 1, 0, -1):
-            fm = g[j - 1] + fm * d / j
+            fm = _BOYS_GRID[mmax + j - 1, k] + fm * d / j
         col = np.empty((mmax + 1,) + xs.shape)
         col[mmax] = fm
         for m in range(mmax, 0, -1):
@@ -111,31 +111,32 @@ def _hermite_coulomb_all(lmax, alpha, pq):
 
 
 class _ShellPairs:
-    """The primitive pairs of shell pairs of one angular class, stacked.
+    """The primitive pairs of shell pairs of one angular class in G geometries, stacked.
 
-    A shell is (l, center, exponents, coefficients, Cartesian components).
-    `e[h, c, q]` is Hermite coefficient `herm[h]` of component pair `ij[c]` and
-    primitive pair q, weights included; integrals are (ij, shell pair) arrays.
-    """
+    A shell is (l, key, exponents, coefficients, Cartesian components, (3, G) centers).
+    `e[h, c, g, q]` is Hermite coefficient `herm[h]` of component pair `ij[c]` and
+    primitive pair q in geometry g, weights included; integrals are (ij, geometry,
+    shell pair) arrays."""
 
     def __init__(self, pairs):
-        (la, *_, comps_a), (lb, *_, comps_b) = pairs[0]
+        (la, *_, comps_a, _), (lb, *_, comps_b, _) = pairs[0]
         self.ij = [(i, j) for i in range(len(comps_a)) for j in range(len(comps_b))]
-        prims = [(x, y, cx * cy, *sa[1], *sb[1]) for sa, sb in pairs
-                 for x, cx in zip(sa[2], sa[3]) for y, cy in zip(sb[2], sb[3])]
-        a, b, self.coef, *xyz = np.array(prims).T
-        ra, rb = np.reshape(xyz, (2, 3, -1))
+        a, b, self.coef = np.array([(x, y, cx * cy) for sa, sb in pairs for x, cx in
+                                    zip(sa[2], sa[3]) for y, cy in zip(sb[2], sb[3])]).T
+        sizes = [len(sa[2]) * len(sb[2]) for sa, sb in pairs]
+        ra, rb = (np.repeat(np.stack([pair[k][5] for pair in pairs], -1), sizes, -1)
+                  for k in (0, 1))
         self.p, self.beta, self.l = a + b, b, la + lb
         self.center = (a * ra + b * rb) / self.p
         self.cube = np.pi / self.p * np.sqrt(np.pi / self.p)  # (pi/p)^(3/2)
-        self.start = np.cumsum([0] + [len(sa[2]) * len(sb[2]) for sa, sb in pairs[:-1]])
+        self.start = np.cumsum([0] + sizes[:-1])
         self.ia, self.jb = map(np.array, zip(*[(comps_a[i], comps_b[j]) for i, j in self.ij]))
         # E^{ij}_t of each dimension by the McMurchie-Davidson recurrences, up in i
         # then j, with j two higher for the kinetic energy; the last t slot stays zero
         imax, jmax, q, mu = self.ia.max(), self.jb.max() + 2, ra - rb, a * b / self.p
         self.e1 = e = np.zeros((imax + 1, jmax + 1, imax + jmax + 2) + q.shape)
         e[0, 0, 0] = _exp(-mu * q * q)
-        up = np.arange(1.0, imax + jmax + 2)[:, None, None]
+        up = np.arange(1.0, imax + jmax + 2)[:, None, None, None]
         for i in range(imax + 1):
             for j in range(jmax + 1):
                 if i or j:
@@ -158,7 +159,7 @@ class _ShellPairs:
 
     def kinetic(self):
         """-1/2 <a|del^2|b> by the exponent-shift relations on 1-D overlaps."""
-        e, d, j = self.e1, np.arange(3), self.jb[..., None]
+        e, d, j = self.e1, np.arange(3), self.jb[..., None, None]
         s = e[self.ia, self.jb, 0, d]
         k = (self.beta * (2 * j + 1) * s - 2.0 * self.beta ** 2 * e[self.ia, self.jb + 2, 0, d]
              - 0.5 * j * (j - 1) * e[self.ia, np.maximum(self.jb - 2, 0), 0, d])
@@ -166,28 +167,30 @@ class _ShellPairs:
             + s[:, 0] * s[:, 1] * k[:, 2]
         return self.contract(self.coef * self.cube * cross)
 
-    def nuclear(self, mol):
-        """-sum_C Z_C <a| 1/|r-R_C| |b>, all nuclei in one Boys/R_tuv pass."""
-        pc = self.center[:, None] - np.array([at.position for at in mol.atoms]).T[..., None]
-        rts = _hermite_coulomb_all(self.l, self.p, pc)
+    def nuclear(self, mols):
+        """-sum_C Z_C <a| 1/|r-R_C| |b> in each geometry, all nuclei in one Boys/R_tuv pass."""
+        xyz = np.array([[at.position for at in mol.atoms] for mol in mols]).T
+        charges = -np.array([[at.nuclear_charge for at in mol.atoms] for mol in mols]).T
+        rts = _hermite_coulomb_all(self.l, self.p, self.center[:, None] - xyz[..., None])
         acc = sum(self.e[h][:, None] * rts[key] for h, key in self.terms)
-        v = sum(-at.nuclear_charge * acc[:, n] for n, at in enumerate(mol.atoms))
+        v = sum(z[:, None] * acc[:, n] for n, z in enumerate(charges))
         return self.contract(2.0 * np.pi / self.p * v)
 
 
 def _eri_block(bra, ket):
-    """(bra|ket) for all shell and component pairs of two classes, as rows x columns."""
+    """(bra|ket) for all shell and component pairs of two classes, as geometry x row x column."""
     pb, pk = bra.p[:, None], ket.p[None, :]
     alpha = pb * pk / (pb + pk)
-    rts = _hermite_coulomb_all(bra.l + ket.l, alpha, bra.center[..., None] - ket.center[:, None])
-    ek = ket.e * np.array([(-1.0) ** sum(key) for key in ket.herm])[:, None, None]
+    rts = _hermite_coulomb_all(bra.l + ket.l, alpha,
+                               bra.center[..., :, None] - ket.center[..., None, :])
+    ek = ket.e * np.array([(-1.0) ** sum(key) for key in ket.herm])[:, None, None, None]
     acc = 0.0
     for hb, (t, u, v) in bra.terms:
-        w = sum(ek[hk][:, None, :] * rts[(t + s, u + r, v + q)] for hk, (s, r, q) in ket.terms)
-        acc = acc + bra.e[hb][:, None, :, None] * w
+        w = sum(ek[hk][:, :, None] * rts[(t + s, u + r, v + q)] for hk, (s, r, q) in ket.terms)
+        acc = acc + bra.e[hb][:, None, :, :, None] * w
     acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
-    out = np.add.reduceat(np.add.reduceat(acc, ket.start, axis=3), bra.start, axis=2)
-    return out.transpose(0, 2, 1, 3).reshape(len(bra.ij) * len(bra.start), -1)
+    out = np.add.reduceat(np.add.reduceat(acc, ket.start, axis=-1), bra.start, axis=-2)
+    return out.transpose(2, 0, 3, 1, 4).reshape(out.shape[2], len(bra.ij) * len(bra.start), -1)
 
 
 def _function_key(shell, comp=0):
@@ -203,30 +206,30 @@ def _pair_key(kf, kg):
 def _pair(f, g):
     """(pair key, one-pair batch) of two functions, in `compute_all`'s order."""
     sf, sg = sorted(((sum(h.powers), tuple(h.center), tuple(h.exponents),
-                      tuple(h.coefficients), (tuple(h.powers),)) for h in (f, g)),
-                    key=_function_key, reverse=True)
+                      tuple(h.coefficients), (tuple(h.powers),), np.reshape(h.center, (3, 1)))
+                     for h in (f, g)), key=_function_key, reverse=True)
     return _pair_key(_function_key(sf), _function_key(sg)), _ShellPairs([(sf, sg)])
 
 
 def overlap(f, g):
     """<f|g> for contracted functions."""
-    return float(_pair(f, g)[1].overlap()[0, 0])
+    return float(_pair(f, g)[1].overlap()[0, 0, 0])
 
 
 def kinetic(f, g):
     """-1/2 <f|del^2|g> via exponent-shift relations on overlaps."""
-    return float(_pair(f, g)[1].kinetic()[0, 0])
+    return float(_pair(f, g)[1].kinetic()[0, 0, 0])
 
 
 def nuclear_attraction(f, g, mol):
     """-sum_A Z_A <f| 1/|r-R_A| |g> over the nuclei of mol."""
-    return float(_pair(f, g)[1].nuclear(mol)[0, 0])
+    return float(_pair(f, g)[1].nuclear([mol])[0, 0, 0])
 
 
 def eri(f, g, h, k):
     """Two-electron repulsion integral (fg|hk) in chemists' notation."""
     (_, bra), (_, ket) = sorted((_pair(f, g), _pair(h, k)), key=lambda kb: kb[0], reverse=True)
-    return float(_eri_block(bra, ket)[0, 0])
+    return float(_eri_block(bra, ket)[0, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -248,13 +251,38 @@ class IntegralSet:
         return self.kinetic + self.nuclear
 
 
-def compute_all(basis, mol):
-    """All one- and two-electron integrals for an AO basis; deterministic.
+def _layout(basis):
+    """The shells' sort keys in AO order, each center replaced by its rank among the centers."""
+    centers = sorted({center for center, _ in basis.shells})
+    return tuple((sh.angular_momentum, centers.index(center), sh.exponents, sh.coefficients)
+                 for center, sh in basis.shells)
 
-    Each unique pair and quartet is computed once, in the order of `_pair`.
+
+def compute_all(aos, mols):
+    """All one- and two-electron integrals of AO bases in their molecules; deterministic.
+
+    `compute_all(basis, mol)` returns one IntegralSet; `compute_all(aos, mols)` a list,
+    one per geometry, from one pass with a geometry axis on every primitive array. Each
+    geometry's values are bit for bit its one-point result, whatever the batch. Each
+    unique pair and quartet is computed once per geometry, in the order of `_pair`.
     """
-    shells = [(sh.angular_momentum, center, sh.exponents, sh.coefficients,
-               CARTESIAN_COMPONENTS[sh.angular_momentum]) for center, sh in basis.shells]
+    if isinstance(mols, Molecule):
+        return compute_all([aos], [mols])[0]
+    keys = [(_layout(basis), len(mol.atoms)) for basis, mol in zip(aos, mols, strict=True)]
+    out = {}
+    for key in dict.fromkeys(keys):  # geometries whose shells sort alike share a batch
+        ns = [n for n, k in enumerate(keys) if k == key]
+        out.update(zip(ns, _batch(*key, [aos[n] for n in ns], [mols[n] for n in ns])))
+    return [out[n] for n in range(len(keys))]
+
+
+def _batch(layout, n_atoms, aos, mols):
+    """`compute_all` for geometries of one layout: the bookkeeping is built once."""
+    if n_atoms > 2:
+        raise SymmetryError(f"{n_atoms} atoms: the engine handles one or two")
+    xyz = np.array([[center for center, _ in basis.shells] for basis in aos]).T
+    shells = [(l, key, exps, coefs, CARTESIAN_COMPONENTS[l], xyz[:, n])
+              for n, (l, key, exps, coefs) in enumerate(layout)]
     fkeys = [_function_key(sh, c) for sh in shells for c in range(len(sh[4]))]  # AO order
     shells.sort(key=lambda sh: sh[:4], reverse=True)
     pairs = [(sa, sb) for x, sa in enumerate(shells) for sb in shells[x:]]
@@ -265,24 +293,25 @@ def compute_all(basis, mol):
         rows += [(_function_key(sa, i), _function_key(sb, j))
                  for i, j in batches[-1].ij for sa, sb in members]
         offsets.append(len(rows))
-    s, t, v = (np.concatenate([integral(b).ravel() for b in batches]) for integral in (
-        _ShellPairs.overlap, _ShellPairs.kinetic, lambda b: b.nuclear(mol)))
-    g = np.zeros((len(rows), len(rows)))
+    s, t, v = (np.concatenate([np.moveaxis(integral(b), 1, 0).reshape(len(mols), -1)
+                               for b in batches], axis=1)
+               for integral in (_ShellPairs.overlap, _ShellPairs.kinetic,
+                                lambda b: b.nuclear(mols)))
+    g = np.zeros((len(mols), len(rows), len(rows)))
     for x, bra in enumerate(batches):
         for y, ket in enumerate(batches[x:], x):
-            g[offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_block(bra, ket)
+            g[:, offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_block(bra, ket)
     # every pair and quartet reads the entry computed in its canonical order
     row_of = {key: r for r, key in enumerate(rows)}
     src = np.array([[row_of[tuple(sorted((ki, kj), reverse=True))] for kj in fkeys]
                     for ki in fkeys])
     rank = np.argsort(sorted(range(len(rows)), key=lambda r: _pair_key(*rows[r])))
-    g = np.where(rank[:, None] >= rank[None, :], g, g.T)
+    g = np.where(rank[:, None] >= rank[None, :], g, g.transpose(0, 2, 1))
     # P = D = diag((-1)^l) for one atom, [[0, D], [D, 0]] for two: atom B's
     # functions mirror atom A's in build order
-    if len(mol.atoms) > 2:
-        raise SymmetryError(f"{len(mol.atoms)} atoms: the engine handles one or two")
-    signs = np.array([(-1.0) ** sum(f.powers) for f in basis.functions])
-    image = np.roll(np.arange(basis.n), basis.n // 2 if len(mol.atoms) == 2 else 0)
-    return IntegralSet(overlap=s[src], kinetic=t[src], nuclear=v[src],
-                       eri=g[src[:, :, None, None], src],
-                       inversion=signs[:, None] * np.eye(basis.n)[image])
+    signs = np.array([(-1.0) ** sum(f.powers) for f in aos[0].functions])
+    n = len(signs)
+    p = signs[:, None] * np.eye(n)[np.roll(np.arange(n), n // 2 if n_atoms == 2 else 0)]
+    return [IntegralSet(overlap=sg[src], kinetic=tg[src], nuclear=vg[src],
+                        eri=gg[src[:, :, None, None], src], inversion=p.copy())
+            for sg, tg, vg, gg in zip(s, t, v, g)]

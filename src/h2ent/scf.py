@@ -76,8 +76,8 @@ def run_rhf(ints, mol, settings=SCFSettings()):
 
     def diagonalize(f):
         (eg, cg), (eu, cu) = np.linalg.eigh(xg.T @ f @ xg), np.linalg.eigh(xu.T @ f @ xu)
-        eps, c = np.r_[eg, eu], np.hstack([xg @ cg, xu @ cu])
-        order = np.r_[0, 1 + np.argsort(eps[1:], kind="stable")]  # lowest gerade first
+        eps, c = np.concatenate((eg, eu)), np.hstack([xg @ cg, xu @ cu])
+        order = np.concatenate(([0], 1 + eps[1:].argsort(kind="stable")))  # lowest gerade first
         return eps[order], c[:, order]
 
     eps, c = diagonalize(hcore)

@@ -1,7 +1,14 @@
 """Shared fixtures: dissociation curves computed once per session."""
 
+import os
 import time
 from dataclasses import dataclass
+
+# BLAS reads its thread count when numpy loads, so the cap comes first, as in
+# perfbench/run.py: the matrices are at most 100 x 100, and extra OpenBLAS
+# threads spin more than they help.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

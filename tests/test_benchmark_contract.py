@@ -48,3 +48,19 @@ def test_scan_workloads_pass_the_gate_at_the_default_seed(tmp_path):
         sample = workloads.run_once(inputs, tmp_path / f"{name}.csv")
         assert workloads.check(inputs, sample, reference) == [], name
         assert (sample.failed, sample.attempted) == (0, attempted), (name, sample.failed_r)
+
+
+def test_a_traced_stretch_scan_enters_every_scan_layer(tmp_path):
+    # the integrals of a scan are one batch: one compute_all span, outside
+    # every point span, so it carries no R
+    spans, workloads = _perfbench("spans"), _perfbench("workloads")
+    inputs = workloads.make_inputs("stretch", workloads.DEFAULT_SEED)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        sample = workloads.run_once(inputs, tmp_path / "stretch.csv")
+    names = [s.name for s in tracer.spans]
+    assert set(names) >= {f"{m}.{f}" for m, f, _ in spans.TARGETS if m != "bell"}
+    assert names.count("cli.run_single_point") == inputs.attempted == 40
+    (ints,) = [s for s in tracer.spans if s.name == "integrals.compute_all"]
+    assert ints.r is None and tracer.spans[ints.parent].name == "cli.run_scan"
+    assert workloads.check(inputs, sample, workloads.load_reference()) == []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from h2ent.correlation import OPDM
 from h2ent.cli import (CurvePoint, ScanConfig, emit, main, run_scan,
                        run_single_point, scan_grid)
 from h2ent.molecule import ANGSTROM_TO_BOHR
+from h2ent.scf import run_rhf
 
 CSV_HEADER = "R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2"
 
@@ -104,6 +106,27 @@ def test_run_scan_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(cli, "run_single_point", broken)
     with pytest.raises(TypeError):
         run_scan(config())
+
+
+def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
+    # the integrals of all points come from one batch; an SCF failure at one R
+    # is still that point's own
+    cfg = config(n_points=4, far_point=20.0)
+    before, _ = run_scan(cfg)
+    bad_r = scan_grid(cfg)[2]
+
+    def failing_rhf(ints, mol, *args):
+        res = run_rhf(ints, mol, *args)
+        return replace(res, converged=False) if mol.atoms[1].position[2] == bad_r else res
+
+    monkeypatch.setattr(cli, "run_rhf", failing_rhf)
+    points, failures = run_scan(cfg)
+    assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
+    kept = [p for p in before if p.r != bad_r]
+    assert len(points) == len(kept) == 4
+    for p, q in zip(points, kept):
+        assert p.occupations.tobytes() == q.occupations.tobytes()
+        assert replace(p, occupations=None) == replace(q, occupations=None)
 
 
 def test_numerical_check_failure_exit_2(monkeypatch, capsys):

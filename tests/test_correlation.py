@@ -40,6 +40,9 @@ def test_opdm_symmetry_bound_is_absolute():
     # within the relative tolerance allclose applies by default
     with pytest.raises(ValueError, match="symmetric"):
         OPDM(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
+    OPDM(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        OPDM(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_single_determinant_density():

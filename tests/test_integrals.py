@@ -1,14 +1,16 @@
 """Analytic Gaussian integrals against closed forms and the quadrature oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
 from h2ent.fci import run_fci
-from h2ent.integrals import (boys, boys_table, compute_all, eri, kinetic,
+from h2ent.integrals import (IntegralSet, boys, boys_table, compute_all, eri, kinetic,
                              nuclear_attraction, overlap)
-from h2ent.molecule import Molecule, atom, h2
+from h2ent.molecule import Molecule, atom, h2, helium
 from h2ent.scf import run_rhf
 from oracles import quadrature_oracle, quadrature_oracle_eri
 
@@ -233,3 +235,40 @@ def test_integral_matrices_well_formed():
     assert np.linalg.eigvalsh(ints.overlap).min() > 0.0
     assert np.all(ints.nuclear.diagonal() < 0.0)
     assert np.all(ints.kinetic.diagonal() > 0.0)
+
+
+def assert_same_integrals(batch, singles):
+    assert len(batch) == len(singles)
+    for a, b in zip(batch, singles):
+        for field in fields(IntegralSet):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert x.shape == y.shape and np.array_equal(x, y), field.name
+
+
+@pytest.mark.parametrize("name, rs", [
+    ("sto-3g", [*np.geomspace(0.3, 100.0, 40), 20.0]),  # the stretch benchmark grid
+    ("6-31gss", np.geomspace(0.3, 100.0, 12)),
+])
+def test_batched_compute_all_equals_one_point_calls(name, rs):
+    basis = load_basis(name)
+    mols = [h2(r) for r in rs]
+    aos = [build_ao_basis(mol, basis) for mol in mols]
+    singles = [compute_all(ao, mol) for ao, mol in zip(aos, mols)]
+    assert_same_integrals(compute_all(aos, mols), singles)
+    # and neither depends on the batch's size or order
+    assert_same_integrals(compute_all(aos[::-3], mols[::-3]), singles[::-3])
+
+
+def test_mixed_batch_is_split_into_layouts():
+    # bases, atom counts and shell orders that differ go to batches of their own,
+    # and the results come back in input order
+    sto, pol = load_basis("sto-3g"), load_basis("6-31gss")
+    flipped = Molecule((atom("H", (0.0, 0.0, 1.4)), atom("H", (0.0, 0.0, 0.0))), 2)
+    cases = [(h2(1.4), pol), (helium(), pol), (h2(2.0), sto), (off_axis_h2(1.4), pol),
+             (flipped, pol), (h2(0.9), pol), (helium(), sto)]
+    mols = [mol for mol, _ in cases]
+    aos = [build_ao_basis(mol, basis) for mol, basis in cases]
+    assert_same_integrals(compute_all(aos, mols),
+                          [compute_all(ao, mol) for ao, mol in zip(aos, mols)])
+    with pytest.raises(ValueError):
+        compute_all(aos, mols[:-1])
