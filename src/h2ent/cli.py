@@ -18,7 +18,7 @@ from .errors import H2entError, SCFConvergenceError
 from .fci import run_fci
 from .integrals import compute_all
 from .molecule import ANGSTROM_TO_BOHR, h2
-from .scf import SCFSettings, run_rhf
+from .scf import run_rhf
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class CurvePoint:
     rescaled_entropy: float = None
 
 
-def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings(), ints=None):
+def run_single_point(r_bohr, basis, basis_dir=None, ints=None):
     """Full pipeline molecule -> integrals -> SCF -> FCI -> CurvePoint at one R.
 
     basis is a loaded BasisSet, or a basis name or path to load. ints, if given,
@@ -74,7 +74,7 @@ def run_single_point(r_bohr, basis, basis_dir=None, settings=SCFSettings(), ints
     mol = h2(r_bohr)
     if ints is None:
         ints = compute_all(build_ao_basis(mol, basis), mol)
-    scf_result = run_rhf(ints, mol, settings)
+    scf_result = run_rhf(ints, mol)
     if not scf_result.converged:
         raise SCFConvergenceError(f"SCF did not converge at R = {r_bohr} Bohr "
                                   f"({scf_result.iterations} iterations)")

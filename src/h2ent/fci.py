@@ -1,4 +1,4 @@
-"""Full configuration interaction for two electrons in the MO basis.
+"""Full configuration interaction for two electrons in the singlet-gerade block.
 
 With one alpha and one beta electron in K spatial orbitals, every CI state is
 a K x K coefficient matrix C[a, b] over the determinants a+_(a alpha)
@@ -6,8 +6,10 @@ a+_(b beta)|0>, alpha before beta, flattened as a*K + b. In that basis
 
     H = h (x) 1 + 1 (x) h + (ac|bd),   row (a, b), column (c, d),
 
-with chemists' ERIs; no sign enters. The singlet ground state has symmetric
-C, and the SVD of C is the Schmidt decomposition of the two-electron state.
+with chemists' ERIs; no sign enters. The ground state is a gerade singlet, so
+H is diagonalised only in that block: C symmetric, and C[a, b] = 0 unless MOs
+a and b share their inversion parity. No triplet can then compete with it. The
+SVD of C is the Schmidt decomposition of the two-electron state.
 """
 
 from dataclasses import dataclass
@@ -34,30 +36,34 @@ def mo_transform(ints, c):
     g = np.einsum("nq,pnls->pqls", c, g)
     g = np.einsum("lr,pqls->pqrs", c, g)
     g = np.einsum("st,pqrs->pqrt", c, g)
-    # enforce the 8-fold permutational symmetry exactly
-    g = (g + g.transpose(1, 0, 2, 3) + g.transpose(0, 1, 3, 2)
-         + g.transpose(1, 0, 3, 2) + g.transpose(2, 3, 0, 1)
-         + g.transpose(3, 2, 0, 1) + g.transpose(2, 3, 1, 0)
-         + g.transpose(3, 2, 1, 0)) / 8.0
     return 0.5 * (h_mo + h_mo.T), g
 
 
-def build_hamiltonian(h, g):
-    """Dense K^2 x K^2 Hamiltonian on vec(C), index a*K + b."""
+def singlet_gerade_basis(parity):
+    """Orthonormal vec(E_aa), vec(E_ab + E_ba)/sqrt(2), a < b of equal parity, as columns."""
+    k = len(parity)
+    pairs = [(a, b) for a in range(k) for b in range(a, k) if parity[a] == parity[b]]
+    basis = np.zeros((k, k, len(pairs)))
+    for j, (a, b) in enumerate(pairs):
+        basis[a, b, j] = basis[b, a, j] = 1.0 if a == b else 0.5 ** 0.5
+    return basis.reshape(k * k, len(pairs))
+
+
+def build_hamiltonian(h, g, parity):
+    """The singlet-gerade block B^T H B of the K^2 x K^2 Hamiltonian on vec(C)."""
     k = h.shape[0]
     one = np.eye(k)
     # h (x) 1 + 1 (x) h + g[a, c, b, d], each indexed [a, b, c, d]
     ham = (h[:, None, :, None] * one[None, :, None, :]
            + one[:, None, :, None] * h[None, :, None, :] + g.transpose(0, 2, 1, 3))
-    return ham.reshape(k * k, k * k)
+    b = singlet_gerade_basis(parity)
+    return b.T @ ham.reshape(k * k, k * k) @ b
 
 
 def run_fci(ints, scf_result, mol):
     """Full CI ground state in the converged RHF orbital basis.
 
-    Phase convention: largest-magnitude coefficient positive. In a degenerate
-    ground manifold the state with maximal overlap on the HF determinant
-    C[0, 0] is selected, matching the adiabatic ground-state narrative.
+    Phase convention: largest-magnitude coefficient positive.
     """
     if not scf_result.converged:
         raise SCFConvergenceError("FCI requires a converged SCF reference")
@@ -65,17 +71,8 @@ def run_fci(ints, scf_result, mol):
         raise ValueError(f"FCI handles two electrons, got {mol.n_electrons}")
     k = scf_result.mo_coefficients.shape[1]
     h, g = mo_transform(ints, scf_result.mo_coefficients)
-    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g))
-    e0 = vals[0]
-    degenerate = np.where(vals <= e0 + 1e-8)[0]
-    proj = vecs[:, degenerate] @ vecs[0, degenerate]
-    norm = np.linalg.norm(proj)
-    c = (proj / norm if norm > 1e-6 else vecs[:, degenerate[0]]).reshape(k, k)
-    # The ground state is a singlet, C = C^T. Past R ~ 6 Bohr the lowest
-    # triplet comes within 1e-4 to 1e-8 Hartree of it, and eigh leaves up to
-    # ~1e-9 of that triplet in the vector; keep the symmetric part only.
-    c = c + c.T
-    c /= np.linalg.norm(c)
+    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, scf_result.parity))
+    c = (singlet_gerade_basis(scf_result.parity) @ vecs[:, 0]).reshape(k, k)
     if c.flat[np.argmax(np.abs(c))] < 0:
         c = -c
-    return CIResult(e_fci=float(e0 + nuclear_repulsion(mol)), coefficients=c)
+    return CIResult(e_fci=float(vals[0] + nuclear_repulsion(mol)), coefficients=c)

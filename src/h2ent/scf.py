@@ -31,6 +31,7 @@ class SCFSettings:
 class SCFResult:
     mo_coefficients: np.ndarray   # columns are MOs
     orbital_energies: np.ndarray  # lowest gerade first, then ascending; Hartree
+    parity: np.ndarray            # +1 gerade, -1 ungerade, per MO
     e_hf: float                   # total energy incl. nuclear repulsion
     iterations: int
     converged: bool
@@ -77,17 +78,18 @@ def run_rhf(ints, mol, settings=SCFSettings()):
     def diagonalize(f):
         (eg, cg), (eu, cu) = np.linalg.eigh(xg.T @ f @ xg), np.linalg.eigh(xu.T @ f @ xu)
         eps, c = np.concatenate((eg, eu)), np.hstack([xg @ cg, xu @ cu])
+        par = np.concatenate((np.ones_like(eg), -np.ones_like(eu)))
         order = np.concatenate(([0], 1 + eps[1:].argsort(kind="stable")))  # lowest gerade first
-        return eps[order], c[:, order]
+        return eps[order], c[:, order], par[order]
 
-    eps, c = diagonalize(hcore)
+    eps, c, _ = diagonalize(hcore)
     d = density_from_coeffs(c, n_occ)
     e_old = 0.0
     converged = False
     for it in range(1, settings.max_iterations + 1):
         f = build_fock(hcore, d, ints.eri)
         e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
-        eps, c = diagonalize(f)
+        eps, c, _ = diagonalize(f)
         d_new = density_from_coeffs(c, n_occ)
         delta_e = e_total - e_old
         rms_d = np.sqrt(np.mean((d_new - d) ** 2))
@@ -100,7 +102,7 @@ def run_rhf(ints, mol, settings=SCFSettings()):
     # final energy from the last density for a consistent report
     f = build_fock(hcore, d, ints.eri)
     e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
-    eps, c = diagonalize(f)
-    return SCFResult(mo_coefficients=c, orbital_energies=eps,
+    eps, c, par = diagonalize(f)
+    return SCFResult(mo_coefficients=c, orbital_energies=eps, parity=par,
                      e_hf=float(e_total), iterations=it,
                      converged=converged)

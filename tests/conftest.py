@@ -69,3 +69,20 @@ def pol_curve():
     records = [compute_point(r, "6-31gss") for r in SCAN_GRID]
     elapsed = time.perf_counter() - t0
     return records, elapsed
+
+
+SWEEP_R = np.geomspace(0.3, 100.0, 40)
+
+
+@pytest.fixture(scope="session")
+def sweeps():
+    """(R, mol, ints, SCFResult) at 40 log-spaced R from 0.3 to 100 Bohr, per basis."""
+    out = {}
+    for name in ("sto-3g", "6-31gss"):
+        basis = load_basis(name)
+        out[name] = []
+        for r in SWEEP_R:
+            mol = h2(r)
+            ints = compute_all(build_ao_basis(mol, basis), mol)
+            out[name].append((r, mol, ints, run_rhf(ints, mol)))
+    return out

@@ -9,6 +9,10 @@ separations up to ~3 Bohr).
 Spin correlations: Tr[rho (sigma.u x sigma.w)] element by element, from
 Kronecker products of the Pauli matrices, without the Pauli-pair contraction
 of `h2ent.bell`.
+
+Two-electron CI: the Hamiltonian on all K^2 determinants, triplets and
+ungerade states included, of which `h2ent.fci` diagonalises only the
+singlet-gerade block.
 """
 
 import numpy as np
@@ -215,3 +219,11 @@ def correlation_tensor_by_trace(rho):
 def correlation_by_trace(rho, u, w):
     """E(u, w) = Tr[rho (sigma.u x sigma.w)], u on party 1, w on party 2."""
     return float(np.trace(rho @ np.kron(spin_observable(u), spin_observable(w))).real)
+
+
+def determinant_hamiltonian(h, g):
+    """Dense K^2 x K^2 Hamiltonian h (x) 1 + 1 (x) h + (ac|bd) on vec(C), index
+    a*K + b, over every determinant: Kronecker products and one ERI reshape."""
+    k = h.shape[0]
+    one = np.eye(k)
+    return np.kron(h, one) + np.kron(one, h) + g.transpose(0, 2, 1, 3).reshape(k * k, k * k)

@@ -1,19 +1,25 @@
-"""Full CI: the two-electron Hamiltonian on vec(C) and its ground state.
+"""Full CI: the singlet-gerade block of the two-electron Hamiltonian and its ground state.
 
-The Hamiltonian builder is cross-checked against a brute-force second-quantized
-construction: dense creation/annihilation matrices over the full Fock space,
-which fixes every fermionic sign independently of the Kronecker form.
+The determinant-space oracle (`oracles.determinant_hamiltonian`) is
+cross-checked against a brute-force second-quantized construction: dense
+creation/annihilation matrices over the full Fock space, which fix every
+fermionic sign independently of the Kronecker form. The block Hamiltonian of
+the package is checked against the projected Fock-space Hamiltonian, and its
+ground state against the lowest eigenvalue over every determinant.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from h2ent.basis import build_ao_basis, load_basis
 from h2ent.errors import SCFConvergenceError
-from h2ent.fci import build_hamiltonian, mo_transform, run_fci
+from h2ent.fci import build_hamiltonian, mo_transform, run_fci, singlet_gerade_basis
 from h2ent.integrals import compute_all
 from h2ent.molecule import Molecule, h2, nuclear_repulsion
-from h2ent.scf import SCFResult, run_rhf
+from h2ent.scf import run_rhf
+from oracles import determinant_hamiltonian
 
 
 def annihilation_matrix(i, n_spin_orbitals):
@@ -79,10 +85,38 @@ def random_mo_integrals(k, seed):
                          ids=["2-1-1-3", "3-1-1-4", "4-1-1-5"])
 def test_hamiltonian_matches_fock_space_oracle(k, seed):
     h, g = random_mo_integrals(k, seed)
-    ham = build_hamiltonian(h, g)
+    ham = determinant_hamiltonian(h, g)
     big = fock_space_hamiltonian(h, g)
     idx = embed(k)
     assert np.allclose(ham, big[np.ix_(idx, idx)], atol=1e-12)
+
+
+@pytest.mark.parametrize("k,seed", [(2, 3), (3, 4), (4, 5)])
+def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
+    h, g = random_mo_integrals(k, seed)
+    parity = np.random.default_rng(seed).choice([1.0, -1.0], size=k)
+    b = singlet_gerade_basis(parity)
+    # B spans the singlet-gerade space: vec(C) with C = C^T and C[a, b] = 0
+    # unless parity[a] = parity[b], the image of (1 + swap)/2 (1 + P x P)/2
+    swap = np.eye(k * k).reshape(k, k, k * k).transpose(1, 0, 2).reshape(k * k, k * k)
+    projector = 0.25 * (np.eye(k * k) + swap) @ (np.eye(k * k) + np.diag(np.kron(parity, parity)))
+    assert np.allclose(b.T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-15)
+    assert np.allclose(b @ b.T, projector, rtol=0.0, atol=1e-15)
+    idx = embed(k)
+    big = fock_space_hamiltonian(h, g)[np.ix_(idx, idx)]
+    assert np.allclose(build_hamiltonian(h, g, parity), b.T @ big @ b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_block_ground_state_is_the_determinant_space_ground_state(sweeps, name):
+    # past R ~ 6 Bohr the lowest triplet comes within 1e-8 Hartree of the
+    # ground state; it lies outside the block
+    for r, mol, ints, scf in sweeps[name]:
+        ci = run_fci(ints, scf, mol)
+        ham = determinant_hamiltonian(*mo_transform(ints, scf.mo_coefficients))
+        lowest = np.linalg.eigvalsh(ham)[0]
+        assert ci.e_fci == pytest.approx(lowest + nuclear_repulsion(mol), rel=0.0, abs=1e-12), r
+        assert np.array_equal(ci.coefficients, ci.coefficients.T), r
 
 
 def test_mo_transform_identity_is_symmetrization():
@@ -106,38 +140,36 @@ def sto3g_solution():
 def test_hf_diagonal_reproduces_scf_energy(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g)
+    ham = build_hamiltonian(h, g, scf.parity)
     assert ham[0, 0] + nuclear_repulsion(mol) == pytest.approx(scf.e_hf, abs=1e-10)
 
 
 def test_double_excitation_coupling_is_exchange_integral(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g)
-    k = h.shape[0]
-    # C[0, 0] (sigma_g^2) couples to C[1, 1] (sigma_u^2), index K + 1
-    assert ham[0, k + 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
+    ham = build_hamiltonian(h, g, scf.parity)
+    # block column 0 is C[0, 0] (sigma_g^2) and column 1 is C[1, 1] (sigma_u^2)
+    assert ham[0, 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
 
 
 def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
-    # the 4x4 singlet problem reduces to a 2x2 over the two closed-shell
-    # configurations; its lower eigenvalue is available in closed form
+    # the singlet-gerade block of the 4x4 problem is the 2x2 over the two
+    # closed-shell configurations; its lower eigenvalue is available in closed form
     mol, ints, scf = sto3g_solution
     h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g)
-    a, b, c = ham[0, 0], ham[3, 3], ham[0, 3]
+    ham = build_hamiltonian(h, g, scf.parity)
+    assert ham.shape == (2, 2)
+    a, b, c = ham[0, 0], ham[1, 1], ham[0, 1]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
-    assert np.linalg.eigvalsh(ham)[0] == pytest.approx(lower, abs=1e-12)
+    assert np.linalg.eigvalsh(determinant_hamiltonian(h, g))[0] == pytest.approx(lower, abs=1e-12)
     ci = run_fci(ints, scf, mol)
     assert ci.e_fci == pytest.approx(lower + nuclear_repulsion(mol), abs=1e-12)
 
 
 def test_fci_requires_converged_reference(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    bad = SCFResult(scf.mo_coefficients, scf.orbital_energies, scf.e_hf,
-                    scf.iterations, converged=False)
     with pytest.raises(SCFConvergenceError):
-        run_fci(ints, bad, mol)
+        run_fci(ints, replace(scf, converged=False), mol)
 
 
 def test_fci_rejects_other_electron_counts(sto3g_solution):
@@ -154,13 +186,13 @@ def test_phase_convention(sto3g_solution):
 
 
 def test_inverse_iteration_oracle_polarized_basis():
-    # 100x100 Hamiltonian: Rayleigh-quotient inverse iteration from the HF
-    # determinant is an independent check on the dense eigensolver
+    # 100x100 determinant-space Hamiltonian: Rayleigh-quotient inverse
+    # iteration from the HF determinant is an independent check on the dense
+    # eigensolver and on the singlet-gerade block
     mol = h2(1.4)
     ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
     scf = run_rhf(ints, mol)
-    h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g)
+    ham = determinant_hamiltonian(*mo_transform(ints, scf.mo_coefficients))
     assert ham.shape == (100, 100)
     x = np.zeros(100)
     x[0] = 1.0  # the HF determinant C[0, 0]
@@ -182,8 +214,10 @@ def test_fci_energy_invariant_under_virtual_rotation():
     c = scf.mo_coefficients.copy()
     th = 0.37
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    c[:, [4, 7]] = c[:, [4, 7]] @ rot
-    rotated = SCFResult(c, scf.orbital_energies, scf.e_hf, scf.iterations, True)
+    # a rotation within one parity space keeps the parity labels valid
+    assert scf.parity[4] == scf.parity[5] == -1.0
+    c[:, [4, 5]] = c[:, [4, 5]] @ rot
+    rotated = replace(scf, mo_coefficients=c)
     assert run_fci(ints, rotated, mol).e_fci == pytest.approx(ref, abs=1e-10)
 
 

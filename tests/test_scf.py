@@ -125,26 +125,9 @@ def test_nonconvergence_is_reported_not_raised(h2_sto3g):
     assert res.iterations == 1
 
 
-SWEEP_R = np.geomspace(0.3, 100.0, 40)
-
-
-@pytest.fixture(scope="module")
-def sweeps():
-    """(R, ints, SCFResult) at 40 log-spaced R from 0.3 to 100 Bohr, per basis."""
-    out = {}
-    for name in ("sto-3g", "6-31gss"):
-        basis = load_basis(name)
-        out[name] = []
-        for r in SWEEP_R:
-            mol = h2(r)
-            ints = compute_all(build_ao_basis(mol, basis), mol)
-            out[name].append((r, ints, run_rhf(ints, mol)))
-    return out
-
-
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_every_r_converges_fast_to_a_gerade_orbital(sweeps, name):
-    for r, ints, res in sweeps[name]:
+    for r, _, ints, res in sweeps[name]:
         assert res.converged and res.iterations <= 12, (r, res.iterations)
         c0 = res.mo_coefficients[:, 0]
         assert np.allclose(ints.inversion @ c0, c0, rtol=0.0, atol=1e-12), r
@@ -153,11 +136,20 @@ def test_every_r_converges_fast_to_a_gerade_orbital(sweeps, name):
 def test_sto3g_energy_matches_symmetric_closed_form(sweeps):
     # the only gerade orbital of two 1s functions is c_g = (1, 1)/sqrt(2(1 + S12)),
     # so E_HF = 2 h_gg + (gg|gg) + 1/R with no iteration at all
-    for r, ints, res in sweeps["sto-3g"]:
+    for r, _, ints, res in sweeps["sto-3g"]:
         cg = np.ones(2) / np.sqrt(2.0 * (1.0 + ints.overlap[0, 1]))
         e_closed = 2.0 * cg @ ints.hcore @ cg \
             + np.einsum("p,q,r,s,pqrs->", cg, cg, cg, cg, ints.eri) + 1.0 / r
         assert res.e_hf == pytest.approx(e_closed, abs=1e-12), r
+
+
+@pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
+def test_parity_labels_are_the_inversion_eigenvalues(curve, request):
+    # the FCI builds its singlet-gerade block from these labels
+    for rec in request.getfixturevalue(curve)[0]:
+        c, parity = rec.scf.mo_coefficients, rec.scf.parity
+        assert np.array_equal(np.abs(parity), np.ones(len(parity))), rec.r
+        assert np.abs(rec.ints.inversion @ c - c * parity).max() <= 1e-12, rec.r
 
 
 @pytest.mark.parametrize("r", [10.0, 10.01])
