@@ -18,7 +18,11 @@ from .errors import H2entError, SCFConvergenceError
 from .fci import run_fci
 from .integrals import compute_all
 from .molecule import ANGSTROM_TO_BOHR, h2
-from .scf import run_rhf
+from .scf import run_rhf, run_rhf_batch
+
+# Geometries per stacked pass of a scan. Memory grows with it, not with the
+# grid; values do not depend on it.
+SCAN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -63,27 +67,32 @@ class CurvePoint:
     rescaled_entropy: float = None
 
 
-def run_single_point(r_bohr, basis, basis_dir=None, ints=None):
+def run_single_point(r_bohr, basis, basis_dir=None):
     """Full pipeline molecule -> integrals -> SCF -> FCI -> CurvePoint at one R.
 
-    basis is a loaded BasisSet, or a basis name or path to load. ints, if given,
-    are the integrals of H2 at r_bohr in that basis, computed in a scan's batch.
+    basis is a loaded BasisSet, or a basis name or path to load. The point is a
+    scan batch of one: its values are bit for bit its scan row's.
     """
     if not isinstance(basis, BasisSet):
         basis = load_basis(basis, basis_dir=basis_dir)
     mol = h2(r_bohr)
-    if ints is None:
-        ints = compute_all(build_ao_basis(mol, basis), mol)
-    scf_result = run_rhf(ints, mol)
-    if not scf_result.converged:
-        raise SCFConvergenceError(f"SCF did not converge at R = {r_bohr} Bohr "
-                                  f"({scf_result.iterations} iterations)")
-    ci = run_fci(ints, scf_result, mol)
-    occ = natural_occupations(one_particle_density(ci))
-    return CurvePoint(
-        r=float(r_bohr), e_hf=scf_result.e_hf, e_fci=ci.e_fci,
-        e_corr=correlation_energy(scf_result.e_hf, ci.e_fci),
-        entropy=von_neumann_entropy(occ), occupations=occ)
+    ints = compute_all(build_ao_basis(mol, basis), mol)
+    return _curve_points([r_bohr], [mol], [ints], [run_rhf(ints, mol)])[0]
+
+
+def _curve_points(rs, mols, ints, scf_results):
+    """The pipeline after the SCF for a batch of geometries, one stacked pass per
+    stage; raises the H2entError of the first point that fails."""
+    for r, res in zip(rs, scf_results):
+        if not res.converged:
+            raise SCFConvergenceError(f"SCF did not converge at R = {r} Bohr "
+                                      f"({res.iterations} iterations)")
+    cis = run_fci(ints, scf_results, mols)
+    occupations = natural_occupations(one_particle_density(cis))
+    return [CurvePoint(r=float(r), e_hf=res.e_hf, e_fci=ci.e_fci,
+                       e_corr=correlation_energy(res.e_hf, ci.e_fci),
+                       entropy=von_neumann_entropy(occ), occupations=occ)
+            for r, res, ci, occ in zip(rs, scf_results, cis, occupations)]
 
 
 def scan_grid(config):
@@ -104,21 +113,32 @@ def run_scan(config):
 
     Returns (points, failures) with failures as (R, message) pairs; a point
     fails on an H2entError, and any other exception propagates. Raises
-    RuntimeError if every point failed. The basis is loaded once, and the
-    integrals of every R are computed in one `compute_all` batch, up front; their
-    errors propagate.
+    RuntimeError if every point failed. The basis is loaded once. The grid is
+    walked in batches of SCAN_BATCH geometries, each through one `compute_all`
+    call, whose errors propagate, and one stacked pass per later stage. In a
+    batch in which a point fails, the stages after the SCF are redone one point
+    at a time on the batch's SCF results (the SCF too, if the batch's raised),
+    so that each point records its own error.
     """
     points = []
     failures = []
     basis = load_basis(config.basis_name, basis_dir=config.basis_dir)
     rs = scan_grid(config)
-    mols = [h2(r) for r in rs]
-    batch = compute_all([build_ao_basis(mol, basis) for mol in mols], mols)
-    for r, ints in zip(rs, batch):
+    for lo in range(0, len(rs), SCAN_BATCH):
+        batch = rs[lo:lo + SCAN_BATCH]
+        mols = [h2(r) for r in batch]
+        ints = compute_all([build_ao_basis(mol, basis) for mol in mols], mols)
+        scf_results = None
         try:
-            points.append(run_single_point(r, basis, ints=ints))
-        except H2entError as exc:  # record and continue
-            failures.append((r, str(exc)))
+            scf_results = run_rhf_batch(ints, mols)
+            points += _curve_points(batch, mols, ints, scf_results)
+        except H2entError:
+            for n, r in enumerate(batch):
+                try:
+                    res = scf_results[n] if scf_results else run_rhf(ints[n], mols[n])
+                    points += _curve_points([r], [mols[n]], [ints[n]], [res])
+                except H2entError as exc:  # record and continue
+                    failures.append((r, str(exc)))
     if not points:
         raise RuntimeError("all scan points failed: "
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))

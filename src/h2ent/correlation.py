@@ -18,23 +18,26 @@ from .errors import NumericalCheckError
 
 @dataclass(frozen=True)
 class OPDM:
-    gamma: np.ndarray  # K x K, spin-summed, MO basis
+    gamma: np.ndarray  # K x K, spin-summed, MO basis; or a stack of them
 
     def __post_init__(self):
         g = self.gamma
-        if not np.max(np.abs(g - g.T)) <= 1e-12:  # a NaN fails too
+        if not np.max(np.abs(g - g.swapaxes(-1, -2))) <= 1e-12:  # a NaN fails too
             raise ValueError("density matrix must be symmetric")
 
 
-def one_particle_density(ci):
-    """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq."""
-    c = ci.coefficients
-    return OPDM(c @ c.T + c.T @ c)
+def one_particle_density(cis):
+    """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq of a list
+    of G CI results, as one OPDM with a stack of G matrices."""
+    c = np.stack([x.coefficients for x in cis])
+    ct = c.swapaxes(-1, -2)
+    return OPDM(c @ ct + ct @ c)
 
 
 def natural_occupations(opdm):
-    """Descending eigenvalues of the spin-summed density matrix, clipped to [0, 2]."""
-    vals = np.linalg.eigvalsh(opdm.gamma)[::-1]
+    """Descending eigenvalues of the spin-summed density matrix, clipped to [0, 2];
+    of a stack, one row per matrix, from one stacked call."""
+    vals = np.linalg.eigvalsh(opdm.gamma)[..., ::-1]
     if vals.min() < -1e-8 or vals.max() > 2.0 + 1e-8:
         raise NumericalCheckError(f"occupations outside [0, 2]: {vals}")
     return np.clip(vals, 0.0, 2.0)

@@ -10,6 +10,10 @@ with chemists' ERIs; no sign enters. The ground state is a gerade singlet, so
 H is diagonalised only in that block: C symmetric, and C[a, b] = 0 unless MOs
 a and b share their inversion parity. No triplet can then compete with it. The
 SVD of C is the Schmidt decomposition of the two-electron state.
+
+Every function takes a batch of geometries, as lists or on a leading array
+axis, and works on it with one stacked BLAS or LAPACK call per step; one
+geometry is a batch of one.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SCFConvergenceError
-from .molecule import nuclear_repulsion
 
 
 @dataclass(frozen=True)
@@ -27,52 +30,78 @@ class CIResult:
 
 
 def mo_transform(ints, c):
-    """AO -> MO transform of the core Hamiltonian and the ERI tensor."""
-    n = ints.hcore.shape[0]
-    if c.shape != (n, n):
-        raise ValueError(f"coefficient matrix shape {c.shape} != ({n}, {n})")
-    h_mo = c.T @ ints.hcore @ c
-    g = np.einsum("mp,mnls->pnls", c, ints.eri)
-    g = np.einsum("nq,pnls->pqls", c, g)
-    g = np.einsum("lr,pqls->pqrs", c, g)
-    g = np.einsum("st,pqrs->pqrt", c, g)
-    return 0.5 * (h_mo + h_mo.T), g
+    """AO -> MO transform of the core Hamiltonian and the ERI tensor of a list of
+    G IntegralSets with their (G, K, K) coefficients: (G, K, K) and (G, K, K, K, K).
+    """
+    hcore = np.stack([i.hcore for i in ints])
+    k = hcore.shape[-1]
+    if c.shape != hcore.shape:
+        raise ValueError(f"coefficient matrices of shape {c.shape} != {hcore.shape}")
+    ct = c.swapaxes(-1, -2)
+    h = ct @ hcore @ c
+    h = 0.5 * (h + h.swapaxes(-1, -2))
+    # one index at a time, each a matmul over the others: (mn|ls) -> (mn|lt)
+    # -> (mn|rt) -> (mq|rt) -> (pq|rt)
+    g = np.stack([i.eri for i in ints]).reshape(len(ints), k ** 3, k) @ c
+    g = ct[:, None] @ g.reshape(len(ints), k * k, k, k)
+    g = ct[:, None] @ g.reshape(len(ints), k, k, k * k)
+    g = (ct @ g.reshape(len(ints), k, k ** 3)).reshape(len(ints), k, k, k, k)
+    return h, g
 
 
 def singlet_gerade_basis(parity):
-    """Orthonormal vec(E_aa), vec(E_ab + E_ba)/sqrt(2), a < b of equal parity, as columns."""
-    k = len(parity)
-    pairs = [(a, b) for a in range(k) for b in range(a, k) if parity[a] == parity[b]]
-    basis = np.zeros((k, k, len(pairs)))
-    for j, (a, b) in enumerate(pairs):
-        basis[a, b, j] = basis[b, a, j] = 1.0 if a == b else 0.5 ** 0.5
-    return basis.reshape(k * k, len(pairs))
+    """Orthonormal vec(E_aa), vec(E_ab + E_ba)/sqrt(2), a < b of equal parity, as columns.
+
+    The parities (G, K) of G geometries give (G, K^2, M), which needs the same
+    parity counts, and so the same M, in every geometry.
+    """
+    n, k = parity.shape
+    a, b = np.triu_indices(k)  # the pairs a <= b in row-major order
+    same = parity[:, a] == parity[:, b]
+    m = np.count_nonzero(same, axis=-1)
+    if np.any(m != m[0]):
+        raise ValueError("the geometries differ in their parity counts")
+    pick = np.nonzero(same)[1].reshape(n, m[0])  # each row's equal-parity pairs
+    a, b = a[pick], b[pick]
+    w = np.where(a == b, 1.0, 0.5 ** 0.5)
+    basis = np.zeros((n, k * k, m[0]))
+    geometry, column = np.arange(n)[:, None], np.arange(m[0])
+    basis[geometry, a * k + b, column] = w
+    basis[geometry, b * k + a, column] = w
+    return basis
 
 
-def build_hamiltonian(h, g, parity):
-    """The singlet-gerade block B^T H B of the K^2 x K^2 Hamiltonian on vec(C)."""
-    k = h.shape[0]
+def build_hamiltonian(h, g, basis):
+    """The block B^T H B of the K^2 x K^2 Hamiltonian on vec(C), B from
+    `singlet_gerade_basis`; h (..., K, K), g (..., K, K, K, K), B (..., K^2, M)."""
+    k = h.shape[-1]
     one = np.eye(k)
     # h (x) 1 + 1 (x) h + g[a, c, b, d], each indexed [a, b, c, d]
-    ham = (h[:, None, :, None] * one[None, :, None, :]
-           + one[:, None, :, None] * h[None, :, None, :] + g.transpose(0, 2, 1, 3))
-    b = singlet_gerade_basis(parity)
-    return b.T @ ham.reshape(k * k, k * k) @ b
+    ham = (h[..., :, None, :, None] * one[None, :, None, :]
+           + one[:, None, :, None] * h[..., None, :, None, :] + g.swapaxes(-3, -2))
+    return basis.swapaxes(-1, -2) @ ham.reshape(h.shape[:-2] + (k * k, k * k)) @ basis
 
 
-def run_fci(ints, scf_result, mol):
-    """Full CI ground state in the converged RHF orbital basis.
+def run_fci(ints, scf_results, mols):
+    """Full CI ground states in the converged RHF orbital bases.
 
-    Phase convention: largest-magnitude coefficient positive.
+    Equally long lists of IntegralSets, SCFResults and Molecules give a list of
+    CIResults, from one stacked pass. Phase convention: largest-magnitude
+    coefficient positive.
     """
-    if not scf_result.converged:
+    if not all(s.converged for s in scf_results):
         raise SCFConvergenceError("FCI requires a converged SCF reference")
-    if mol.n_electrons != 2:
-        raise ValueError(f"FCI handles two electrons, got {mol.n_electrons}")
-    k = scf_result.mo_coefficients.shape[1]
-    h, g = mo_transform(ints, scf_result.mo_coefficients)
-    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, scf_result.parity))
-    c = (singlet_gerade_basis(scf_result.parity) @ vecs[:, 0]).reshape(k, k)
-    if c.flat[np.argmax(np.abs(c))] < 0:
-        c = -c
-    return CIResult(e_fci=float(vals[0] + nuclear_repulsion(mol)), coefficients=c)
+    if any(m.n_electrons != 2 for m in mols):
+        raise ValueError("FCI handles two electrons, got "
+                         f"{sorted({m.n_electrons for m in mols})}")
+    c = np.stack([s.mo_coefficients for s in scf_results])
+    n, k = c.shape[:2]
+    h, g = mo_transform(ints, c)
+    basis = singlet_gerade_basis(np.stack([s.parity for s in scf_results]))
+    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, basis))
+    c = (basis @ vecs[..., :1]).reshape(n, k, k)
+    flat = c.reshape(n, -1)
+    largest = np.take_along_axis(flat, np.abs(flat).argmax(-1)[:, None], -1)
+    c = np.where(largest[:, :, None] < 0, -c, c)
+    return [CIResult(e_fci=float(e + s.e_nuclear), coefficients=ci)
+            for e, s, ci in zip(vals[:, 0], scf_results, c)]

@@ -1,9 +1,10 @@
 """Restricted Hartree-Fock via Roothaan iteration, blocked by inversion parity.
 
-Closed-shell only, symmetric even at dissociation. Plain fixed-point iteration
-from the core-Hamiltonian guess; F is diagonalised separately in the gerade and
-ungerade spaces of the inversion P and the lowest gerade orbital is occupied,
-so a stretched bond's near-degenerate sigma_g and sigma_u cannot mix.
+Closed-shell two-electron RHF only, symmetric even at dissociation. Plain
+fixed-point iteration from the core-Hamiltonian guess; the one occupied orbital
+is the lowest of F in the gerade space of the inversion P, so a stretched bond's
+near-degenerate sigma_g and sigma_u cannot mix. `run_rhf_batch` iterates a stack
+of geometries in lockstep; `run_rhf` is its batch of one.
 """
 
 from dataclasses import dataclass
@@ -33,76 +34,114 @@ class SCFResult:
     orbital_energies: np.ndarray  # lowest gerade first, then ascending; Hartree
     parity: np.ndarray            # +1 gerade, -1 ungerade, per MO
     e_hf: float                   # total energy incl. nuclear repulsion
+    e_nuclear: float              # nuclear repulsion, Hartree
     iterations: int
     converged: bool
 
 
 def symmetric_orthogonalizer(s):
-    """X = S^(-1/2) by eigendecomposition; X^T S X = 1."""
+    """X = S^(-1/2) by eigendecomposition, of one overlap or a stack; X^T S X = 1."""
     vals, vecs = np.linalg.eigh(s)
     if vals.min() < 1e-10:
         raise LinearDependenceError(
             f"overlap matrix nearly singular (min eigenvalue {vals.min():.3e})")
-    return vecs @ np.diag(vals ** -0.5) @ vecs.T
+    return vecs * vals[..., None, :] ** -0.5 @ vecs.swapaxes(-1, -2)
 
 
 def density_from_coeffs(c, n_occupied_pairs):
-    """Closed-shell density D = 2 C_occ C_occ^T."""
-    if n_occupied_pairs > c.shape[1]:
+    """Closed-shell density D = 2 C_occ C_occ^T, of one coefficient matrix or a stack."""
+    if n_occupied_pairs > c.shape[-1]:
         raise ValueError(
-            f"{n_occupied_pairs} occupied pairs do not fit in {c.shape[1]} orbitals")
-    occ = c[:, :n_occupied_pairs]
-    return 2.0 * occ @ occ.T
+            f"{n_occupied_pairs} occupied pairs do not fit in {c.shape[-1]} orbitals")
+    occ = c[..., :n_occupied_pairs]
+    return 2.0 * occ @ occ.swapaxes(-1, -2)
 
 
-def build_fock(hcore, d, eri):
-    """F = Hcore + J - K/2 contracted with the AO density."""
-    j = np.einsum("ls,mnsl->mn", d, eri)
-    k = np.einsum("ls,mlsn->mn", d, eri)
-    return hcore + j - 0.5 * k
+def coulomb_exchange(eri):
+    """J - K/2 as a K^2 x K^2 supermatrix on vec(D), of one ERI tensor or a stack:
+    (J - K/2)_mn = sum_ls D_ls [(mn|sl) - (ml|sn)/2]."""
+    k = eri.shape[-1]
+    jk = eri.swapaxes(-1, -2) - 0.5 * np.moveaxis(eri, -1, -3)
+    return jk.reshape(eri.shape[:-4] + (k * k, k * k))
+
+
+def build_fock(hcore, d, jk):
+    """F = Hcore + (J - K/2) D, with jk from `coulomb_exchange`; stacks broadcast."""
+    return hcore + (jk @ d.reshape(d.shape[:-2] + (-1, 1))).reshape(d.shape)
 
 
 def run_rhf(ints, mol, settings=SCFSettings()):
-    """Roothaan RHF. Non-convergence is reported via the converged flag."""
-    if mol.n_electrons % 2 != 0:
-        raise ValueError("restricted HF needs an even electron count")
-    n_occ = mol.n_electrons // 2
-    hcore = ints.hcore
-    x = symmetric_orthogonalizer(ints.overlap)
-    e_nuc = nuclear_repulsion(mol)
+    """Roothaan RHF of one geometry. Non-convergence is reported via the converged flag."""
+    return run_rhf_batch([ints], [mol], settings)[0]
+
+
+def run_rhf_batch(ints, mols, settings=SCFSettings()):
+    """Roothaan RHF of equally long lists of IntegralSets and two-electron molecules.
+
+    The geometries share their AO count and iterate in lockstep, one stacked
+    call per step; each keeps its own convergence test and iteration count and
+    leaves the iteration when it converges, so its result does not depend on
+    the batch. One SCFResult per geometry; one that reaches max_iterations has
+    converged=False. A singular overlap raises LinearDependenceError.
+    """
+    if any(mol.n_electrons != 2 for mol in mols):
+        raise ValueError("RHF handles two electrons, got "
+                         f"{sorted({mol.n_electrons for mol in mols})}")
+    hcore = np.stack([i.hcore for i in ints])
+    jk = coulomb_exchange(np.stack([i.eri for i in ints]))
+    e_nuc = np.array([nuclear_repulsion(mol) for mol in mols])
+    x = symmetric_orthogonalizer(np.stack([i.overlap for i in ints]))
     # P commutes with X = S^(-1/2), so X maps P's +1 and -1 eigenvectors to
-    # orthonormal gerade and ungerade AO coefficient bases
-    parity, u = np.linalg.eigh(ints.inversion)
-    xg, xu = x @ u[:, parity > 0], x @ u[:, parity < 0]
+    # orthonormal gerade and ungerade AO coefficient bases; eigh puts -1 first
+    parity, u = np.linalg.eigh(np.stack([i.inversion for i in ints]))
+    n_u = np.count_nonzero(parity < 0, axis=-1)
+    if np.any(n_u != n_u[0]):
+        raise ValueError("the geometries' inversions differ in their parity counts")
+    xg, xu = x @ u[..., n_u[0]:], x @ u[..., :n_u[0]]
 
-    def diagonalize(f):
-        (eg, cg), (eu, cu) = np.linalg.eigh(xg.T @ f @ xg), np.linalg.eigh(xu.T @ f @ xu)
-        eps, c = np.concatenate((eg, eu)), np.hstack([xg @ cg, xu @ cu])
-        par = np.concatenate((np.ones_like(eg), -np.ones_like(eu)))
-        order = np.concatenate(([0], 1 + eps[1:].argsort(kind="stable")))  # lowest gerade first
-        return eps[order], c[:, order], par[order]
+    def occupied_density(f, xg):  # of the lowest gerade orbital
+        vecs = np.linalg.eigh(xg.swapaxes(-1, -2) @ f @ xg)[1]
+        return density_from_coeffs(xg @ vecs[..., :1], 1)
 
-    eps, c, _ = diagonalize(hcore)
-    d = density_from_coeffs(c, n_occ)
-    e_old = 0.0
-    converged = False
+    def energy(d, f, h, e_nuc):
+        return 0.5 * np.sum(d * (h + f), axis=(-2, -1)) + e_nuc
+
+    n = len(ints)
+    final_d = np.empty_like(hcore)
+    iterations = np.full(n, settings.max_iterations)
+    converged = np.zeros(n, dtype=bool)
+    live = np.arange(n)  # the geometries still iterating, and below their arrays
+    h, g2, xl, en = hcore, jk, xg, e_nuc
+    d, e_old = occupied_density(h, xl), np.zeros(n)
     for it in range(1, settings.max_iterations + 1):
-        f = build_fock(hcore, d, ints.eri)
-        e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
-        eps, c, _ = diagonalize(f)
-        d_new = density_from_coeffs(c, n_occ)
+        f = build_fock(h, d, g2)
+        e_total = energy(d, f, h, en)
+        d_new = occupied_density(f, xl)
         delta_e = e_total - e_old
-        rms_d = np.sqrt(np.mean((d_new - d) ** 2))
+        rms_d = np.sqrt(np.mean((d_new - d) ** 2, axis=(-2, -1)))
         d, e_old = d_new, e_total
-        if it > 1 and abs(delta_e) < settings.energy_tolerance \
-                and rms_d < settings.density_tolerance:
-            converged = True
-            break
+        done = (np.abs(delta_e) < settings.energy_tolerance) \
+            & (rms_d < settings.density_tolerance) & (it > 1)
+        if done.any():
+            final_d[live[done]], iterations[live[done]] = d[done], it
+            converged[live[done]] = True
+            keep = ~done
+            live, d, e_old, h, g2, xl, en = (a[keep] for a in (live, d, e_old, h, g2, xl, en))
+            if not live.size:
+                break
+    final_d[live] = d
 
     # final energy from the last density for a consistent report
-    f = build_fock(hcore, d, ints.eri)
-    e_total = 0.5 * np.sum(d * (hcore + f)) + e_nuc
-    eps, c, par = diagonalize(f)
-    return SCFResult(mo_coefficients=c, orbital_energies=eps, parity=par,
-                     e_hf=float(e_total), iterations=it,
-                     converged=converged)
+    f = build_fock(hcore, final_d, jk)
+    e_total = energy(final_d, f, hcore, e_nuc)
+    (eg, cg), (eu, cu) = (np.linalg.eigh(b.swapaxes(-1, -2) @ f @ b) for b in (xg, xu))
+    eps, c = np.concatenate((eg, eu), -1), np.concatenate((xg @ cg, xu @ cu), -1)
+    par = np.concatenate((np.ones_like(eg), -np.ones_like(eu)), -1)
+    order = np.concatenate((np.zeros((n, 1), dtype=np.intp),  # lowest gerade first
+                            1 + eps[:, 1:].argsort(axis=-1, kind="stable")), -1)
+    eps, par = np.take_along_axis(eps, order, -1), np.take_along_axis(par, order, -1)
+    c = np.take_along_axis(c, order[:, None, :], -1)
+    return [SCFResult(mo_coefficients=c[i], orbital_energies=eps[i], parity=par[i],
+                      e_hf=float(e_total[i]), e_nuclear=float(e_nuc[i]),
+                      iterations=int(iterations[i]), converged=bool(converged[i]))
+            for i in range(n)]

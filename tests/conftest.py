@@ -41,8 +41,8 @@ def compute_point(r, basis_name):
     ints = compute_all(build_ao_basis(mol, basis), mol)
     scf = run_rhf(ints, mol)
     assert scf.converged, f"SCF failed at R={r} ({basis_name})"
-    ci = run_fci(ints, scf, mol)
-    occ = natural_occupations(one_particle_density(ci))
+    ci = run_fci([ints], [scf], [mol])[0]
+    occ = natural_occupations(one_particle_density([ci]))[0]
     return PointRecord(
         r=float(r), ints=ints, scf=scf, ci=ci, e_hf=scf.e_hf, e_fci=ci.e_fci,
         e_corr=correlation_energy(scf.e_hf, ci.e_fci),

@@ -10,6 +10,9 @@ Spin correlations: Tr[rho (sigma.u x sigma.w)] element by element, from
 Kronecker products of the Pauli matrices, without the Pauli-pair contraction
 of `h2ent.bell`.
 
+Fock matrix: J and K as two separate index contractions of the AO ERIs,
+without the J - K/2 supermatrix of `h2ent.scf`.
+
 Two-electron CI: the Hamiltonian on all K^2 determinants, triplets and
 ungerade states included, of which `h2ent.fci` diagonalises only the
 singlet-gerade block.
@@ -227,3 +230,10 @@ def determinant_hamiltonian(h, g):
     k = h.shape[0]
     one = np.eye(k)
     return np.kron(h, one) + np.kron(one, h) + g.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+
+
+def fock_by_einsum(hcore, d, eri):
+    """F = Hcore + J - K/2, with J_mn = sum_ls D_ls (mn|sl) and K_mn = sum_ls D_ls (ml|sn)."""
+    j = np.einsum("ls,mnsl->mn", d, eri)
+    k = np.einsum("ls,mlsn->mn", d, eri)
+    return hcore + j - 0.5 * k

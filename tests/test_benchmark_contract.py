@@ -50,17 +50,70 @@ def test_scan_workloads_pass_the_gate_at_the_default_seed(tmp_path):
         assert (sample.failed, sample.attempted) == (0, attempted), (name, sample.failed_r)
 
 
-def test_a_traced_stretch_scan_enters_every_scan_layer(tmp_path):
-    # the integrals of a scan are one batch: one compute_all span, outside
-    # every point span, so it carries no R
+# names a scan alone enters, and names only a single point enters: a scan
+# runs its points as one batch, through the stacked SCF and no point span
+SCAN_ONLY = {"cli.run_scan", "cli.emit", "correlation.rescale_entropy"}
+POINT_ONLY = {"scf.run_rhf", "cli.run_single_point"}
+
+
+def _traced_stretch_scan(tmp_path):
     spans, workloads = _perfbench("spans"), _perfbench("workloads")
     inputs = workloads.make_inputs("stretch", workloads.DEFAULT_SEED)
     tracer = spans.Tracer()
     with spans.instrument(tracer):
         sample = workloads.run_once(inputs, tmp_path / "stretch.csv")
-    names = [s.name for s in tracer.spans]
-    assert set(names) >= {f"{m}.{f}" for m, f, _ in spans.TARGETS if m != "bell"}
-    assert names.count("cli.run_single_point") == inputs.attempted == 40
-    (ints,) = [s for s in tracer.spans if s.name == "integrals.compute_all"]
-    assert ints.r is None and tracer.spans[ints.parent].name == "cli.run_scan"
     assert workloads.check(inputs, sample, workloads.load_reference()) == []
+    assert (sample.failed, sample.attempted) == (0, 40)
+    return tracer.spans
+
+
+def _traced_single_point():
+    from h2ent import cli
+    spans = _perfbench("spans")
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        cli.run_single_point(1.4, "sto-3g")
+    return tracer.spans
+
+
+def _non_bell_targets():
+    return {f"{m}.{f}" for m, f, _ in _perfbench("spans").TARGETS if m != "bell"}
+
+
+def test_a_traced_stretch_scan_enters_every_scan_layer(tmp_path):
+    # every stage after the basis is one stacked pass over the scan's R
+    # values: one span each, inside cli.run_scan and outside any point span,
+    # so none carries an R
+    trace = _traced_stretch_scan(tmp_path)
+    names = [s.name for s in trace]
+    assert set(names) == _non_bell_targets() - POINT_ONLY
+    for name in ("integrals.compute_all", "fci.run_fci", "fci.mo_transform",
+                 "fci.build_hamiltonian", "correlation.one_particle_density",
+                 "correlation.natural_occupations"):
+        (span,) = [s for s in trace if s.name == name]
+        assert span.r is None, name
+        while span.parent is not None:
+            span = trace[span.parent]
+        assert span.name == "cli.run_scan", name
+
+
+def test_a_traced_single_point_enters_every_point_layer():
+    trace = _traced_single_point()
+    assert {s.name for s in trace} == _non_bell_targets() - SCAN_ONLY
+    assert trace[0].name == "cli.run_single_point" and trace[0].r == 1.4
+    assert all(s.r == 1.4 for s in trace)
+    (scf,) = [s for s in trace if s.name == "scf.run_rhf"]
+    assert scf.info == {"iterations": 2, "converged": True}
+
+
+def test_traced_runs_feed_the_per_layer_report(tmp_path, monkeypatch):
+    # the report reads the SCF's iterations from each scf.run_rhf span's
+    # return value, so that name must keep returning one SCFResult
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _perfbench("run")
+    times, counts = run.traced_run_stats(_traced_single_point())
+    assert (counts["scf.iterations"], counts["scf.unconverged"]) == (2, 0)
+    assert times["scf.run_rhf"] > 0.0
+    times, counts = run.traced_run_stats(_traced_stretch_scan(tmp_path))
+    assert counts["integrals.calls"] == 1 and counts["basis.load_calls"] == 1
+    assert times["fci.run_fci"] > 0.0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,13 +12,14 @@ import numpy as np
 import pytest
 
 import h2ent
-from h2ent import cli, correlation, fci
+from h2ent import cli, correlation, fci, scf
 from h2ent.basis import load_basis
 from h2ent.correlation import OPDM
 from h2ent.cli import (CurvePoint, ScanConfig, emit, main, run_scan,
                        run_single_point, scan_grid)
+from h2ent.errors import LinearDependenceError
 from h2ent.molecule import ANGSTROM_TO_BOHR
-from h2ent.scf import run_rhf
+from h2ent.scf import symmetric_orthogonalizer
 
 CSV_HEADER = "R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2"
 
@@ -75,9 +77,17 @@ def test_scan_loads_the_basis_once(monkeypatch):
     assert len(points) + len(failures) == 4 and len(loads) == 1
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Rebind a function in every h2ent module that holds it, as the tracer does."""
+    for module in [m for k, m in sys.modules.items() if k.startswith("h2ent")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def test_single_point_enters_each_traced_layer_once(monkeypatch):
     # perfbench's tracer wraps these names in every h2ent module that binds
-    # them and reports one span of each per scan point
+    # them and reports one span of each per pipeline pass
     calls = {}
 
     def counting(name, original):
@@ -86,14 +96,10 @@ def test_single_point_enters_each_traced_layer_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    modules = [m for k, m in sys.modules.items() if k.startswith("h2ent")]
     for owner, name in ((fci, "build_hamiltonian"), (fci, "mo_transform"),
                         (correlation, "one_particle_density")):
         original = getattr(owner, name)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting(name, original))
+        patch_everywhere(monkeypatch, original, counting(name, original))
     run_single_point(1.4, "sto-3g")
     assert calls == {"build_hamiltonian": 1, "mo_transform": 1,
                      "one_particle_density": 1}
@@ -103,30 +109,92 @@ def test_run_scan_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a computation failure")
 
-    monkeypatch.setattr(cli, "run_single_point", broken)
+    patch_everywhere(monkeypatch, fci.run_fci, broken)
     with pytest.raises(TypeError):
         run_scan(config())
 
 
-def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
-    # the integrals of all points come from one batch; an SCF failure at one R
-    # is still that point's own
-    cfg = config(n_points=4, far_point=20.0)
-    before, _ = run_scan(cfg)
-    bad_r = scan_grid(cfg)[2]
-
-    def failing_rhf(ints, mol, *args):
-        res = run_rhf(ints, mol, *args)
-        return replace(res, converged=False) if mol.atoms[1].position[2] == bad_r else res
-
-    monkeypatch.setattr(cli, "run_rhf", failing_rhf)
-    points, failures = run_scan(cfg)
-    assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
+def assert_rows_kept(points, before, bad_r):
+    # every other point of the 5-point grid is kept, byte for byte
     kept = [p for p in before if p.r != bad_r]
-    assert len(points) == len(kept) == 4
+    assert len(before) == 5 and len(points) == len(kept) == 4
     for p, q in zip(points, kept):
         assert p.occupations.tobytes() == q.occupations.tobytes()
         assert replace(p, occupations=None) == replace(q, occupations=None)
+
+
+def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
+    # the points of a scan are one batch; an SCF failure at one R is still
+    # that point's own
+    cfg = config(n_points=4, far_point=20.0)
+    before, _ = run_scan(cfg)
+    assert len(before) == len(scan_grid(cfg)) == 5
+    bad_r = scan_grid(cfg)[2]
+    original = scf.run_rhf_batch
+    calls = []
+
+    def failing_rhf(ints, mols, *args):
+        calls.append(len(mols))
+        return [replace(res, converged=False) if mol.atoms[1].position[2] == bad_r else res
+                for res, mol in zip(original(ints, mols, *args), mols)]
+
+    patch_everywhere(monkeypatch, original, failing_rhf)
+    points, failures = run_scan(cfg)
+    assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
+    assert calls == [5]  # the points are redone on the batch's SCF results
+    assert_rows_kept(points, before, bad_r)
+
+
+def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
+    cfg = config(n_points=4, far_point=20.0)
+    before, _ = run_scan(cfg)
+    assert len(before) == len(scan_grid(cfg)) == 5
+    bad_r = scan_grid(cfg)[1]
+    original = cli.compute_all
+
+    def singular_overlap(aos, mols):
+        return [replace(ints, overlap=np.ones((2, 2))) if mol.atoms[1].position[2] == bad_r
+                else ints for ints, mol in zip(original(aos, mols), mols)]
+
+    monkeypatch.setattr(cli, "compute_all", singular_overlap)
+    points, failures = run_scan(cfg)
+    assert [r for r, _ in failures] == [bad_r]
+    with pytest.raises(LinearDependenceError) as exc:
+        symmetric_orthogonalizer(np.ones((2, 2)))
+    assert failures[0][1] == str(exc.value)
+    assert_rows_kept(points, before, bad_r)
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_scan_rows_are_single_points_bit_for_bit(name, monkeypatch):
+    # the default batch holds the whole grid; batches of 7 split it unevenly
+    cfg = ScanConfig(basis_name=name, r_min=0.3, r_max=100.0, n_points=40,
+                     grid="logarithmic")
+    basis = load_basis(name)
+    singles = [run_single_point(r, basis) for r in scan_grid(cfg)]
+    scans = [run_scan(cfg)[0]]
+    monkeypatch.setattr(cli, "SCAN_BATCH", 7)
+    scans.append(run_scan(cfg)[0])
+    for points in scans:
+        assert len(points) == len(singles) == 40
+        for p, q in zip(points, singles):
+            assert p.occupations.tobytes() == q.occupations.tobytes(), p.r
+            assert replace(p, occupations=None) == replace(q, occupations=None), p.r
+
+
+def test_scan_memory_is_bounded_by_the_batch():
+    # the grid is walked in batches of SCAN_BATCH geometries, so only the
+    # finished points grow with it
+    def peak(n_points):
+        tracemalloc.start()
+        try:
+            run_scan(config(r_min=0.5, r_max=10.0, n_points=n_points))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_scan(config())  # first-call allocations stay out of both peaks
+    assert peak(400) <= 2 * peak(64)
 
 
 def test_numerical_check_failure_exit_2(monkeypatch, capsys):

@@ -46,13 +46,13 @@ def test_opdm_symmetry_bound_is_absolute():
 
 
 def test_single_determinant_density():
-    gamma = one_particle_density(ci_state([[1.0, 0.0], [0.0, 0.0]])).gamma
+    gamma = one_particle_density([ci_state([[1.0, 0.0], [0.0, 0.0]])]).gamma[0]
     assert np.allclose(gamma, np.diag([2.0, 0.0]), atol=1e-15)
 
 
 def test_two_configuration_density():
     c1, c2 = np.cos(0.3), np.sin(0.3)
-    gamma = one_particle_density(ci_state([[c1, 0.0], [0.0, c2]])).gamma
+    gamma = one_particle_density([ci_state([[c1, 0.0], [0.0, c2]])]).gamma[0]
     assert np.allclose(gamma, np.diag([2 * c1 ** 2, 2 * c2 ** 2]), atol=1e-14)
 
 
@@ -63,7 +63,7 @@ def test_density_matches_fock_space_oracle(k, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(k, k))  # not symmetric: alpha and beta densities differ
     c /= np.linalg.norm(c)
-    gamma = one_particle_density(ci_state(c)).gamma
+    gamma = one_particle_density([ci_state(c)]).gamma[0]
     assert np.allclose(gamma, brute_force_opdm(c), atol=1e-12)
     assert np.trace(gamma) == pytest.approx(2.0, abs=1e-12)
 

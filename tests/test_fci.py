@@ -22,6 +22,12 @@ from h2ent.scf import run_rhf
 from oracles import determinant_hamiltonian
 
 
+def mo_integrals(ints, c):
+    """h and g of one geometry, transformed as a batch of one."""
+    h, g = mo_transform([ints], c[None])
+    return h[0], g[0]
+
+
 def annihilation_matrix(i, n_spin_orbitals):
     """Dense a_i over the occupation-number basis (bit i set = occupied)."""
     dim = 1 << n_spin_orbitals
@@ -95,7 +101,7 @@ def test_hamiltonian_matches_fock_space_oracle(k, seed):
 def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
     h, g = random_mo_integrals(k, seed)
     parity = np.random.default_rng(seed).choice([1.0, -1.0], size=k)
-    b = singlet_gerade_basis(parity)
+    b = singlet_gerade_basis(parity[None])[0]
     # B spans the singlet-gerade space: vec(C) with C = C^T and C[a, b] = 0
     # unless parity[a] = parity[b], the image of (1 + swap)/2 (1 + P x P)/2
     swap = np.eye(k * k).reshape(k, k, k * k).transpose(1, 0, 2).reshape(k * k, k * k)
@@ -104,7 +110,24 @@ def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
     assert np.allclose(b @ b.T, projector, rtol=0.0, atol=1e-15)
     idx = embed(k)
     big = fock_space_hamiltonian(h, g)[np.ix_(idx, idx)]
-    assert np.allclose(build_hamiltonian(h, g, parity), b.T @ big @ b, rtol=0.0, atol=1e-12)
+    assert np.allclose(build_hamiltonian(h, g, b), b.T @ big @ b, rtol=0.0, atol=1e-12)
+
+
+def test_stacked_basis_is_one_basis_per_geometry():
+    # the MO parity order changes with R, so each geometry has its own basis
+    rng = np.random.default_rng(11)
+    parity = np.array([rng.permutation([1.0, 1.0, 1.0, -1.0, -1.0]) for _ in range(6)])
+    stacked = singlet_gerade_basis(parity)
+    assert stacked.shape == (6, 25, 9)  # 3 * 4 / 2 + 2 * 3 / 2 pairs
+    for p, b in zip(parity, stacked):
+        assert np.array_equal(b, singlet_gerade_basis(p[None])[0])
+        pairs = [(i, j) for i in range(5) for j in range(i, 5) if p[i] == p[j]]
+        for column, (i, j) in zip(b.T, pairs):  # columns in row-major pair order
+            c = column.reshape(5, 5)
+            assert c[i, j] == c[j, i] == (1.0 if i == j else 0.5 ** 0.5)
+            assert np.count_nonzero(c) == (1 if i == j else 2)
+    with pytest.raises(ValueError, match="parity counts"):
+        singlet_gerade_basis(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
@@ -112,8 +135,8 @@ def test_block_ground_state_is_the_determinant_space_ground_state(sweeps, name):
     # past R ~ 6 Bohr the lowest triplet comes within 1e-8 Hartree of the
     # ground state; it lies outside the block
     for r, mol, ints, scf in sweeps[name]:
-        ci = run_fci(ints, scf, mol)
-        ham = determinant_hamiltonian(*mo_transform(ints, scf.mo_coefficients))
+        ci = run_fci([ints], [scf], [mol])[0]
+        ham = determinant_hamiltonian(*mo_integrals(ints, scf.mo_coefficients))
         lowest = np.linalg.eigvalsh(ham)[0]
         assert ci.e_fci == pytest.approx(lowest + nuclear_repulsion(mol), rel=0.0, abs=1e-12), r
         assert np.array_equal(ci.coefficients, ci.coefficients.T), r
@@ -122,11 +145,11 @@ def test_block_ground_state_is_the_determinant_space_ground_state(sweeps, name):
 def test_mo_transform_identity_is_symmetrization():
     mol = h2(1.4)
     ints = compute_all(build_ao_basis(mol, load_basis("sto-3g")), mol)
-    h, g = mo_transform(ints, np.eye(2))
+    h, g = mo_integrals(ints, np.eye(2))
     assert np.allclose(h, ints.hcore, atol=1e-15)
     assert np.allclose(g, ints.eri, atol=1e-14)
     with pytest.raises(ValueError):
-        mo_transform(ints, np.eye(3))
+        mo_transform([ints], np.eye(3)[None])
 
 
 @pytest.fixture(scope="module")
@@ -139,15 +162,15 @@ def sto3g_solution():
 
 def test_hf_diagonal_reproduces_scf_energy(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g, scf.parity)
+    h, g = mo_integrals(ints, scf.mo_coefficients)
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[None])[0])
     assert ham[0, 0] + nuclear_repulsion(mol) == pytest.approx(scf.e_hf, abs=1e-10)
 
 
 def test_double_excitation_coupling_is_exchange_integral(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g, scf.parity)
+    h, g = mo_integrals(ints, scf.mo_coefficients)
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[None])[0])
     # block column 0 is C[0, 0] (sigma_g^2) and column 1 is C[1, 1] (sigma_u^2)
     assert ham[0, 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
 
@@ -156,31 +179,31 @@ def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
     # the singlet-gerade block of the 4x4 problem is the 2x2 over the two
     # closed-shell configurations; its lower eigenvalue is available in closed form
     mol, ints, scf = sto3g_solution
-    h, g = mo_transform(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g, scf.parity)
+    h, g = mo_integrals(ints, scf.mo_coefficients)
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[None])[0])
     assert ham.shape == (2, 2)
     a, b, c = ham[0, 0], ham[1, 1], ham[0, 1]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
     assert np.linalg.eigvalsh(determinant_hamiltonian(h, g))[0] == pytest.approx(lower, abs=1e-12)
-    ci = run_fci(ints, scf, mol)
+    ci = run_fci([ints], [scf], [mol])[0]
     assert ci.e_fci == pytest.approx(lower + nuclear_repulsion(mol), abs=1e-12)
 
 
 def test_fci_requires_converged_reference(sto3g_solution):
     mol, ints, scf = sto3g_solution
     with pytest.raises(SCFConvergenceError):
-        run_fci(ints, replace(scf, converged=False), mol)
+        run_fci([ints], [replace(scf, converged=False)], [mol])
 
 
 def test_fci_rejects_other_electron_counts(sto3g_solution):
     mol, ints, scf = sto3g_solution
     with pytest.raises(ValueError):
-        run_fci(ints, scf, Molecule(mol.atoms, 4))
+        run_fci([ints], [scf], [Molecule(mol.atoms, 4)])
 
 
 def test_phase_convention(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    c = run_fci(ints, scf, mol).coefficients
+    c = run_fci([ints], [scf], [mol])[0].coefficients
     assert c.shape == (2, 2)
     assert c.flat[np.argmax(np.abs(c))] > 0.0
 
@@ -192,7 +215,7 @@ def test_inverse_iteration_oracle_polarized_basis():
     mol = h2(1.4)
     ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
     scf = run_rhf(ints, mol)
-    ham = determinant_hamiltonian(*mo_transform(ints, scf.mo_coefficients))
+    ham = determinant_hamiltonian(*mo_integrals(ints, scf.mo_coefficients))
     assert ham.shape == (100, 100)
     x = np.zeros(100)
     x[0] = 1.0  # the HF determinant C[0, 0]
@@ -202,7 +225,7 @@ def test_inverse_iteration_oracle_polarized_basis():
         x /= np.linalg.norm(x)
         mu = x @ ham @ x
     assert np.linalg.eigvalsh(ham)[0] == pytest.approx(mu, abs=1e-9)
-    ci = run_fci(ints, scf, mol)
+    ci = run_fci([ints], [scf], [mol])[0]
     assert ci.e_fci == pytest.approx(mu + nuclear_repulsion(mol), abs=1e-9)
 
 
@@ -210,7 +233,7 @@ def test_fci_energy_invariant_under_virtual_rotation():
     mol = h2(1.4)
     ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
     scf = run_rhf(ints, mol)
-    ref = run_fci(ints, scf, mol).e_fci
+    ref = run_fci([ints], [scf], [mol])[0].e_fci
     c = scf.mo_coefficients.copy()
     th = 0.37
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -218,7 +241,7 @@ def test_fci_energy_invariant_under_virtual_rotation():
     assert scf.parity[4] == scf.parity[5] == -1.0
     c[:, [4, 5]] = c[:, [4, 5]] @ rot
     rotated = replace(scf, mo_coefficients=c)
-    assert run_fci(ints, rotated, mol).e_fci == pytest.approx(ref, abs=1e-10)
+    assert run_fci([ints], [rotated], [mol])[0].e_fci == pytest.approx(ref, abs=1e-10)
 
 
 def test_dissociation_configurations_equalize(sto3g_curve):

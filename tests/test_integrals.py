@@ -196,7 +196,7 @@ def test_off_axis_h2_matches_bond_along_z():
     for mol in (h2(1.4), off_axis_h2(1.4)):
         ints = compute_all(build_ao_basis(mol, basis), mol)
         scf = run_rhf(ints, mol)
-        energies.append((scf.e_hf, run_fci(ints, scf, mol).e_fci))
+        energies.append((scf.e_hf, run_fci([ints], [scf], [mol])[0].e_fci))
     assert energies[1] == pytest.approx(energies[0], abs=1e-10)
 
 

@@ -9,8 +9,10 @@ from h2ent.cli import main
 from h2ent.errors import LinearDependenceError, SymmetryError
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, helium, nuclear_repulsion, Molecule, atom
-from h2ent.scf import (SCFSettings, build_fock, density_from_coeffs, run_rhf,
-                       symmetric_orthogonalizer)
+from h2ent.scf import (SCFSettings, build_fock, coulomb_exchange, density_from_coeffs,
+                       run_rhf, run_rhf_batch, symmetric_orthogonalizer)
+from conftest import SWEEP_R
+from oracles import fock_by_einsum
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +46,26 @@ def test_density_shape_and_trace(h2_sto3g):
 
 def test_fock_with_zero_density_is_hcore(h2_sto3g):
     _, ints = h2_sto3g
-    f = build_fock(ints.hcore, np.zeros((2, 2)), ints.eri)
+    f = build_fock(ints.hcore, np.zeros((2, 2)), coulomb_exchange(ints.eri))
     assert np.array_equal(f, ints.hcore)
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_supermatrix_fock_matches_einsum_oracle(name):
+    # a random symmetric density, one geometry and a stack of two
+    rng = np.random.default_rng(7)
+    mols = [h2(1.4), h2(3.7)]
+    ints = compute_all([build_ao_basis(m, load_basis(name)) for m in mols], mols)
+    k = len(ints[0].hcore)
+    d = rng.normal(size=(2, k, k))
+    d = d + d.swapaxes(-1, -2)
+    stacked = build_fock(np.stack([i.hcore for i in ints]), d,
+                         coulomb_exchange(np.stack([i.eri for i in ints])))
+    for n, i in enumerate(ints):
+        oracle = fock_by_einsum(i.hcore, d[n], i.eri)
+        assert np.allclose(build_fock(i.hcore, d[n], coulomb_exchange(i.eri)), oracle,
+                           rtol=0.0, atol=1e-13)
+        assert np.array_equal(stacked[n], build_fock(i.hcore, d[n], coulomb_exchange(i.eri)))
 
 
 def test_settings_validation():
@@ -60,6 +80,14 @@ def test_odd_electron_count_rejected(h2_sto3g):
     ion = Molecule((atom("H", (0, 0, 0)), atom("H", (0, 0, 1.4))), 1)
     with pytest.raises(ValueError):
         run_rhf(ints, ion)
+
+
+def test_four_electron_count_rejected(h2_sto3g):
+    # the one occupied orbital is the lowest gerade one: two electrons only
+    _, ints = h2_sto3g
+    dianion = Molecule((atom("H", (0, 0, 0)), atom("H", (0, 0, 1.4))), 4)
+    with pytest.raises(ValueError, match="two electrons"):
+        run_rhf(ints, dianion)
 
 
 def test_helium_closed_form():
@@ -83,7 +111,7 @@ def test_h2_matches_golden_section_oracle(h2_sto3g):
     def energy(theta):
         c = x @ np.array([np.cos(theta), np.sin(theta)])
         d = 2.0 * np.outer(c, c)
-        f = build_fock(ints.hcore, d, ints.eri)
+        f = fock_by_einsum(ints.hcore, d, ints.eri)
         return 0.5 * np.sum(d * (ints.hcore + f)) + e_nuc
 
     opt = minimize_scalar(energy, bracket=(0.0, np.pi / 4, np.pi / 2),
@@ -101,7 +129,7 @@ def test_converged_state_properties(h2_sto3g):
     c = res.mo_coefficients
     assert np.allclose(c.T @ ints.overlap @ c, np.eye(2), atol=1e-8)
     d = density_from_coeffs(c, 1)
-    f = build_fock(ints.hcore, d, ints.eri)
+    f = fock_by_einsum(ints.hcore, d, ints.eri)
     comm = f @ d @ ints.overlap - ints.overlap @ d @ f
     assert np.max(np.abs(comm)) < 1e-8
     assert np.all(np.diff(res.orbital_energies) >= 0.0)
@@ -123,6 +151,28 @@ def test_nonconvergence_is_reported_not_raised(h2_sto3g):
     res = run_rhf(ints, mol, SCFSettings(max_iterations=1))
     assert not res.converged
     assert res.iterations == 1
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+@pytest.mark.parametrize("max_iterations", [200, 8])
+def test_batch_results_are_one_point_results(name, max_iterations):
+    # the geometries iterate in lockstep and leave as they converge: a result,
+    # its iteration count included, does not depend on the batch it is in
+    settings = SCFSettings(max_iterations=max_iterations)
+    mols = [h2(r) for r in list(SWEEP_R) + [20.0]]
+    ints = compute_all([build_ao_basis(m, load_basis(name)) for m in mols], mols)
+    batch = run_rhf_batch(ints, mols, settings)
+    sub = list(range(len(mols)))[::-3]
+    part = dict(zip(sub, run_rhf_batch([ints[n] for n in sub], [mols[n] for n in sub],
+                                       settings)))
+    for n, res in enumerate(batch):
+        for other in [run_rhf(ints[n], mols[n], settings)] + ([part[n]] if n in part else []):
+            assert (res.e_hf, res.e_nuclear, res.iterations, res.converged) \
+                == (other.e_hf, other.e_nuclear, other.iterations, other.converged), n
+            for field in ("mo_coefficients", "orbital_energies", "parity"):
+                assert getattr(res, field).tobytes() == getattr(other, field).tobytes(), n
+    if name == "6-31gss" and max_iterations == 8:  # 7 to 10 needed: some run out
+        assert {res.converged for res in batch} == {True, False}
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
