@@ -9,6 +9,17 @@ Electronic-Structure Theory, sec. 9.8.2): F_m on the grid x = 0, 0.05, ...
 is built at import. Below x = 36 a 7-term Taylor step from the nearest grid
 point gives the top order and downward recursion the rest; from x = 36 on,
 F_0 = sqrt(pi/x)/2 and upward recursion.
+
+Every kernel is a whole-array pass over all geometries of a batch. `boys_table`
+splits its arguments at the switch by flat index and reads each Taylor row with
+`take`. `_hermite_coulomb_all` builds R_tuv one t+u+v level at a time from index
+tables. `_eri_block` gathers R_tuv for every pair of Hermite terms of two classes
+into one array and contracts it with the ket and then the bra coefficients.
+`_batch` checks inversion symmetry once, on the stacked matrices. Each element
+meets the same operations in the same order in any batch, so a geometry's
+integrals are its one-point values bit for bit. `_exp` runs numpy's exp in place,
+where it takes one loop at every array size; do not swap it for an
+out-of-place call, which may round differently by size.
 """
 
 from dataclasses import dataclass
@@ -57,34 +68,35 @@ def boys_table(mmax, x):
     if mmax > _BOYS_MMAX:
         raise ValueError(f"Boys order {mmax} is above the tabulated {_BOYS_MMAX}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty((mmax + 1,) + x.shape)
-    small = x < _BOYS_SWITCH
-    if np.any(small):
-        xs = x[small]
+    flat = x.ravel()
+    out = np.empty((mmax + 1, flat.size))
+    small = flat < _BOYS_SWITCH
+    idx = np.flatnonzero(small)
+    if idx.size:
+        xs = flat.take(idx)
         expx = _exp(-xs)
         if xs.min() < 0:
             raise ValueError(f"Boys function argument must be non-negative, got {xs.min()}")
         k = np.rint(xs / _BOYS_STEP).astype(np.intp)
         d = k * _BOYS_STEP - xs  # F_m' = -F_{m+1}, so the step is -(x - x_k)
-        fm = _BOYS_GRID[mmax + _TAYLOR - 1, k]  # one grid row at a time: a batch's x is large
+        fm = _BOYS_GRID[mmax + _TAYLOR - 1].take(k)
         for j in range(_TAYLOR - 1, 0, -1):
-            fm = _BOYS_GRID[mmax + j - 1, k] + fm * d / j
-        col = np.empty((mmax + 1,) + xs.shape)
+            fm = _BOYS_GRID[mmax + j - 1].take(k) + fm * d / j
+        col = np.empty((mmax + 1, idx.size))
         col[mmax] = fm
         for m in range(mmax, 0, -1):
             col[m - 1] = (2.0 * xs * col[m] + expx) / (2 * m - 1)
-        out[:, small] = col
-    if np.any(~small):
-        xl = x[~small]
+        out[:, idx] = col
+    idx = np.flatnonzero(~small)
+    if idx.size:
+        xl = flat.take(idx)
         expx = _exp(-xl)
-        col = np.empty((mmax + 1,) + xl.shape)
+        col = np.empty((mmax + 1, idx.size))
         col[0] = 0.5 * np.sqrt(np.pi / xl)
         for m in range(mmax):
             col[m + 1] = ((2 * m + 1) * col[m] - expx) / (2.0 * xl)
-        out[:, ~small] = col
-    return out[:, 0] if scalar else out
+        out[:, idx] = col
+    return out.reshape((mmax + 1,) + x.shape)
 
 
 def boys(m, x):
@@ -94,20 +106,48 @@ def boys(m, x):
     return float(boys_table(int(m), float(x))[int(m)])
 
 
+_LMAX = _BOYS_MMAX  # t+u+v of R_tuv, as far as the Boys table reaches
+_TUV = [(t, u, n - t - u)
+        for n in range(_LMAX + 1) for t in range(n + 1) for u in range(n + 1 - t)]
+_TUV_ROW = np.zeros((_LMAX + 1,) * 3, dtype=np.intp)  # the row of R_tuv in `_TUV` order
+_TUV_ROW[tuple(np.array(_TUV).T)] = np.arange(len(_TUV))
+
+
+def _recursion_levels():
+    """For each t+u+v level L >= 1 and each of its tuv: the axis d of the recursion (the
+    first nonzero index), the row of tuv - e_d in level L-1, and, where tuv_d > 1, the row
+    of tuv - 2 e_d in level L-2 with its factor tuv_d - 1; rows count from a level's start."""
+    start = [n * (n + 1) * (n + 2) // 6 for n in range(_LMAX + 2)]  # tuv with t+u+v < n
+    levels = []
+    for n in range(1, _LMAX + 1):
+        tuvs = np.array(_TUV[start[n]:start[n + 1]])
+        d = np.argmax(tuvs > 0, axis=1)
+        step = np.eye(3, dtype=np.intp)[d]
+        high = np.flatnonzero(tuvs[np.arange(len(d)), d] > 1)
+        low2 = tuvs[high] - 2 * step[high]
+        levels.append((d, _TUV_ROW[tuple((tuvs - step).T)] - start[n - 1], high,
+                       _TUV_ROW[tuple(low2.T)] - start[max(n - 2, 0)],
+                       tuvs[high, d[high]] - 1.0))
+    return levels
+
+
+_LEVELS = _recursion_levels()
+
+
 def _hermite_coulomb_all(lmax, alpha, pq):
-    """R_{tuv} for t+u+v <= lmax, built up in t+u+v with r[tuv][n] = R^n_{tuv}; pq = P - Q."""
+    """R_tuv for t+u+v <= lmax, stacked in `_TUV` order; pq = P - Q, shape (3, ...), with
+    alpha broadcasting into its other axes.
+
+    Built one t+u+v level at a time, each level an array of R^n_tuv, n <= lmax - L,
+    for all its tuv: R^n_tuv = pq_d R^(n+1)_(tuv-e_d) + (tuv_d - 1) R^(n+1)_(tuv-2e_d)."""
     fn = boys_table(lmax, alpha * sum(c * c for c in pq))
-    r = {(0, 0, 0): np.stack([(-2.0 * alpha) ** n * fn[n] for n in range(lmax + 1)])}
-    for length in range(1, lmax + 1):
-        for t in range(length + 1):
-            for u in range(length + 1 - t):
-                tuv = (t, u, length - t - u)
-                d = 0 if t else 1 if u else 2  # recur on the first nonzero index
-                lower = [tuv[:d] + (tuv[d] - s,) + tuv[d + 1:] for s in (1, 2)]
-                r[tuv] = pq[d] * r[lower[0]][1:]
-                if tuv[d] > 1:
-                    r[tuv] = r[tuv] + (tuv[d] - 1) * r[lower[1]][1:-1]
-    return {tuv: val[0] for tuv, val in r.items()}
+    levels = [np.stack([(-2.0 * alpha) ** n * fn[n] for n in range(lmax + 1)])[None]]
+    for d, low1, high, low2, factor in _LEVELS[:lmax]:
+        r = pq[d][:, None] * levels[-1][low1, 1:]
+        if high.size:
+            r[high] += factor.reshape((-1,) + (1,) * (r.ndim - 1)) * levels[-2][low2, 1:-1]
+        levels.append(r)
+    return np.concatenate([level[:, 0] for level in levels])
 
 
 class _ShellPairs:
@@ -172,22 +212,27 @@ class _ShellPairs:
         xyz = np.array([[at.position for at in mol.atoms] for mol in mols]).T
         charges = -np.array([[at.nuclear_charge for at in mol.atoms] for mol in mols]).T
         rts = _hermite_coulomb_all(self.l, self.p, self.center[:, None] - xyz[..., None])
-        acc = sum(self.e[h][:, None] * rts[key] for h, key in self.terms)
+        acc = sum(self.e[h][:, None] * rts[_TUV_ROW[key]] for h, key in self.terms)
         v = sum(z[:, None] * acc[:, n] for n, z in enumerate(charges))
         return self.contract(2.0 * np.pi / self.p * v)
 
 
 def _eri_block(bra, ket):
-    """(bra|ket) for all shell and component pairs of two classes, as geometry x row x column."""
+    """(bra|ket) for all shell and component pairs of two classes, as geometry x row x column.
+
+    R_(tuv+t'u'v') is gathered for every (ket term, bra term) at once. Python's `sum` over
+    a leading axis adds term after term, whatever the other axes' lengths; numpy's sum
+    turns pairwise when they are all 1, as in a one-pair block of single primitives."""
     pb, pk = bra.p[:, None], ket.p[None, :]
     alpha = pb * pk / (pb + pk)
     rts = _hermite_coulomb_all(bra.l + ket.l, alpha,
                                bra.center[..., :, None] - ket.center[..., None, :])
-    ek = ket.e * np.array([(-1.0) ** sum(key) for key in ket.herm])[:, None, None, None]
-    acc = 0.0
-    for hb, (t, u, v) in bra.terms:
-        w = sum(ek[hk][:, :, None] * rts[(t + s, u + r, v + q)] for hk, (s, r, q) in ket.terms)
-        acc = acc + bra.e[hb][:, None, :, :, None] * w
+    hb, tuv_b = map(np.array, zip(*bra.terms))
+    hk, tuv_k = map(np.array, zip(*ket.terms))
+    rt = rts[_TUV_ROW[tuple(np.moveaxis(tuv_k[:, None] + tuv_b, -1, 0))]]
+    ek = ket.e[hk] * ((-1.0) ** tuv_k.sum(axis=1))[:, None, None, None]
+    w = sum(ek[:, None, :, :, None, :] * rt[:, :, None])
+    acc = sum(bra.e[hb][:, :, None, :, :, None] * w[:, None])
     acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
     out = np.add.reduceat(np.add.reduceat(acc, ket.start, axis=-1), bra.start, axis=-2)
     return out.transpose(2, 0, 3, 1, 4).reshape(out.shape[2], len(bra.ij) * len(bra.start), -1)
@@ -239,12 +284,6 @@ class IntegralSet:
     nuclear: np.ndarray
     eri: np.ndarray
     inversion: np.ndarray  # signed AO permutation P of r -> -r about the molecular centre
-
-    def __post_init__(self):
-        p = self.inversion
-        if any(np.max(np.abs(p @ m @ p.T - m)) > 1e-10 for m in (self.overlap, self.hcore)):
-            raise SymmetryError("no inversion symmetry: the engine handles one atom or two "
-                                "identical atoms")
 
     @property
     def hcore(self):
@@ -312,6 +351,10 @@ def _batch(layout, n_atoms, aos, mols):
     signs = np.array([(-1.0) ** sum(f.powers) for f in aos[0].functions])
     n = len(signs)
     p = signs[:, None] * np.eye(n)[np.roll(np.arange(n), n // 2 if n_atoms == 2 else 0)]
-    return [IntegralSet(overlap=sg[src], kinetic=tg[src], nuclear=vg[src],
-                        eri=gg[src[:, :, None, None], src], inversion=p.copy())
+    s, t, v = s[:, src], t[:, src], v[:, src]
+    if any(np.max(np.abs(p @ m @ p.T - m)) > 1e-10 for m in (s, t + v)):
+        raise SymmetryError("no inversion symmetry: the engine handles one atom or two "
+                            "identical atoms")
+    g = g[:, src[:, :, None, None], src]
+    return [IntegralSet(overlap=sg, kinetic=tg, nuclear=vg, eri=gg, inversion=p.copy())
             for sg, tg, vg, gg in zip(s, t, v, g)]

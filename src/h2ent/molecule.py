@@ -3,6 +3,7 @@
 All lengths are in Bohr and all energies in Hartree.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ class Atom:
         if self.nuclear_charge < 1:
             raise ValueError(f"nuclear charge must be >= 1, got {self.nuclear_charge}")
         pos = tuple(float(x) for x in self.position)
-        if len(pos) != 3 or not all(np.isfinite(pos)):
+        if len(pos) != 3 or not all(map(math.isfinite, pos)):
             raise ValueError(f"position must be a finite 3-vector, got {self.position}")
         object.__setattr__(self, "position", pos)
 
@@ -69,7 +70,7 @@ def nuclear_repulsion(mol):
     atoms = mol.atoms
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
-            r = np.linalg.norm(atoms[i].coords - atoms[j].coords)
+            r = math.dist(atoms[i].position, atoms[j].position)
             if r <= 0.0:
                 raise ValueError(f"coincident nuclei {i} and {j}")
             e += atoms[i].nuclear_charge * atoms[j].nuclear_charge / r

@@ -16,9 +16,16 @@ without the J - K/2 supermatrix of `h2ent.scf`.
 Two-electron CI: the Hamiltonian on all K^2 determinants, triplets and
 ungerade states included, of which `h2ent.fci` diagonalises only the
 singlet-gerade block.
+
+Hermite Coulomb integrals: R_tuv by the McMurchie-Davidson recursion one
+entry at a time, where `h2ent.integrals` builds a whole t+u+v level at once,
+and the ERI contraction one (bra term, ket term) pair at a time, where
+`h2ent.integrals` gathers every pair into one array.
 """
 
 import numpy as np
+
+from h2ent.integrals import boys_table
 
 
 def _eval_primitive(center, powers, exponent, points):
@@ -237,3 +244,35 @@ def fock_by_einsum(hcore, d, eri):
     j = np.einsum("ls,mnsl->mn", d, eri)
     k = np.einsum("ls,mlsn->mn", d, eri)
     return hcore + j - 0.5 * k
+
+
+def hermite_coulomb_by_entry(lmax, alpha, pq):
+    """{(t, u, v): R_tuv} for t+u+v <= lmax, each entry from the ones below it; pq = P - Q."""
+    fn = boys_table(lmax, alpha * sum(c * c for c in pq))
+    r = {(0, 0, 0): np.stack([(-2.0 * alpha) ** n * fn[n] for n in range(lmax + 1)])}
+    for length in range(1, lmax + 1):
+        for t in range(length + 1):
+            for u in range(length + 1 - t):
+                tuv = (t, u, length - t - u)
+                d = 0 if t else 1 if u else 2  # recur on the first nonzero index
+                lower = [tuv[:d] + (tuv[d] - s,) + tuv[d + 1:] for s in (1, 2)]
+                r[tuv] = pq[d] * r[lower[0]][1:]
+                if tuv[d] > 1:
+                    r[tuv] = r[tuv] + (tuv[d] - 1) * r[lower[1]][1:-1]
+    return {tuv: val[0] for tuv, val in r.items()}
+
+
+def eri_block_by_term_pairs(bra, ket):
+    """`h2ent.integrals._eri_block` of two `_ShellPairs`, one Hermite term pair at a time."""
+    pb, pk = bra.p[:, None], ket.p[None, :]
+    alpha = pb * pk / (pb + pk)
+    rts = hermite_coulomb_by_entry(bra.l + ket.l, alpha,
+                                   bra.center[..., :, None] - ket.center[..., None, :])
+    ek = ket.e * np.array([(-1.0) ** sum(key) for key in ket.herm])[:, None, None, None]
+    acc = 0.0
+    for hb, (t, u, v) in bra.terms:
+        w = sum(ek[hk][:, :, None] * rts[(t + s, u + r, v + q)] for hk, (s, r, q) in ket.terms)
+        acc = acc + bra.e[hb][:, None, :, :, None] * w
+    acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
+    out = np.add.reduceat(np.add.reduceat(acc, ket.start, axis=-1), bra.start, axis=-2)
+    return out.transpose(2, 0, 3, 1, 4).reshape(out.shape[2], len(bra.ij) * len(bra.start), -1)

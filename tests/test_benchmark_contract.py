@@ -40,6 +40,15 @@ def test_directly_called_names_exist():
     assert f.exponents and f.powers == (0, 0, 0)
 
 
+def test_micro_timings_run(monkeypatch):
+    # the benchmark times boys_table and eri on their own, outside any workload
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    timings = _perfbench("run").micro_timings()
+    assert set(timings) == {"integrals.boys_table_us", "integrals.eri_quartet_us",
+                            "bell.chsh_grid_call_ms"}
+    assert all(value > 0.0 for value, _ in timings.values())
+
+
 def test_scan_workloads_pass_the_gate_at_the_default_seed(tmp_path):
     workloads = _perfbench("workloads")
     reference = workloads.load_reference()

@@ -8,11 +8,13 @@ from numpy.polynomial.legendre import leggauss
 
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
 from h2ent.fci import run_fci
-from h2ent.integrals import (IntegralSet, boys, boys_table, compute_all, eri, kinetic,
-                             nuclear_attraction, overlap)
+from h2ent.integrals import (_TUV_ROW, IntegralSet, _eri_block, _hermite_coulomb_all, _pair,
+                             boys, boys_table, compute_all, eri, kinetic, nuclear_attraction,
+                             overlap)
 from h2ent.molecule import Molecule, atom, h2, helium
 from h2ent.scf import run_rhf
-from oracles import quadrature_oracle, quadrature_oracle_eri
+from oracles import (eri_block_by_term_pairs, hermite_coulomb_by_entry, quadrature_oracle,
+                     quadrature_oracle_eri)
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -65,6 +67,41 @@ def test_boys_table_domain_errors():
         boys_table(17, 1.0)
     with pytest.raises(ValueError):
         boys_table(2, np.array([1.0, -0.5]))
+
+
+def test_boys_table_does_not_depend_on_where_an_argument_sits():
+    # a batch's table is its scalar calls bit for bit: both branches, the switch
+    # at 36 itself, zero and grid points, in any shape, view or order
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 72.0, (5, 7, 9))
+    flat = x.reshape(-1)
+    flat[:8] = [36.0, 0.0, 0.05, 35.95, 36.05, 1e-14, 35.999999, 36.000001]
+    flat[8::5] = 0.05 * rng.integers(0, 721, flat[8::5].size)
+    for m in range(17):
+        table = boys_table(m, x)
+        assert table.shape == (m + 1,) + x.shape
+        scalars = np.array([boys_table(m, float(v)) for v in x.flat]).T
+        assert np.array_equal(table, scalars.reshape(table.shape)), m
+        assert np.array_equal(boys_table(m, x[:, ::2, 1::3]), table[:, :, ::2, 1::3]), m
+        assert np.array_equal(boys_table(m, np.array(x[1, 2, 3])), table[:, 1, 2, 3]), m
+    mostly_large = np.full((4, 5), 40.0)
+    mostly_large[2, 3] = -1e-3
+    with pytest.raises(ValueError, match="non-negative"):
+        boys_table(3, mostly_large)
+
+
+@pytest.mark.parametrize("lmax", range(17))
+def test_hermite_coulomb_levels_match_the_entrywise_recursion(lmax):
+    rng = np.random.default_rng(lmax)
+    for shape in ((1, 4, 3), (6, 2, 5)):  # (geometries, bra, ket), one geometry too
+        alpha = rng.uniform(0.05, 3.0, shape[1:])
+        pq = rng.uniform(-4.0, 4.0, (3,) + shape)
+        pq[:, 0, 0, 0] = 0.0  # coincident centers
+        levels = _hermite_coulomb_all(lmax, alpha, pq)
+        entries = hermite_coulomb_by_entry(lmax, alpha, pq)
+        assert levels.shape == (len(entries),) + shape
+        for tuv, r in entries.items():
+            assert np.array_equal(levels[_TUV_ROW[tuv]], r), tuv
 
 
 def test_boys_domain_errors():
@@ -151,6 +188,19 @@ def test_eri_oracle_spot_check():
     k = p_prim(0.9, (1, 0, 0), (-0.3, 0.1, 0.2))
     assert eri(f, g, h, k) == pytest.approx(
         quadrature_oracle_eri(f, g, h, k), abs=1e-5)
+
+
+def test_eri_block_matches_the_term_by_term_contraction():
+    # bit for bit, also in one-pair blocks of (1, 1, 1) primitives: their 27 Hermite
+    # terms are where numpy's sum over an axis would turn pairwise
+    rng = np.random.default_rng(17)
+    basis = build_ao_basis(h2(1.4), load_basis("6-31gss")).functions
+    for n in range(40):
+        funcs = [p_prim(rng.uniform(0.1, 3.0), (1, 1, 1) if n % 4 == 0 else
+                        tuple(int(p) for p in rng.integers(0, 2, 3)), rng.uniform(-1.5, 1.5, 3))
+                 if rng.random() < 0.7 else basis[rng.integers(len(basis))] for _ in range(4)]
+        bra, ket = _pair(*funcs[:2])[1], _pair(*funcs[2:])[1]
+        assert np.array_equal(_eri_block(bra, ket), eri_block_by_term_pairs(bra, ket)), n
 
 
 def test_eri_eightfold_symmetry_exact():

@@ -230,6 +230,22 @@ def test_molecule_without_inversion_symmetry_is_rejected():
                 compute_all(build_ao_basis(mol, load_basis(name)), mol)
 
 
+def test_batch_without_inversion_symmetry_is_rejected():
+    # the check runs once per batch, on the stacked overlaps and core Hamiltonians,
+    # and a batch fails when any one geometry lacks the symmetry
+    heh = [Molecule((atom("H", (0, 0, 0)), atom("He", (0, 0, r))), 2) for r in (0.9, 1.4, 3.0)]
+    for name in ("sto-3g", "6-31gss"):
+        basis = load_basis(name)
+        with pytest.raises(SymmetryError, match="no inversion symmetry"):
+            compute_all([build_ao_basis(mol, basis) for mol in heh], heh)
+        # H2's functions in the nuclear field of HeH: only the middle geometry's core
+        # Hamiltonian is asymmetric
+        mols = [h2(0.9), heh[1], h2(3.0)]
+        aos = [build_ao_basis(h2(r), basis) for r in (0.9, 1.4, 3.0)]
+        with pytest.raises(SymmetryError, match="no inversion symmetry"):
+            compute_all(aos, mols)
+
+
 def test_point_at_100_bohr_succeeds(capsys):
     assert main(["point", "-R", "100", "--basis", "sto-3g"]) == 0
     assert "E_HF" in capsys.readouterr().out
