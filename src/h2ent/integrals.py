@@ -11,15 +11,32 @@ point gives the top order and downward recursion the rest; from x = 36 on,
 F_0 = sqrt(pi/x)/2 and upward recursion.
 
 Every kernel is a whole-array pass over all geometries of a batch. `boys_table`
-splits its arguments at the switch by flat index and reads each Taylor row with
-`take`. `_hermite_coulomb_all` builds R_tuv one t+u+v level at a time from index
-tables. `_eri_block` gathers R_tuv for every pair of Hermite terms of two classes
-into one array and contracts it with the ket and then the bra coefficients.
-`_batch` checks inversion symmetry once, on the stacked matrices. Each element
-meets the same operations in the same order in any batch, so a geometry's
-integrals are its one-point values bit for bit. `_exp` runs numpy's exp in place,
-where it takes one loop at every array size; do not swap it for an
+splits its arguments at the switch by flat index and reads the Taylor rows with
+one `take`. `_hermite_coulomb_all` builds R_tuv one t+u+v level at a time from
+index tables. `_batch` checks inversion symmetry once, on the stacked matrices.
+Each element meets the same operations in the same order in any batch, so a
+geometry's integrals are its one-point values bit for bit. `_exp` runs numpy's
+exp in place, where it takes one loop at every array size; do not swap it for an
 out-of-place call, which may round differently by size.
+
+The Coulomb kernels compute each unique primitive quartet once:
+- Merged distributions. In a shell paired with itself, primitive pairs (i, j)
+  and (j, i) have the same exponent sum and centre, so they are one Gaussian
+  distribution with the two Hermite coefficients summed: n(n+1)/2 distributions
+  where there are n^2 pairs (`_ShellPairs`). The overlap and kinetic energy keep
+  every pair.
+- The canonical quartet list. `_quartets` lists every (bra shell pair, ket
+  shell pair) combo of two classes, only those with bra <= ket in a diagonal
+  block, and each combo's distribution quartets in one flat bra-major array.
+  `_eri_block` makes one R_tuv pass over the list, gathers R_tuv for every pair
+  of Hermite terms, contracts it with the ket and then the bra coefficients, and
+  sums each combo with one `reduceat`; Cartesian component pairs stay a dense axis.
+- Orientation by `_pair_key`: class, then shell pair, then components. A
+  quartet's bra is the pair with the larger key, so each combo of two shell pairs
+  has one orientation, and `_batch` lays its rows out in falling key order: the
+  canonical entry is the upper triangle, which it mirrors into the lower. The
+  `eri` wrapper orders its pairs by the same key, and so computes a quartet as
+  `compute_all` does, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -79,13 +96,15 @@ def boys_table(mmax, x):
             raise ValueError(f"Boys function argument must be non-negative, got {xs.min()}")
         k = np.rint(xs / _BOYS_STEP).astype(np.intp)
         d = k * _BOYS_STEP - xs  # F_m' = -F_{m+1}, so the step is -(x - x_k)
-        fm = _BOYS_GRID[mmax + _TAYLOR - 1].take(k)
+        grid = _BOYS_GRID[mmax:mmax + _TAYLOR].take(k, axis=1)  # F_mmax.. at the x_k
+        fm = grid[-1]
         for j in range(_TAYLOR - 1, 0, -1):
-            fm = _BOYS_GRID[mmax + j - 1].take(k) + fm * d / j
+            fm = grid[j - 1] + fm * d / j
         col = np.empty((mmax + 1, idx.size))
         col[mmax] = fm
+        x2 = 2.0 * xs
         for m in range(mmax, 0, -1):
-            col[m - 1] = (2.0 * xs * col[m] + expx) / (2 * m - 1)
+            col[m - 1] = (x2 * col[m] + expx) / (2 * m - 1)
         out[:, idx] = col
     idx = np.flatnonzero(~small)
     if idx.size:
@@ -93,8 +112,9 @@ def boys_table(mmax, x):
         expx = _exp(-xl)
         col = np.empty((mmax + 1, idx.size))
         col[0] = 0.5 * np.sqrt(np.pi / xl)
+        x2 = 2.0 * xl
         for m in range(mmax):
-            col[m + 1] = ((2 * m + 1) * col[m] - expx) / (2.0 * xl)
+            col[m + 1] = ((2 * m + 1) * col[m] - expx) / x2
         out[:, idx] = col
     return out.reshape((mmax + 1,) + x.shape)
 
@@ -141,7 +161,8 @@ def _hermite_coulomb_all(lmax, alpha, pq):
     Built one t+u+v level at a time, each level an array of R^n_tuv, n <= lmax - L,
     for all its tuv: R^n_tuv = pq_d R^(n+1)_(tuv-e_d) + (tuv_d - 1) R^(n+1)_(tuv-2e_d)."""
     fn = boys_table(lmax, alpha * sum(c * c for c in pq))
-    levels = [np.stack([(-2.0 * alpha) ** n * fn[n] for n in range(lmax + 1)])[None]]
+    alpha = -2.0 * alpha
+    levels = [np.stack([alpha ** n * fn[n] for n in range(lmax + 1)])[None]]
     for d, low1, high, low2, factor in _LEVELS[:lmax]:
         r = pq[d][:, None] * levels[-1][low1, 1:]
         if high.size:
@@ -154,26 +175,37 @@ class _ShellPairs:
     """The primitive pairs of shell pairs of one angular class in G geometries, stacked.
 
     A shell is (l, key, exponents, coefficients, Cartesian components, (3, G) centers).
-    `e[h, c, g, q]` is Hermite coefficient `herm[h]` of component pair `ij[c]` and
-    primitive pair q in geometry g, weights included; integrals are (ij, geometry,
-    shell pair) arrays."""
+    The overlap and kinetic energy run over every primitive pair, member (shell pair)
+    after member from `pair_start`. The Coulomb kernels run over distributions. In a
+    twin, a shell paired with itself, both centers coincide, so (i, j) and (j, i) have
+    the same p and P and, E^{ij}_t depending on p alone, the same coefficients: they are
+    one distribution, kept once with their coefficients summed, twice either. So n(n+1)/2
+    distributions stand for n^2 pairs; member m's are `count[m]` from `start[m]`.
+    `e[h, c, g, q]` is the coefficient of Hermite term `tuv[h]` of component pair `ij[c]`
+    and distribution q in geometry g, weights included, for the terms not zero throughout
+    (they would add exact zeros); `e_ket` is e times (-1)^(t+u+v). Integrals are (ij,
+    geometry, shell pair) arrays."""
 
     def __init__(self, pairs):
         (la, *_, comps_a, _), (lb, *_, comps_b, _) = pairs[0]
         self.ij = [(i, j) for i in range(len(comps_a)) for j in range(len(comps_b))]
-        a, b, self.coef = np.array([(x, y, cx * cy) for sa, sb in pairs for x, cx in
-                                    zip(sa[2], sa[3]) for y, cy in zip(sb[2], sb[3])]).T
+        # w: 0 for (i, j) with i > j in a twin, 2 for i < j (the distribution of both), else 1
+        twin = [sa[:4] == sb[:4] for sa, sb in pairs]
+        a, b, self.coef, w = np.array([(x, y, cx * cy, 1 + tw * ((i < j) - (i > j)))
+                                       for (sa, sb), tw in zip(pairs, twin)
+                                       for i, (x, cx) in enumerate(zip(sa[2], sa[3]))
+                                       for j, (y, cy) in enumerate(zip(sb[2], sb[3]))]).T
         sizes = [len(sa[2]) * len(sb[2]) for sa, sb in pairs]
         ra, rb = (np.repeat(np.stack([pair[k][5] for pair in pairs], -1), sizes, -1)
                   for k in (0, 1))
-        self.p, self.beta, self.l = a + b, b, la + lb
-        self.center = (a * ra + b * rb) / self.p
-        self.cube = np.pi / self.p * np.sqrt(np.pi / self.p)  # (pi/p)^(3/2)
-        self.start = np.cumsum([0] + sizes[:-1])
+        p, self.beta, self.l = a + b, b, la + lb
+        center = (a * ra + b * rb) / p
+        self.cube = np.pi / p * np.sqrt(np.pi / p)  # (pi/p)^(3/2)
+        self.pair_start = np.cumsum(sizes) - sizes
         self.ia, self.jb = map(np.array, zip(*[(comps_a[i], comps_b[j]) for i, j in self.ij]))
         # E^{ij}_t of each dimension by the McMurchie-Davidson recurrences, up in i
         # then j, with j two higher for the kinetic energy; the last t slot stays zero
-        imax, jmax, q, mu = self.ia.max(), self.jb.max() + 2, ra - rb, a * b / self.p
+        imax, jmax, q, mu = self.ia.max(), self.jb.max() + 2, ra - rb, a * b / p
         self.e1 = e = np.zeros((imax + 1, jmax + 1, imax + jmax + 2) + q.shape)
         e[0, 0, 0] = _exp(-mu * q * q)
         up = np.arange(1.0, imax + jmax + 2)[:, None, None, None]
@@ -182,20 +214,26 @@ class _ShellPairs:
                 if i or j:
                     prev, x = (e[i, j - 1], mu * q / b) if j else (e[i - 1, 0], -mu * q / a)
                     e[i, j, :-1] = x * prev[:-1] + up * prev[1:]
-                    e[i, j, 1:-1] += prev[:-2] / (2.0 * self.p)
-        self.herm = [(t, u, v) for t in range(self.l + 1) for u in range(self.l + 1 - t)
-                     for v in range(self.l + 1 - t - u)]
-        tuv = np.minimum(self.herm, e.shape[2] - 1)  # t > i + j reads zero
+                    e[i, j, 1:-1] += prev[:-2] / (2.0 * p)
+        herm = [(t, u, v) for t in range(self.l + 1) for u in range(self.l + 1 - t)
+                for v in range(self.l + 1 - t - u)]
+        tuv = np.minimum(herm, e.shape[2] - 1)  # t > i + j reads zero
         g = e[self.ia, self.jb, tuv[:, None], np.arange(3)]
-        self.e = self.coef * g[:, :, 0] * g[:, :, 1] * g[:, :, 2]
-        # terms with all-zero coefficients add exact zeros; one-pair batches skip many
-        self.terms = [(h, key) for h, key in enumerate(self.herm) if not h or self.e[h].any()]
+        e = self.coef * g[:, :, 0] * g[:, :, 1] * g[:, :, 2]
+        self.s = e[0] * self.cube
+        keep = np.flatnonzero(w)
+        self.p, self.center, e = p[keep], center[..., keep], e[..., keep] * w[keep]
+        self.start = np.searchsorted(keep, self.pair_start)
+        self.count = np.append(self.start[1:], len(keep)) - self.start
+        terms = [h for h in range(len(herm)) if not h or e[h].any()]
+        self.tuv, self.e = np.array(herm)[terms], e[terms]
+        self.e_ket = self.e * ((-1.0) ** self.tuv.sum(axis=1))[:, None, None, None]
 
     def contract(self, x):
-        return np.add.reduceat(x, self.start, axis=-1)
+        return np.add.reduceat(x, self.pair_start, axis=-1)
 
     def overlap(self):
-        return self.contract(self.e[0] * self.cube)
+        return self.contract(self.s)
 
     def kinetic(self):
         """-1/2 <a|del^2|b> by the exponent-shift relations on 1-D overlaps."""
@@ -212,40 +250,61 @@ class _ShellPairs:
         xyz = np.array([[at.position for at in mol.atoms] for mol in mols]).T
         charges = -np.array([[at.nuclear_charge for at in mol.atoms] for mol in mols]).T
         rts = _hermite_coulomb_all(self.l, self.p, self.center[:, None] - xyz[..., None])
-        acc = sum(self.e[h][:, None] * rts[_TUV_ROW[key]] for h, key in self.terms)
+        acc = sum(e[:, None] * rts[row] for e, row in zip(self.e, _TUV_ROW[tuple(self.tuv.T)]))
         v = sum(z[:, None] * acc[:, n] for n, z in enumerate(charges))
-        return self.contract(2.0 * np.pi / self.p * v)
+        return np.add.reduceat(2.0 * np.pi / self.p * v, self.start, axis=-1)
+
+
+def _quartets(bra, ket):
+    """The distribution quartets of the shell-pair combos of two classes, in one flat list.
+
+    A combo is a (bra member, ket member): in a diagonal block (`bra is ket`) those with
+    bra <= ket in member order, in which shell-pair keys fall; elsewhere all of them. A
+    combo's quartets are bra-major. Returns the combos' members, each combo's first
+    quartet, and each quartet's bra and ket distribution."""
+    members = np.arange(len(bra.count))
+    mb, mk = (np.nonzero(members[:, None] <= members) if bra is ket else
+              np.divmod(np.arange(len(bra.count) * len(ket.count)), len(ket.count)))
+    width = ket.count[mk]
+    size = bra.count[mb] * width
+    first = np.cumsum(size) - size
+    at = np.repeat(np.array([first, width, bra.start[mb], ket.start[mk]]), size, axis=1)
+    qb, qk = np.divmod(np.arange(at.shape[1]) - at[0], at[1])
+    return mb, mk, first, at[2] + qb, at[3] + qk
 
 
 def _eri_block(bra, ket):
-    """(bra|ket) for all shell and component pairs of two classes, as geometry x row x column.
+    """(bra|ket) for the shell-pair combos of `_quartets` and all their component pairs,
+    as geometry x row x column, a row per (shell pair, component pair); the combos not
+    computed read zero.
 
-    R_(tuv+t'u'v') is gathered for every (ket term, bra term) at once. Python's `sum` over
-    a leading axis adds term after term, whatever the other axes' lengths; numpy's sum
-    turns pairwise when they are all 1, as in a one-pair block of single primitives."""
-    pb, pk = bra.p[:, None], ket.p[None, :]
-    alpha = pb * pk / (pb + pk)
-    rts = _hermite_coulomb_all(bra.l + ket.l, alpha,
-                               bra.center[..., :, None] - ket.center[..., None, :])
-    hb, tuv_b = map(np.array, zip(*bra.terms))
-    hk, tuv_k = map(np.array, zip(*ket.terms))
-    rt = rts[_TUV_ROW[tuple(np.moveaxis(tuv_k[:, None] + tuv_b, -1, 0))]]
-    ek = ket.e[hk] * ((-1.0) ** tuv_k.sum(axis=1))[:, None, None, None]
-    w = sum(ek[:, None, :, :, None, :] * rt[:, :, None])
-    acc = sum(bra.e[hb][:, :, None, :, :, None] * w[:, None])
+    R_(tuv+t'u'v') is gathered for every (ket term, bra term) at once, contracted with the
+    ket and then the bra coefficients, and each combo's quartets are summed in one
+    `reduceat`. Python's `sum` over a leading axis adds term after term, whatever the
+    other axes' lengths; numpy's sum turns pairwise when they are all 1."""
+    mb, mk, first, qb, qk = _quartets(bra, ket)
+    pb, pk, pq = bra.p[qb], ket.p[qk], bra.center[..., qb]
+    pq -= ket.center[..., qk]  # P - Q
+    rts = _hermite_coulomb_all(bra.l + ket.l, pb * pk / (pb + pk), pq)
+    rt = rts[_TUV_ROW[tuple((ket.tuv[:, None] + bra.tuv).transpose(2, 0, 1))]]
+    w = sum(ket.e_ket[..., qk][:, None] * rt[:, :, None])
+    acc = sum(bra.e[..., qb][:, :, None] * w[:, None])
     acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
-    out = np.add.reduceat(np.add.reduceat(acc, ket.start, axis=-1), bra.start, axis=-2)
-    return out.transpose(2, 0, 3, 1, 4).reshape(out.shape[2], len(bra.ij) * len(bra.start), -1)
+    out = np.zeros((acc.shape[2], len(bra.start), len(bra.ij), len(ket.start), len(ket.ij)))
+    out[:, mb, :, mk] = np.add.reduceat(acc, first, axis=-1).transpose(3, 2, 0, 1)
+    return out.reshape(out.shape[0], len(bra.start) * len(bra.ij), -1)
 
 
-def _function_key(shell, comp=0):
-    """Functions are ordered by (l, center, exponents, coefficients, powers)."""
-    return shell[:4] + (shell[4][comp],)
+def _function_key(shell):
+    """Functions are ordered by (l, center, exponents, coefficients, powers); `shell`
+    holds the one function."""
+    return shell[:4] + shell[4]
 
 
 def _pair_key(kf, kg):
-    """Pairs (kf >= kg) are ordered by angular class first; the larger is the bra."""
-    return kf[0], kg[0], kf, kg
+    """Pairs (kf >= kg) are ordered by angular class, shell pair, then components; the
+    larger is the bra, so a combo of two shell pairs has one orientation."""
+    return kf[0], kg[0], kf[:4], kg[:4], kf[4], kg[4]
 
 
 def _pair(f, g):
@@ -303,7 +362,8 @@ def compute_all(aos, mols):
     `compute_all(basis, mol)` returns one IntegralSet; `compute_all(aos, mols)` a list,
     one per geometry, from one pass with a geometry axis on every primitive array. Each
     geometry's values are bit for bit its one-point result, whatever the batch. Each
-    unique pair and quartet is computed once per geometry, in the order of `_pair`.
+    unique function pair is computed once per geometry, in the order of `_pair`, and each
+    unique primitive quartet once, in the order of `_pair_key`.
     """
     if isinstance(mols, Molecule):
         return compute_all([aos], [mols])[0]
@@ -322,30 +382,40 @@ def _batch(layout, n_atoms, aos, mols):
     xyz = np.array([[center for center, _ in basis.shells] for basis in aos]).T
     shells = [(l, key, exps, coefs, CARTESIAN_COMPONENTS[l], xyz[:, n])
               for n, (l, key, exps, coefs) in enumerate(layout)]
-    fkeys = [_function_key(sh, c) for sh in shells for c in range(len(sh[4]))]  # AO order
-    shells.sort(key=lambda sh: sh[:4], reverse=True)
-    pairs = [(sa, sb) for x, sa in enumerate(shells) for sb in shells[x:]]
-    batches, rows, offsets = [], [], [0]
-    for cls in sorted({(sa[0], sb[0]) for sa, sb in pairs}, reverse=True):
-        members = [(sa, sb) for sa, sb in pairs if (sa[0], sb[0]) == cls]
-        batches.append(_ShellPairs(members))
-        rows += [(_function_key(sa, i), _function_key(sb, j))
-                 for i, j in batches[-1].ij for sa, sb in members]
-        offsets.append(len(rows))
-    s, t, v = (np.concatenate([np.moveaxis(integral(b), 1, 0).reshape(len(mols), -1)
+    # a function's rank: its shell's place in falling key order, then its component's,
+    # so that the lower rank of a pair is its larger function, which comes first
+    order = sorted(range(len(shells)), key=lambda n: shells[n][:4], reverse=True)
+    size = [len(shells[n][4]) for n in order]
+    first = np.cumsum(size) - size
+    rank = np.concatenate([first[order.index(n)] + np.arange(len(sh[4]))
+                           for n, sh in enumerate(shells)])  # in AO order
+    shells = [shells[n] for n in order]
+    pairs = [(x, y) for x in range(len(shells)) for y in range(x, len(shells))]
+    batches, offsets, row = [], [0], np.zeros((len(rank),) * 2, dtype=np.intp)
+    for cls in sorted({(shells[x][0], shells[y][0]) for x, y in pairs}, reverse=True):
+        x, y = np.array([(i, j) for i, j in pairs if (shells[i][0], shells[j][0]) == cls]).T
+        batches.append(_ShellPairs([(shells[i], shells[j]) for i, j in zip(x, y)]))
+        # a class's rows: shell pair after shell pair, each with its component pairs;
+        # row[f, g] is the row of the functions ranked f and g
+        na, nb = size[x[0]], size[y[0]]
+        n = len(x) * na * nb
+        row[first[x][:, None, None] + np.arange(na)[:, None], first[y][:, None, None]
+            + np.arange(nb)] = offsets[-1] + np.arange(n).reshape(len(x), na, nb)
+        offsets.append(offsets[-1] + n)
+    s, t, v = (np.concatenate([integral(b).transpose(1, 2, 0).reshape(len(mols), -1)
                                for b in batches], axis=1)
                for integral in (_ShellPairs.overlap, _ShellPairs.kinetic,
                                 lambda b: b.nuclear(mols)))
-    g = np.zeros((len(mols), len(rows), len(rows)))
+    g = np.zeros((len(mols), offsets[-1], offsets[-1]))
     for x, bra in enumerate(batches):
         for y, ket in enumerate(batches[x:], x):
             g[:, offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_block(bra, ket)
-    # every pair and quartet reads the entry computed in its canonical order
-    row_of = {key: r for r, key in enumerate(rows)}
-    src = np.array([[row_of[tuple(sorted((ki, kj), reverse=True))] for kj in fkeys]
-                    for ki in fkeys])
-    rank = np.argsort(sorted(range(len(rows)), key=lambda r: _pair_key(*rows[r])))
-    g = np.where(rank[:, None] >= rank[None, :], g, g.transpose(0, 2, 1))
+    # every pair and quartet reads the entry computed in its canonical order: the rows
+    # fall in `_pair_key` order, so a quartet's bra is the earlier row, and the upper
+    # triangle holds every entry computed with it (the lower, a twin's other orientation)
+    src = row[np.minimum.outer(rank, rank), np.maximum.outer(rank, rank)]
+    r = np.arange(offsets[-1])
+    g = np.where(r[:, None] <= r, g, g.transpose(0, 2, 1))
     # P = D = diag((-1)^l) for one atom, [[0, D], [D, 0]] for two: atom B's
     # functions mirror atom A's in build order
     signs = np.array([(-1.0) ** sum(f.powers) for f in aos[0].functions])

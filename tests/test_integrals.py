@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from h2ent import integrals
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
 from h2ent.fci import run_fci
 from h2ent.integrals import (_TUV_ROW, IntegralSet, _eri_block, _hermite_coulomb_all, _pair,
@@ -13,8 +14,8 @@ from h2ent.integrals import (_TUV_ROW, IntegralSet, _eri_block, _hermite_coulomb
                              overlap)
 from h2ent.molecule import Molecule, atom, h2, helium
 from h2ent.scf import run_rhf
-from oracles import (eri_block_by_term_pairs, hermite_coulomb_by_entry, quadrature_oracle,
-                     quadrature_oracle_eri)
+from oracles import (eri_block_by_term_pairs, eri_by_gaussian_transform,
+                     hermite_coulomb_by_entry, quadrature_oracle, quadrature_oracle_eri)
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -203,6 +204,82 @@ def test_eri_block_matches_the_term_by_term_contraction():
         assert np.array_equal(_eri_block(bra, ket), eri_block_by_term_pairs(bra, ket)), n
 
 
+def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatch):
+    # every class block of a batch, bit for bit: the diagonal ones hold several shell
+    # pairs, where only the canonical triangle of combos is computed and a twin's
+    # combo with itself holds both orientations
+    blocks = []
+
+    def kept(bra, ket):
+        blocks.append((bra, ket, _eri_block(bra, ket)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(integrals, "_eri_block", kept)
+    mols = [h2(0.7), h2(1.4), h2(20.0), off_axis_h2(1.4)]
+    for name in ("sto-3g", "6-31gss"):
+        compute_all([build_ao_basis(mol, load_basis(name)) for mol in mols], mols)
+    assert len(blocks) == 1 + 6
+    assert sum(bra is ket and len(bra.start) > 1 for bra, ket, _ in blocks) == 4
+    for bra, ket, out in blocks:
+        assert np.array_equal(out, eri_block_by_term_pairs(bra, ket))
+
+
+@pytest.mark.parametrize("name, per_geometry", [("sto-3g", 297), ("6-31gss", 1630)])
+def test_eri_kernel_computes_each_unique_distribution_quartet_once(monkeypatch, name,
+                                                                  per_geometry):
+    # the Boys arguments the ERI kernel asks for: one per distribution quartet of the
+    # canonical shell-pair combos, a twin's (i, j) and (j, i) primitive pairs being one
+    # distribution. STO-3G: shell pairs AA, AB, BB with 6, 9, 6 distributions and combos
+    # AA-AA, AA-AB, AA-BB, AB-AB, AB-BB, BB-BB, 36 + 54 + 36 + 81 + 54 + 36 = 297 of the
+    # 27 x 27 = 729 primitive quartets; 6-31G**: 1630 of 2875 (the full class blocks)
+    inside, sent = [], []
+
+    def eri_block(bra, ket):
+        inside.append(True)
+        try:
+            return _eri_block(bra, ket)
+        finally:
+            inside.pop()
+
+    def counting(mmax, x):
+        if inside:
+            sent.append(np.size(x))
+        return boys_table(mmax, x)
+
+    monkeypatch.setattr(integrals, "_eri_block", eri_block)
+    monkeypatch.setattr(integrals, "boys_table", counting)
+    mols = [h2(r) for r in (0.7, 1.4, 20.0)]
+    compute_all([build_ao_basis(mol, load_basis(name)) for mol in mols], mols)
+    assert sum(sent) == per_geometry * len(mols)
+
+
+def random_primitive(rng):
+    alpha = rng.uniform(0.1, 3.0)
+    powers = tuple(int(p) for p in rng.integers(0, 2, 3))
+    return BasisFunction(tuple(rng.uniform(-1.5, 1.5, 3)), powers, (alpha,),
+                         (primitive_norm(alpha, powers),))
+
+
+def test_eri_matches_the_gaussian_transform_oracle_on_random_primitives():
+    rng = np.random.default_rng(2025)
+    quartets = [[random_primitive(rng) for _ in range(4)] for _ in range(200)]
+    ref = eri_by_gaussian_transform(quartets)
+    assert np.abs(np.array([eri(*q) for q in quartets]) - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_compute_all_eris_match_the_gaussian_transform_oracle(name):
+    # every unique AO quartet, so every quartet class; the oracle's 64-node t rule
+    # holds 1e-12 up to 20 Bohr (at 100 Bohr it is 2e-10 to 4e-9 off)
+    for r in (0.3, 1.4, 5.0, 20.0):
+        mol = h2(r)
+        ao = build_ao_basis(mol, load_basis(name))
+        pairs = [(i, j) for i in range(ao.n) for j in range(i + 1)]
+        quartets = np.array([ij + kl for x, ij in enumerate(pairs) for kl in pairs[:x + 1]])
+        ref = eri_by_gaussian_transform([[ao.functions[m] for m in q] for q in quartets])
+        assert np.abs(compute_all(ao, mol).eri[tuple(quartets.T)] - ref).max() < 1e-12, r
+
+
 def test_eri_eightfold_symmetry_exact():
     ao = build_ao_basis(h2(1.4), load_basis("6-31gss"))
     f, g, h, k = (ao.functions[i] for i in (0, 3, 6, 9))
@@ -238,6 +315,20 @@ def off_axis_h2(r):
     origin = np.array([0.3, -0.2, 0.1])
     direction = np.array([0.48, -0.6, 0.64])  # unit vector
     return Molecule((atom("H", origin), atom("H", origin + r * direction)), 2)
+
+
+def test_every_eri_of_compute_all_is_its_one_quartet_call():
+    # bit for bit on all 1540 unique quartets: `compute_all` takes the pair with the
+    # larger `_pair_key` as the bra, and `eri` does too; with a generic bond direction no
+    # quartet is zero by symmetry, so an orientation the two disagree on shows in rounding
+    mol = off_axis_h2(1.4)
+    ao = build_ao_basis(mol, load_basis("6-31gss"))
+    g = compute_all(ao, mol).eri
+    pairs = [(i, j) for i in range(ao.n) for j in range(i + 1)]
+    for x, (i, j) in enumerate(pairs):
+        for k, l in pairs[:x + 1]:
+            fi, fj, fk, fl = (ao.functions[m] for m in (i, j, k, l))
+            assert g[i, j, k, l] == eri(fi, fj, fk, fl), (i, j, k, l)
 
 
 def test_off_axis_h2_matches_bond_along_z():

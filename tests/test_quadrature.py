@@ -1,11 +1,13 @@
 """Sanity checks on the quadrature reference integrator itself."""
 
+import math
+
 import numpy as np
 import pytest
 
 from h2ent.basis import BasisFunction, primitive_norm
 from h2ent.molecule import Molecule, atom
-from oracles import quadrature_oracle, quadrature_oracle_eri
+from oracles import eri_by_gaussian_transform, quadrature_oracle, quadrature_oracle_eri
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -33,6 +35,17 @@ def test_oracle_eri_closed_form():
     f = s_prim(1.0)
     assert quadrature_oracle_eri(f, f, f, f) \
         == pytest.approx(2.0 / np.sqrt(np.pi), abs=1e-5)
+
+
+def test_gaussian_transform_oracle_closed_forms():
+    # two normalized s densities with exponents 2a and 2b, R apart: erf(sqrt(rho) R) / R,
+    # rho = 4ab / (2a + 2b), and 2 sqrt(rho / pi) at R = 0
+    for a, b, r in ((1.0, 1.0, 0.0), (0.3, 1.7, 0.0), (0.3, 1.7, 1.4), (2.0, 0.5, 5.0),
+                    (1.0, 3.4, 20.0)):
+        f, g = s_prim(a), s_prim(b, (0.0, 0.0, r))
+        rho = 4.0 * a * b / (2.0 * a + 2.0 * b)
+        exact = math.erf(math.sqrt(rho) * r) / r if r else 2.0 * math.sqrt(rho / math.pi)
+        assert eri_by_gaussian_transform([(f, f, g, g)])[0] == pytest.approx(exact, abs=1e-14)
 
 
 def test_oracle_rejects_unknown_kind():
