@@ -178,30 +178,27 @@ class BasisFunction:
 @dataclass(frozen=True)
 class AOBasis:
     functions: tuple
-    shells: tuple  # (center, Shell) pairs, in build order
-
-    @property
-    def n(self):
-        return len(self.functions)
+    shells: tuple  # (atom index, Shell) pairs, in build order
 
 
 def build_ao_basis(mol, basis):
-    """Expand a Molecule + BasisSet into an ordered list of basis functions.
+    """Expand a molecule's atoms + BasisSet into an ordered list of basis functions.
 
-    Ordering is deterministic: atoms in input order, shells in file order,
-    Cartesian components in (x, y, z) order.
+    mol is a Molecule, a batch of geometries: `shells` name each shell's atom, one
+    layout for the whole batch, and the functions sit at the first geometry's centers.
+    Order: atoms in input order, shells in file order, Cartesian components x, y, z.
     """
     functions = []
     shells = []
-    for at in mol.atoms:
+    for n, (element, center) in enumerate(zip(mol.elements, mol.xyz[0].tolist())):
         try:
-            element_shells = basis.shells_per_element[at.element]
+            element_shells = basis.shells_per_element[element]
         except KeyError:
             raise MissingElementError(
-                f"basis {basis.name!r} has no entry for element {at.element}") from None
+                f"basis {basis.name!r} has no entry for element {element}") from None
         for shell in element_shells:
-            shells.append((at.position, shell))
+            shells.append((n, shell))
             for powers in CARTESIAN_COMPONENTS[shell.angular_momentum]:
-                functions.append(BasisFunction(at.position, powers, shell.exponents,
+                functions.append(BasisFunction(tuple(center), powers, shell.exponents,
                                                shell.coefficients))
     return AOBasis(tuple(functions), tuple(shells))

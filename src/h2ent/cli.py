@@ -6,19 +6,19 @@ Exit codes: 0 success, 1 usage error, 2 computation failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bell
-from .basis import BasisSet, build_ao_basis, load_basis
+from .basis import BasisSet, load_basis
 from .correlation import (correlation_energy, natural_occupations, one_particle_density,
-                          rescale_entropy, von_neumann_entropy)
+                          rescale_entropy, von_neumann_entropies)
 from .errors import H2entError, SCFConvergenceError
 from .fci import run_fci
 from .integrals import compute_all
 from .molecule import ANGSTROM_TO_BOHR, h2
-from .scf import run_rhf, run_rhf_batch
+from .scf import SCFResult, run_rhf, run_rhf_batch
 
 # Geometries per stacked pass of a scan. Memory grows with it, not with the
 # grid; values do not depend on it.
@@ -68,31 +68,44 @@ class CurvePoint:
 
 
 def run_single_point(r_bohr, basis, basis_dir=None):
-    """Full pipeline molecule -> integrals -> SCF -> FCI -> CurvePoint at one R.
+    """Full pipeline geometry -> integrals -> SCF -> FCI -> CurvePoint at one R.
 
     basis is a loaded BasisSet, or a basis name or path to load. The point is a
     scan batch of one: its values are bit for bit its scan row's.
     """
     if not isinstance(basis, BasisSet):
         basis = load_basis(basis, basis_dir=basis_dir)
-    mol = h2(r_bohr)
-    ints = compute_all(build_ao_basis(mol, basis), mol)
-    return _curve_points([r_bohr], [mol], [ints], [run_rhf(ints, mol)])[0]
+    mols = h2(r_bohr)
+    ints = compute_all(basis, mols)
+    scf = SCFResult(*(np.asarray(x)[None] for x in run_rhf(ints, mols)))
+    return _curve_points(*_correlate([r_bohr], ints, scf, mols))[0]
 
 
-def _curve_points(rs, mols, ints, scf_results):
-    """The pipeline after the SCF for a batch of geometries, one stacked pass per
-    stage; raises the H2entError of the first point that fails."""
-    for r, res in zip(rs, scf_results):
-        if not res.converged:
-            raise SCFConvergenceError(f"SCF did not converge at R = {r} Bohr "
-                                      f"({res.iterations} iterations)")
-    cis = run_fci(ints, scf_results, mols)
-    occupations = natural_occupations(one_particle_density(cis))
-    return [CurvePoint(r=float(r), e_hf=res.e_hf, e_fci=ci.e_fci,
-                       e_corr=correlation_energy(res.e_hf, ci.e_fci),
-                       entropy=von_neumann_entropy(occ), occupations=occ)
-            for r, res, ci, occ in zip(rs, scf_results, cis, occupations)]
+def _correlate(rs, ints, scf, mols):
+    """The stages after the SCF for a batch of geometries, one stacked pass each: the
+    curve's columns R, E_HF, E_FCI, E_corr and entropy as one (5, G) array, and the
+    (G, K) occupations. Raises the H2entError of the first point that fails."""
+    if not scf.converged.all():
+        n = np.argmin(scf.converged)  # the first that did not
+        raise SCFConvergenceError(f"SCF did not converge at R = {rs[n]} Bohr "
+                                  f"({scf.iterations[n]} iterations)")
+    ci = run_fci(ints, scf, mols)
+    occupations = natural_occupations(one_particle_density(ci))
+    return np.array([rs, scf.e_hf, ci.e_fci, correlation_energy(scf.e_hf, ci.e_fci),
+                     von_neumann_entropies(occupations)]), occupations
+
+
+def _curve_points(columns, occupations, rescaled=None):
+    """One CurvePoint per geometry of the stacked curve: the pipeline's only split."""
+    rescaled = [None] * len(occupations) if rescaled is None else rescaled.tolist()
+    return [CurvePoint(*row, occupations=occ, rescaled_entropy=s)
+            for row, occ, s in zip(columns.T.tolist(), occupations, rescaled)]
+
+
+def _take(record, n):
+    """Geometry n of a stacked record, as a batch of one: the arrays are sliced,
+    the fields shared by the batch kept."""
+    return type(record)(*(x[n:n + 1] if isinstance(x, np.ndarray) else x for x in record))
 
 
 def scan_grid(config):
@@ -117,36 +130,36 @@ def run_scan(config):
     walked in batches of SCAN_BATCH geometries, each through one `compute_all`
     call, whose errors propagate, and one stacked pass per later stage. In a
     batch in which a point fails, the stages after the SCF are redone one point
-    at a time on the batch's SCF results (the SCF too, if the batch's raised),
+    at a time on the batch's SCF result (the SCF too, if the batch's raised),
     so that each point records its own error.
     """
-    points = []
+    curves = []
     failures = []
     basis = load_basis(config.basis_name, basis_dir=config.basis_dir)
     rs = scan_grid(config)
     for lo in range(0, len(rs), SCAN_BATCH):
         batch = rs[lo:lo + SCAN_BATCH]
-        mols = [h2(r) for r in batch]
-        ints = compute_all([build_ao_basis(mol, basis) for mol in mols], mols)
-        scf_results = None
+        mols = h2(batch)
+        ints = compute_all(basis, mols)
+        scf = None
         try:
-            scf_results = run_rhf_batch(ints, mols)
-            points += _curve_points(batch, mols, ints, scf_results)
+            scf = run_rhf_batch(ints, mols)
+            curves.append(_correlate(batch, ints, scf, mols))
         except H2entError:
             for n, r in enumerate(batch):
+                one = _take(ints, n), _take(mols, n)
                 try:
-                    res = scf_results[n] if scf_results else run_rhf(ints[n], mols[n])
-                    points += _curve_points([r], [mols[n]], [ints[n]], [res])
+                    res = _take(scf, n) if scf else run_rhf_batch(*one)
+                    curves.append(_correlate([r], one[0], res, one[1]))
                 except H2entError as exc:  # record and continue
                     failures.append((r, str(exc)))
-    if not points:
+    if not curves:
         raise RuntimeError("all scan points failed: "
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))
-    if config.rescale:
-        scaled = rescale_entropy([p.entropy for p in points],
-                                 [p.e_corr for p in points])
-        points = [replace(p, rescaled_entropy=float(s)) for p, s in zip(points, scaled)]
-    return points, failures
+    columns = np.concatenate([c for c, _ in curves], axis=1)
+    occupations = np.concatenate([o for _, o in curves])
+    rescaled = rescale_entropy(columns[4], columns[3]) if config.rescale else None
+    return _curve_points(columns, occupations, rescaled), failures
 
 
 def _fmt(x):

@@ -6,7 +6,8 @@ occupations in [0, 2], which for the singlet (symmetric C) are 2 sigma_k^2
 from the singular values of C, i.e. the Schmidt decomposition of the
 two-electron state; the occupation-number von Neumann entropy in bits, the
 correlation energy E_HF - E_FCI, and the curve rescaling that anchors the
-entropy to the correlation energy at the largest scanned distance.
+entropy to the correlation energy at the largest scanned distance. The
+functions take a batch of geometries on a leading array axis.
 """
 
 from dataclasses import dataclass
@@ -26,10 +27,10 @@ class OPDM:
             raise ValueError("density matrix must be symmetric")
 
 
-def one_particle_density(cis):
-    """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq of a list
-    of G CI results, as one OPDM with a stack of G matrices."""
-    c = np.stack([x.coefficients for x in cis])
+def one_particle_density(ci):
+    """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq of a stacked
+    CIResult of G geometries, as one OPDM with a stack of G matrices."""
+    c = ci.coefficients
     ct = c.swapaxes(-1, -2)
     return OPDM(c @ ct + ct @ c)
 
@@ -50,12 +51,29 @@ def von_neumann_entropy(occ):
     return float(-np.sum(x * np.log2(x)))
 
 
+def von_neumann_entropies(occ):
+    """`von_neumann_entropy` of each row of a (G, K) stack, from one pass. numpy groups
+    a sum of 8 or more terms by its length, so each row sums only its positive entries,
+    rows of one count at a time: bit for bit the per-row values for rows with their
+    positive entries first, as `natural_occupations` gives them."""
+    x = occ / 2.0
+    positive = x > 0.0
+    terms = x * np.log2(np.where(positive, x, 1.0))  # 0 where x = 0
+    counts = np.count_nonzero(positive, axis=-1)
+    s = np.empty(len(x))
+    for n in set(counts.tolist()):
+        rows = counts == n
+        s[rows] = -np.sum(terms[rows, :n], axis=-1)
+    return s
+
+
 def correlation_energy(e_hf, e_fci):
-    """E_corr = E_HF - E_FCI (non-negative by the variational principle)."""
+    """E_corr = E_HF - E_FCI (non-negative by the variational principle); of one
+    point or, elementwise, of a batch."""
     diff = e_hf - e_fci
-    if diff < -1e-9:
+    if np.min(diff) < -1e-9:
         raise NumericalCheckError(
-            f"E_FCI above E_HF by {-diff:.3e} Hartree; variational violation")
+            f"E_FCI above E_HF by {-np.min(diff):.3e} Hartree; variational violation")
     return diff
 
 

@@ -11,30 +11,30 @@ H is diagonalised only in that block: C symmetric, and C[a, b] = 0 unless MOs
 a and b share their inversion parity. No triplet can then compete with it. The
 SVD of C is the Schmidt decomposition of the two-electron state.
 
-Every function takes a batch of geometries, as lists or on a leading array
-axis, and works on it with one stacked BLAS or LAPACK call per step; one
-geometry is a batch of one.
+Every function takes a batch of geometries on a leading array axis, in stacked
+records or arrays, and works on it with one stacked BLAS or LAPACK call per
+step; one geometry is a batch of one.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SCFConvergenceError
 
 
-@dataclass(frozen=True)
-class CIResult:
-    e_fci: float
-    coefficients: np.ndarray  # K x K, C[alpha orbital, beta orbital]
+class CIResult(NamedTuple):
+    """The FCI ground states of G geometries."""
+    e_fci: np.ndarray         # (G,), Hartree
+    coefficients: np.ndarray  # (G, K, K), C[alpha orbital, beta orbital]
 
 
 def mo_transform(ints, c):
-    """AO -> MO transform of the core Hamiltonian and the ERI tensor of a list of
-    G IntegralSets with their (G, K, K) coefficients: (G, K, K) and (G, K, K, K, K).
+    """AO -> MO transform of the core Hamiltonian and the ERI tensor of an IntegralSet
+    of G geometries with their (G, K, K) coefficients: (G, K, K) and (G, K, K, K, K).
     """
-    hcore = np.stack([i.hcore for i in ints])
-    k = hcore.shape[-1]
+    hcore = ints.hcore
+    n, k = hcore.shape[:2]
     if c.shape != hcore.shape:
         raise ValueError(f"coefficient matrices of shape {c.shape} != {hcore.shape}")
     ct = c.swapaxes(-1, -2)
@@ -42,10 +42,10 @@ def mo_transform(ints, c):
     h = 0.5 * (h + h.swapaxes(-1, -2))
     # one index at a time, each a matmul over the others: (mn|ls) -> (mn|lt)
     # -> (mn|rt) -> (mq|rt) -> (pq|rt)
-    g = np.stack([i.eri for i in ints]).reshape(len(ints), k ** 3, k) @ c
-    g = ct[:, None] @ g.reshape(len(ints), k * k, k, k)
-    g = ct[:, None] @ g.reshape(len(ints), k, k, k * k)
-    g = (ct @ g.reshape(len(ints), k, k ** 3)).reshape(len(ints), k, k, k, k)
+    g = ints.eri.reshape(n, k ** 3, k) @ c
+    g = ct[:, None] @ g.reshape(n, k * k, k, k)
+    g = ct[:, None] @ g.reshape(n, k, k, k * k)
+    g = (ct @ g.reshape(n, k, k ** 3)).reshape(n, k, k, k, k)
     return h, g
 
 
@@ -82,26 +82,24 @@ def build_hamiltonian(h, g, basis):
     return basis.swapaxes(-1, -2) @ ham.reshape(h.shape[:-2] + (k * k, k * k)) @ basis
 
 
-def run_fci(ints, scf_results, mols):
-    """Full CI ground states in the converged RHF orbital bases.
+def run_fci(ints, scf, mols):
+    """Full CI ground states in the converged RHF orbital bases of a batch.
 
-    Equally long lists of IntegralSets, SCFResults and Molecules give a list of
-    CIResults, from one stacked pass. Phase convention: largest-magnitude
+    The IntegralSet, the stacked SCFResult and the geometries of G geometries give
+    one stacked CIResult, from one pass. Phase convention: largest-magnitude
     coefficient positive.
     """
-    if not all(s.converged for s in scf_results):
+    if not np.all(scf.converged):
         raise SCFConvergenceError("FCI requires a converged SCF reference")
-    if any(m.n_electrons != 2 for m in mols):
-        raise ValueError("FCI handles two electrons, got "
-                         f"{sorted({m.n_electrons for m in mols})}")
-    c = np.stack([s.mo_coefficients for s in scf_results])
+    if mols.n_electrons != 2:
+        raise ValueError(f"FCI handles two electrons, got {mols.n_electrons}")
+    c = scf.mo_coefficients
     n, k = c.shape[:2]
     h, g = mo_transform(ints, c)
-    basis = singlet_gerade_basis(np.stack([s.parity for s in scf_results]))
+    basis = singlet_gerade_basis(scf.parity)
     vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, basis))
     c = (basis @ vecs[..., :1]).reshape(n, k, k)
     flat = c.reshape(n, -1)
     largest = np.take_along_axis(flat, np.abs(flat).argmax(-1)[:, None], -1)
     c = np.where(largest[:, :, None] < 0, -c, c)
-    return [CIResult(e_fci=float(e + s.e_nuclear), coefficients=ci)
-            for e, s, ci in zip(vals[:, 0], scf_results, c)]
+    return CIResult(e_fci=vals[:, 0] + scf.e_nuclear, coefficients=c)

@@ -13,39 +13,29 @@ F_0 = sqrt(pi/x)/2 and upward recursion.
 Every kernel is a whole-array pass over all geometries of a batch. `boys_table`
 splits its arguments at the switch by flat index and reads the Taylor rows with
 one `take`. `_hermite_coulomb_all` builds R_tuv one t+u+v level at a time from
-index tables. `_batch` checks inversion symmetry once, on the stacked matrices.
+index tables. `compute_all` checks inversion symmetry once, on the stacked matrices.
 Each element meets the same operations in the same order in any batch, so a
 geometry's integrals are its one-point values bit for bit. `_exp` runs numpy's
 exp in place, where it takes one loop at every array size; do not swap it for an
 out-of-place call, which may round differently by size.
 
-The Coulomb kernels compute each unique primitive quartet once:
-- Merged distributions. In a shell paired with itself, primitive pairs (i, j)
-  and (j, i) have the same exponent sum and centre, so they are one Gaussian
-  distribution with the two Hermite coefficients summed: n(n+1)/2 distributions
-  where there are n^2 pairs (`_ShellPairs`). The overlap and kinetic energy keep
-  every pair.
-- The canonical quartet list. `_quartets` lists every (bra shell pair, ket
-  shell pair) combo of two classes, only those with bra <= ket in a diagonal
-  block, and each combo's distribution quartets in one flat bra-major array.
-  `_eri_block` makes one R_tuv pass over the list, gathers R_tuv for every pair
-  of Hermite terms, contracts it with the ket and then the bra coefficients, and
-  sums each combo with one `reduceat`; Cartesian component pairs stay a dense axis.
-- Orientation by `_pair_key`: class, then shell pair, then components. A
-  quartet's bra is the pair with the larger key, so each combo of two shell pairs
-  has one orientation, and `_batch` lays its rows out in falling key order: the
-  canonical entry is the upper triangle, which it mirrors into the lower. The
-  `eri` wrapper orders its pairs by the same key, and so computes a quartet as
-  `compute_all` does, bit for bit.
+The Coulomb kernels compute each unique primitive quartet once: `_ShellPairs`
+merges the (i, j) and (j, i) primitive pairs of a shell paired with itself into
+one distribution, `_quartets` lists only the canonical combos of a diagonal class
+block, and `_eri_block` contracts them after one R_tuv pass. A quartet's bra is
+the pair with the larger `_pair_key`; `compute_all` lays its rows out in falling
+key order and mirrors the upper triangle into the lower. The `eri` wrapper orders
+its pairs by the same key, with a center in place of its atom's index, and so
+computes a quartet as `compute_all` does, bit for bit, when the atoms are listed
+in ascending coordinate order, as `h2` lists them.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import CARTESIAN_COMPONENTS
+from .basis import CARTESIAN_COMPONENTS, build_ao_basis
 from .errors import SymmetryError
-from .molecule import Molecule
 
 _BOYS_SWITCH = 36.0  # F_0 = sqrt(pi/x)/2 from here on drops erf(sqrt(x)): 1 - erf(6) ~ 2e-17
 _BOYS_STEP = 0.05
@@ -245,13 +235,12 @@ class _ShellPairs:
             + s[:, 0] * s[:, 1] * k[:, 2]
         return self.contract(self.coef * self.cube * cross)
 
-    def nuclear(self, mols):
-        """-sum_C Z_C <a| 1/|r-R_C| |b> in each geometry, all nuclei in one Boys/R_tuv pass."""
-        xyz = np.array([[at.position for at in mol.atoms] for mol in mols]).T
-        charges = -np.array([[at.nuclear_charge for at in mol.atoms] for mol in mols]).T
+    def nuclear(self, xyz, charges):
+        """-sum_C Z_C <a| 1/|r-R_C| |b> in each geometry, the nuclei at xyz (3, atoms, G),
+        all in one Boys/R_tuv pass."""
         rts = _hermite_coulomb_all(self.l, self.p, self.center[:, None] - xyz[..., None])
         acc = sum(e[:, None] * rts[row] for e, row in zip(self.e, _TUV_ROW[tuple(self.tuv.T)]))
-        v = sum(z[:, None] * acc[:, n] for n, z in enumerate(charges))
+        v = sum(-z * acc[:, n] for n, z in enumerate(charges))
         return np.add.reduceat(2.0 * np.pi / self.p * v, self.start, axis=-1)
 
 
@@ -327,7 +316,7 @@ def kinetic(f, g):
 
 def nuclear_attraction(f, g, mol):
     """-sum_A Z_A <f| 1/|r-R_A| |g> over the nuclei of mol."""
-    return float(_pair(f, g)[1].nuclear([mol])[0, 0, 0])
+    return float(_pair(f, g)[1].nuclear(mol.xyz.T, mol.charges)[0, 0, 0])
 
 
 def eri(f, g, h, k):
@@ -336,52 +325,35 @@ def eri(f, g, h, k):
     return float(_eri_block(bra, ket)[0, 0, 0])
 
 
-@dataclass(frozen=True)
-class IntegralSet:
+class IntegralSet(NamedTuple):
+    """The integrals of a batch of G geometries, each array with the batch axis first:
+    (G, K, K) matrices and (G, K, K, K, K) ERIs in chemists' order."""
     overlap: np.ndarray
     kinetic: np.ndarray
     nuclear: np.ndarray
+    hcore: np.ndarray      # kinetic + nuclear
     eri: np.ndarray
-    inversion: np.ndarray  # signed AO permutation P of r -> -r about the molecular centre
-
-    @property
-    def hcore(self):
-        return self.kinetic + self.nuclear
+    inversion: np.ndarray  # signed AO permutation P of r -> -r about the molecular centre;
+                           # the layout's own, one matrix broadcast over the batch
 
 
-def _layout(basis):
-    """The shells' sort keys in AO order, each center replaced by its rank among the centers."""
-    centers = sorted({center for center, _ in basis.shells})
-    return tuple((sh.angular_momentum, centers.index(center), sh.exponents, sh.coefficients)
-                 for center, sh in basis.shells)
+def compute_all(basis, mols):
+    """All one- and two-electron integrals of a batch of geometries in a loaded basis.
 
-
-def compute_all(aos, mols):
-    """All one- and two-electron integrals of AO bases in their molecules; deterministic.
-
-    `compute_all(basis, mol)` returns one IntegralSet; `compute_all(aos, mols)` a list,
-    one per geometry, from one pass with a geometry axis on every primitive array. Each
-    geometry's values are bit for bit its one-point result, whatever the batch. Each
-    unique function pair is computed once per geometry, in the order of `_pair`, and each
-    unique primitive quartet once, in the order of `_pair_key`.
+    mols is a Molecule, a batch of geometries. The AO layout, shells ordered by (l,
+    atom, exponents, coefficients), is built once for the batch. One pass with a
+    geometry axis on every primitive array gives one IntegralSet; each geometry's
+    values are bit for bit its one-point result.
     """
-    if isinstance(mols, Molecule):
-        return compute_all([aos], [mols])[0]
-    keys = [(_layout(basis), len(mol.atoms)) for basis, mol in zip(aos, mols, strict=True)]
-    out = {}
-    for key in dict.fromkeys(keys):  # geometries whose shells sort alike share a batch
-        ns = [n for n, k in enumerate(keys) if k == key]
-        out.update(zip(ns, _batch(*key, [aos[n] for n in ns], [mols[n] for n in ns])))
-    return [out[n] for n in range(len(keys))]
-
-
-def _batch(layout, n_atoms, aos, mols):
-    """`compute_all` for geometries of one layout: the bookkeeping is built once."""
+    ao = build_ao_basis(mols, basis)
+    n_atoms = len(mols.elements)
     if n_atoms > 2:
         raise SymmetryError(f"{n_atoms} atoms: the engine handles one or two")
-    xyz = np.array([[center for center, _ in basis.shells] for basis in aos]).T
-    shells = [(l, key, exps, coefs, CARTESIAN_COMPONENTS[l], xyz[:, n])
-              for n, (l, key, exps, coefs) in enumerate(layout)]
+    xyz = mols.xyz.T  # (3, atoms, G)
+    n_geom = xyz.shape[-1]
+    shells = [(sh.angular_momentum, atom, sh.exponents, sh.coefficients,
+               CARTESIAN_COMPONENTS[sh.angular_momentum], xyz[:, atom])
+              for atom, sh in ao.shells]
     # a function's rank: its shell's place in falling key order, then its component's,
     # so that the lower rank of a pair is its larger function, which comes first
     order = sorted(range(len(shells)), key=lambda n: shells[n][:4], reverse=True)
@@ -402,11 +374,11 @@ def _batch(layout, n_atoms, aos, mols):
         row[first[x][:, None, None] + np.arange(na)[:, None], first[y][:, None, None]
             + np.arange(nb)] = offsets[-1] + np.arange(n).reshape(len(x), na, nb)
         offsets.append(offsets[-1] + n)
-    s, t, v = (np.concatenate([integral(b).transpose(1, 2, 0).reshape(len(mols), -1)
+    s, t, v = (np.concatenate([integral(b).transpose(1, 2, 0).reshape(n_geom, -1)
                                for b in batches], axis=1)
                for integral in (_ShellPairs.overlap, _ShellPairs.kinetic,
-                                lambda b: b.nuclear(mols)))
-    g = np.zeros((len(mols), offsets[-1], offsets[-1]))
+                                lambda b: b.nuclear(xyz, mols.charges)))
+    g = np.zeros((n_geom, offsets[-1], offsets[-1]))
     for x, bra in enumerate(batches):
         for y, ket in enumerate(batches[x:], x):
             g[:, offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_block(bra, ket)
@@ -418,13 +390,15 @@ def _batch(layout, n_atoms, aos, mols):
     g = np.where(r[:, None] <= r, g, g.transpose(0, 2, 1))
     # P = D = diag((-1)^l) for one atom, [[0, D], [D, 0]] for two: atom B's
     # functions mirror atom A's in build order
-    signs = np.array([(-1.0) ** sum(f.powers) for f in aos[0].functions])
+    signs = np.array([(-1.0) ** sum(f.powers) for f in ao.functions])
     n = len(signs)
     p = signs[:, None] * np.eye(n)[np.roll(np.arange(n), n // 2 if n_atoms == 2 else 0)]
-    s, t, v = s[:, src], t[:, src], v[:, src]
-    if any(np.max(np.abs(p @ m @ p.T - m)) > 1e-10 for m in (s, t + v)):
+    # `take` keeps the batch axis outermost in memory
+    s, t, v = (np.take(m, src, axis=1) for m in (s, t, v))
+    hcore = t + v
+    if any(np.max(np.abs(p @ m @ p.T - m)) > 1e-10 for m in (s, hcore)):
         raise SymmetryError("no inversion symmetry: the engine handles one atom or two "
                             "identical atoms")
-    g = g[:, src[:, :, None, None], src]
-    return [IntegralSet(overlap=sg, kinetic=tg, nuclear=vg, eri=gg, inversion=p.copy())
-            for sg, tg, vg, gg in zip(s, t, v, g)]
+    g = np.take(g.reshape(n_geom, -1), src[:, :, None, None] * offsets[-1] + src, axis=1)
+    return IntegralSet(overlap=s, kinetic=t, nuclear=v, hcore=hcore, eri=g,
+                       inversion=np.broadcast_to(p, s.shape))

@@ -1,10 +1,12 @@
 """Diatomic geometries, nuclear charges and the nuclear repulsion energy.
 
-All lengths are in Bohr and all energies in Hartree.
+A Molecule is a batch of geometries of one molecule: the pipeline takes one
+batch per stage, and one geometry is a batch of one. All lengths are in Bohr and
+all energies in Hartree.
 """
 
-import math
-from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,62 +18,57 @@ ELEMENT_CHARGES = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
-    element: str
-    nuclear_charge: int
-    position: tuple  # (x, y, z) in Bohr
-
-    def __post_init__(self):
-        if self.nuclear_charge < 1:
-            raise ValueError(f"nuclear charge must be >= 1, got {self.nuclear_charge}")
-        pos = tuple(float(x) for x in self.position)
-        if len(pos) != 3 or not all(map(math.isfinite, pos)):
-            raise ValueError(f"position must be a finite 3-vector, got {self.position}")
-        object.__setattr__(self, "position", pos)
-
-    @property
-    def coords(self):
-        return np.asarray(self.position)
-
-
-@dataclass(frozen=True)
-class Molecule:
-    atoms: tuple
+class Molecule(NamedTuple):
+    """G geometries of one molecule: its atoms' elements and nuclear charges, in order,
+    their positions, and its electron count. `xyz` is the one field with the batch axis."""
+    elements: tuple
+    charges: tuple
+    xyz: np.ndarray  # (G, atoms, 3), Bohr
     n_electrons: int
 
-    def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
-            raise ValueError("molecule needs at least one atom")
-        if self.n_electrons < 0:
-            raise ValueError("electron count must be non-negative")
-        object.__setattr__(self, "atoms", atoms)
+
+def molecule(atoms, n_electrons):
+    """One geometry, from (element, position) pairs with positions in Bohr."""
+    elements = tuple(element for element, _ in atoms)
+    xyz = np.array([[position for _, position in atoms]], dtype=float)
+    if not elements or xyz.shape[2:] != (3,) or not np.all(np.isfinite(xyz)):
+        raise ValueError(f"need atoms at finite 3-vector positions, got {atoms}")
+    if n_electrons < 0:
+        raise ValueError("electron count must be non-negative")
+    return Molecule(elements, tuple(ELEMENT_CHARGES[e] for e in elements), xyz, n_electrons)
 
 
-def atom(element, position):
-    return Atom(element, ELEMENT_CHARGES[element], tuple(position))
+def stack(mols):
+    """The geometries of Molecules that list the same elements in the same order, with
+    the same electron count, as one batch; any other mix raises ValueError."""
+    if len({(mol.elements, mol.n_electrons) for mol in mols}) != 1:
+        raise ValueError("a batch needs one molecule's atoms, in one order, and one "
+                         "electron count")
+    return mols[0]._replace(xyz=np.concatenate([mol.xyz for mol in mols]))
 
 
 def h2(r_bohr):
-    """Neutral H2 with the bond along z, one atom at the origin."""
-    if r_bohr <= 0:
+    """Neutral H2 with the bond along z, one atom at the origin: a batch of one geometry
+    per bond length of r_bohr, a number or a sequence."""
+    rs = np.atleast_1d(np.asarray(r_bohr, dtype=float))
+    if not np.all(rs > 0):
         raise ValueError(f"internuclear distance must be positive, got {r_bohr}")
-    return Molecule((atom("H", (0.0, 0.0, 0.0)), atom("H", (0.0, 0.0, r_bohr))), 2)
+    xyz = np.zeros((len(rs), 2, 3))
+    xyz[:, 1, 2] = rs
+    return Molecule(("H", "H"), (1, 1), xyz, 2)
 
 
 def helium():
-    return Molecule((atom("He", (0.0, 0.0, 0.0)),), 2)
+    return molecule([("He", (0.0, 0.0, 0.0))], 2)
 
 
 def nuclear_repulsion(mol):
-    """Sum of Z_A Z_B / R_AB over distinct nuclear pairs, in Hartree."""
-    e = 0.0
-    atoms = mol.atoms
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            r = math.dist(atoms[i].position, atoms[j].position)
-            if r <= 0.0:
-                raise ValueError(f"coincident nuclei {i} and {j}")
-            e += atoms[i].nuclear_charge * atoms[j].nuclear_charge / r
+    """Sum of Z_A Z_B / R_AB over distinct nuclear pairs of each geometry, shape (G,),
+    in Hartree."""
+    e = np.zeros(len(mol.xyz))
+    for i, j in combinations(range(len(mol.charges)), 2):
+        r = np.sqrt(np.sum((mol.xyz[:, i] - mol.xyz[:, j]) ** 2, axis=-1))
+        if not np.all(r > 0.0):
+            raise ValueError(f"coincident nuclei {i} and {j}")
+        e += mol.charges[i] * mol.charges[j] / r
     return e

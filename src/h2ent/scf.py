@@ -3,11 +3,13 @@
 Closed-shell two-electron RHF only, symmetric even at dissociation. Plain
 fixed-point iteration from the core-Hamiltonian guess; the one occupied orbital
 is the lowest of F in the gerade space of the inversion P, so a stretched bond's
-near-degenerate sigma_g and sigma_u cannot mix. `run_rhf_batch` iterates a stack
-of geometries in lockstep; `run_rhf` is its batch of one.
+near-degenerate sigma_g and sigma_u cannot mix. `run_rhf_batch` iterates a batch
+of geometries in lockstep and returns one stacked SCFResult; `run_rhf` is its batch
+of one, without the batch axis.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +30,15 @@ class SCFSettings:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class SCFResult:
-    mo_coefficients: np.ndarray   # columns are MOs
-    orbital_energies: np.ndarray  # lowest gerade first, then ascending; Hartree
-    parity: np.ndarray            # +1 gerade, -1 ungerade, per MO
-    e_hf: float                   # total energy incl. nuclear repulsion
-    e_nuclear: float              # nuclear repulsion, Hartree
-    iterations: int
-    converged: bool
+class SCFResult(NamedTuple):
+    """The RHF solutions of G geometries, the batch axis first in every field."""
+    mo_coefficients: np.ndarray   # (G, K, K), columns are MOs
+    orbital_energies: np.ndarray  # (G, K), lowest gerade first, then ascending; Hartree
+    parity: np.ndarray            # (G, K), +1 gerade, -1 ungerade, per MO
+    e_hf: np.ndarray              # total energy incl. nuclear repulsion
+    e_nuclear: np.ndarray         # nuclear repulsion, Hartree
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def symmetric_orthogonalizer(s):
@@ -71,33 +73,34 @@ def build_fock(hcore, d, jk):
 
 
 def run_rhf(ints, mol, settings=SCFSettings()):
-    """Roothaan RHF of one geometry. Non-convergence is reported via the converged flag."""
-    return run_rhf_batch([ints], [mol], settings)[0]
+    """Roothaan RHF of one geometry, a batch of one: its SCFResult without the batch
+    axis, with Python scalars for the energies, the iterations and the converged flag.
+    Non-convergence is reported via the converged flag."""
+    return SCFResult(*(x[0] if x.ndim > 1 else x[0].item()
+                       for x in run_rhf_batch(ints, mol, settings)))
 
 
 def run_rhf_batch(ints, mols, settings=SCFSettings()):
-    """Roothaan RHF of equally long lists of IntegralSets and two-electron molecules.
+    """Roothaan RHF of a batch of two-electron geometries and their IntegralSet.
 
-    The geometries share their AO count and iterate in lockstep, one stacked
-    call per step; each keeps its own convergence test and iteration count and
-    leaves the iteration when it converges, so its result does not depend on
-    the batch. One SCFResult per geometry; one that reaches max_iterations has
-    converged=False. A singular overlap raises LinearDependenceError.
+    The geometries iterate in lockstep, one stacked call per step; each keeps its own
+    convergence test and iteration count and leaves the iteration when it converges,
+    so its result does not depend on the batch. One stacked SCFResult; a geometry that
+    reaches max_iterations has converged False. A singular overlap raises
+    LinearDependenceError.
     """
-    if any(mol.n_electrons != 2 for mol in mols):
-        raise ValueError("RHF handles two electrons, got "
-                         f"{sorted({mol.n_electrons for mol in mols})}")
-    hcore = np.stack([i.hcore for i in ints])
-    jk = coulomb_exchange(np.stack([i.eri for i in ints]))
-    e_nuc = np.array([nuclear_repulsion(mol) for mol in mols])
-    x = symmetric_orthogonalizer(np.stack([i.overlap for i in ints]))
+    if mols.n_electrons != 2:
+        raise ValueError(f"RHF handles two electrons, got {mols.n_electrons}")
+    hcore = ints.hcore
+    jk = coulomb_exchange(ints.eri)
+    e_nuc = nuclear_repulsion(mols)
+    x = symmetric_orthogonalizer(ints.overlap)
     # P commutes with X = S^(-1/2), so X maps P's +1 and -1 eigenvectors to
-    # orthonormal gerade and ungerade AO coefficient bases; eigh puts -1 first
-    parity, u = np.linalg.eigh(np.stack([i.inversion for i in ints]))
-    n_u = np.count_nonzero(parity < 0, axis=-1)
-    if np.any(n_u != n_u[0]):
-        raise ValueError("the geometries' inversions differ in their parity counts")
-    xg, xu = x @ u[..., n_u[0]:], x @ u[..., :n_u[0]]
+    # orthonormal gerade and ungerade AO coefficient bases; eigh puts -1 first.
+    # P is the layout's, the same in every geometry
+    parity, u = np.linalg.eigh(ints.inversion[0])
+    n_u = np.count_nonzero(parity < 0)
+    xg, xu = x @ u[:, n_u:], x @ u[:, :n_u]
 
     def occupied_density(f, xg):  # of the lowest gerade orbital
         vecs = np.linalg.eigh(xg.swapaxes(-1, -2) @ f @ xg)[1]
@@ -106,7 +109,7 @@ def run_rhf_batch(ints, mols, settings=SCFSettings()):
     def energy(d, f, h, e_nuc):
         return 0.5 * np.sum(d * (h + f), axis=(-2, -1)) + e_nuc
 
-    n = len(ints)
+    n = len(hcore)
     final_d = np.empty_like(hcore)
     iterations = np.full(n, settings.max_iterations)
     converged = np.zeros(n, dtype=bool)
@@ -141,7 +144,5 @@ def run_rhf_batch(ints, mols, settings=SCFSettings()):
                             1 + eps[:, 1:].argsort(axis=-1, kind="stable")), -1)
     eps, par = np.take_along_axis(eps, order, -1), np.take_along_axis(par, order, -1)
     c = np.take_along_axis(c, order[:, None, :], -1)
-    return [SCFResult(mo_coefficients=c[i], orbital_energies=eps[i], parity=par[i],
-                      e_hf=float(e_total[i]), e_nuclear=float(e_nuc[i]),
-                      iterations=int(iterations[i]), converged=bool(converged[i]))
-            for i in range(n)]
+    return SCFResult(mo_coefficients=c, orbital_energies=eps, parity=par, e_hf=e_total,
+                     e_nuclear=e_nuc, iterations=iterations, converged=converged)

@@ -13,19 +13,24 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from h2ent.basis import build_ao_basis, load_basis
+from h2ent.basis import load_basis
 from h2ent.correlation import (correlation_energy, natural_occupations,
                                one_particle_density, von_neumann_entropy)
 from h2ent.fci import run_fci
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2
-from h2ent.scf import run_rhf
+from h2ent.scf import run_rhf_batch
+
+
+def take(record, idx):
+    """The geometries idx (an index array) of a stacked record, still stacked."""
+    return type(record)(*(x[idx] if isinstance(x, np.ndarray) else x for x in record))
 
 
 @dataclass(frozen=True)
 class PointRecord:
     r: float
-    ints: object
+    ints: object  # IntegralSet, SCFResult and CIResult of the point as a batch of one
     scf: object
     ci: object
     e_hf: float
@@ -38,14 +43,15 @@ class PointRecord:
 def compute_point(r, basis_name):
     basis = load_basis(basis_name)
     mol = h2(r)
-    ints = compute_all(build_ao_basis(mol, basis), mol)
-    scf = run_rhf(ints, mol)
-    assert scf.converged, f"SCF failed at R={r} ({basis_name})"
-    ci = run_fci([ints], [scf], [mol])[0]
-    occ = natural_occupations(one_particle_density([ci]))[0]
+    ints = compute_all(basis, mol)
+    scf = run_rhf_batch(ints, mol)
+    assert scf.converged[0], f"SCF failed at R={r} ({basis_name})"
+    ci = run_fci(ints, scf, mol)
+    occ = natural_occupations(one_particle_density(ci))[0]
+    e_hf, e_fci = scf.e_hf[0], ci.e_fci[0]
     return PointRecord(
-        r=float(r), ints=ints, scf=scf, ci=ci, e_hf=scf.e_hf, e_fci=ci.e_fci,
-        e_corr=correlation_energy(scf.e_hf, ci.e_fci),
+        r=float(r), ints=ints, scf=scf, ci=ci, e_hf=e_hf, e_fci=e_fci,
+        e_corr=correlation_energy(e_hf, e_fci),
         entropy=von_neumann_entropy(occ), occupations=occ)
 
 
@@ -76,13 +82,11 @@ SWEEP_R = np.geomspace(0.3, 100.0, 40)
 
 @pytest.fixture(scope="session")
 def sweeps():
-    """(R, mol, ints, SCFResult) at 40 log-spaced R from 0.3 to 100 Bohr, per basis."""
+    """(R, geometries, IntegralSet, SCFResult) of the 40 log-spaced R from 0.3 to 100
+    Bohr as one batch, per basis."""
     out = {}
     for name in ("sto-3g", "6-31gss"):
-        basis = load_basis(name)
-        out[name] = []
-        for r in SWEEP_R:
-            mol = h2(r)
-            ints = compute_all(build_ao_basis(mol, basis), mol)
-            out[name].append((r, mol, ints, run_rhf(ints, mol)))
+        mols = h2(SWEEP_R)
+        ints = compute_all(load_basis(name), mols)
+        out[name] = (SWEEP_R, mols, ints, run_rhf_batch(ints, mols))
     return out

@@ -168,16 +168,16 @@ def quadrature_oracle(f, g, kind, mol=None):
         if mol is None:
             raise ValueError("nuclear oracle needs a molecule")
         total = 0.0
-        for at in mol.atoms:
+        for charge, position in zip(mol.charges, mol.xyz[0]):
             for a, ca in zip(f.exponents, f.coefficients):
                 for b, cb in zip(g.exponents, g.coefficients):
                     p = a + b
                     center = (a * np.asarray(f.center) + b * np.asarray(g.center)) / p
-                    pts, w = _coulomb_grid_batch(at.coords, center, p,
+                    pts, w = _coulomb_grid_batch(position, center, p,
                                                  n_r=90, n_v=48, n_phi=16, span=45.0)
                     rho = (ca * _eval_primitive(f.center, f.powers, a, pts[0])
                            * cb * _eval_primitive(g.center, g.powers, b, pts[0]))
-                    total -= at.nuclear_charge * float(np.sum(w[0] * rho))
+                    total -= charge * float(np.sum(w[0] * rho))
         return total
     raise ValueError(f"unknown oracle kind {kind!r}")
 

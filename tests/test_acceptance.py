@@ -87,8 +87,8 @@ def test_criterion_4_closed_form_equivalence(sto3g_curve):
     records, _ = sto3g_curve
     worst = 0.0
     for rec in records:
-        h, g = (x[0] for x in mo_transform([rec.ints], rec.scf.mo_coefficients[None]))
-        eps = rec.scf.orbital_energies
+        h, g = (x[0] for x in mo_transform(rec.ints, rec.scf.mo_coefficients))
+        eps = rec.scf.orbital_energies[0]
         delta = 0.5 * (2.0 * (eps[1] - eps[0]) + g[0, 0, 0, 0] + g[1, 1, 1, 1]
                        - 4.0 * g[0, 0, 1, 1] + 2.0 * g[0, 1, 0, 1])
         closed = abs(delta - np.sqrt(delta ** 2 + g[0, 1, 0, 1] ** 2))
@@ -103,7 +103,7 @@ def test_criterion_5_dissociation_limits(sto3g_curve):
     assert far.r == 20.0
     occ_dev = float(np.max(np.abs(far.occupations - 1.0)))
     entropy_dev = abs(far.entropy - 1.0)
-    g = mo_transform([far.ints], far.scf.mo_coefficients[None])[1][0]
+    g = mo_transform(far.ints, far.scf.mo_coefficients)[1][0]
     k12_dev = abs(far.e_corr - g[0, 1, 0, 1])
     ok = occ_dev < 1e-3 and entropy_dev < 1e-3 and k12_dev <= 1e-4
     report(5, ok, f"R=20: occupations off (1,1) by {occ_dev:.1e}, "

@@ -12,17 +12,16 @@ from h2ent.cli import run_single_point
 from h2ent.errors import (BasisParseError, MissingElementError,
                           UnsupportedShellError)
 from h2ent.integrals import overlap
-from h2ent.molecule import (ANGSTROM_TO_BOHR, Molecule, atom, h2, helium,
-                            nuclear_repulsion)
+from h2ent.molecule import ANGSTROM_TO_BOHR, h2, helium, molecule, nuclear_repulsion, stack
 from oracles import quadrature_oracle
 
 
 def test_h2_geometry():
     mol = h2(1.4)
     assert mol.n_electrons == 2
-    assert mol.atoms[0].position == (0.0, 0.0, 0.0)
-    assert mol.atoms[1].position == (0.0, 0.0, 1.4)
-    assert nuclear_repulsion(mol) == pytest.approx(1.0 / 1.4, abs=1e-15)
+    assert (mol.elements, mol.charges) == (("H", "H"), (1, 1))
+    assert mol.xyz.tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.4]]]
+    assert nuclear_repulsion(mol) == pytest.approx([1.0 / 1.4], abs=1e-15)
 
 
 def test_h2_rejects_nonpositive_distance():
@@ -32,9 +31,37 @@ def test_h2_rejects_nonpositive_distance():
         h2(-1.0)
 
 
+def test_h2_of_many_distances_is_one_batch_of_its_one_point_geometries():
+    rs = [0.3, 1.4, 100.0]
+    mols = h2(rs)
+    assert (mols.elements, mols.charges, mols.n_electrons) == (("H", "H"), (1, 1), 2)
+    assert np.array_equal(mols.xyz, stack([h2(r) for r in rs]).xyz)
+    assert nuclear_repulsion(mols).tolist() == [nuclear_repulsion(h2(r))[0] for r in rs]
+    for bad in ([1.4, 0.0], [-1.0], [np.nan]):
+        with pytest.raises(ValueError):
+            h2(bad)
+
+
+def test_molecule_validates_its_atoms():
+    mol = molecule([("He", (0, 0, 0)), ("H", [0.0, 0.0, 1.5])], 3)
+    assert (mol.elements, mol.charges, mol.n_electrons) == (("He", "H"), (2, 1), 3)
+    assert mol.xyz.tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.5]]]
+    for atoms, n in (([], 2), ([("H", (0.0, 0.0))], 1), ([("H", (0.0, 0.0, np.inf))], 1),
+                     ([("H", (0.0, 0.0, 0.0))], -1)):
+        with pytest.raises(ValueError):
+            molecule(atoms, n)
+
+
+def test_batch_ao_basis_is_one_layout_at_the_first_geometry():
+    basis = load_basis("6-31gss")
+    batch = build_ao_basis(h2([1.4, 3.0]), basis)
+    assert batch == build_ao_basis(h2(1.4), basis)
+    assert [atom for atom, _ in batch.shells] == [0, 0, 0, 1, 1, 1]
+
+
 def test_helium_and_coincident_nuclei():
-    assert nuclear_repulsion(helium()) == 0.0
-    mol = Molecule((atom("H", (0, 0, 0)), atom("H", (0, 0, 0))), 2)
+    assert nuclear_repulsion(helium()).tolist() == [0.0]
+    mol = molecule([("H", (0, 0, 0)), ("H", (0, 0, 0))], 2)
     with pytest.raises(ValueError):
         nuclear_repulsion(mol)
 
@@ -73,10 +100,10 @@ def test_load_basis_alias_and_unknown():
 def test_ao_counts():
     sto = load_basis("sto-3g")
     pol = load_basis("6-31gss")
-    assert build_ao_basis(h2(1.4), sto).n == 2
-    assert build_ao_basis(h2(1.4), pol).n == 10
-    assert build_ao_basis(helium(), sto).n == 1
-    assert build_ao_basis(helium(), pol).n == 5
+    assert len(build_ao_basis(h2(1.4), sto).functions) == 2
+    assert len(build_ao_basis(h2(1.4), pol).functions) == 10
+    assert len(build_ao_basis(helium(), sto).functions) == 1
+    assert len(build_ao_basis(helium(), pol).functions) == 5
 
 
 def test_ao_ordering_is_deterministic():

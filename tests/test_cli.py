@@ -134,9 +134,9 @@ def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
     calls = []
 
     def failing_rhf(ints, mols, *args):
-        calls.append(len(mols))
-        return [replace(res, converged=False) if mol.atoms[1].position[2] == bad_r else res
-                for res, mol in zip(original(ints, mols, *args), mols)]
+        calls.append(len(mols.xyz))
+        res = original(ints, mols, *args)
+        return res._replace(converged=res.converged & (mols.xyz[:, 1, 2] != bad_r))
 
     patch_everywhere(monkeypatch, original, failing_rhf)
     points, failures = run_scan(cfg)
@@ -152,9 +152,11 @@ def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
     bad_r = scan_grid(cfg)[1]
     original = cli.compute_all
 
-    def singular_overlap(aos, mols):
-        return [replace(ints, overlap=np.ones((2, 2))) if mol.atoms[1].position[2] == bad_r
-                else ints for ints, mol in zip(original(aos, mols), mols)]
+    def singular_overlap(basis, mols):
+        # the one geometry at bad_r of the stacked record gets a singular overlap
+        ints = original(basis, mols)
+        bad = mols.xyz[:, 1, 2] == bad_r
+        return ints._replace(overlap=np.where(bad[:, None, None], 1.0, ints.overlap))
 
     monkeypatch.setattr(cli, "compute_all", singular_overlap)
     points, failures = run_scan(cfg)

@@ -5,15 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from h2ent.cli import ScanConfig, run_scan
 from h2ent.correlation import (OPDM, correlation_energy,
                                natural_occupations, one_particle_density,
-                               rescale_entropy, von_neumann_entropy)
+                               rescale_entropy, von_neumann_entropies,
+                               von_neumann_entropy)
 from h2ent.errors import NumericalCheckError
 from test_fci import annihilation_matrix, embed
 
 
 def ci_state(coefficients):
-    return SimpleNamespace(coefficients=np.asarray(coefficients, float))
+    """A CI result of one geometry, a batch of one."""
+    return SimpleNamespace(coefficients=np.asarray(coefficients, float)[None])
 
 
 def brute_force_opdm(coefficients):
@@ -46,13 +49,13 @@ def test_opdm_symmetry_bound_is_absolute():
 
 
 def test_single_determinant_density():
-    gamma = one_particle_density([ci_state([[1.0, 0.0], [0.0, 0.0]])]).gamma[0]
+    gamma = one_particle_density(ci_state([[1.0, 0.0], [0.0, 0.0]])).gamma[0]
     assert np.allclose(gamma, np.diag([2.0, 0.0]), atol=1e-15)
 
 
 def test_two_configuration_density():
     c1, c2 = np.cos(0.3), np.sin(0.3)
-    gamma = one_particle_density([ci_state([[c1, 0.0], [0.0, c2]])]).gamma[0]
+    gamma = one_particle_density(ci_state([[c1, 0.0], [0.0, c2]])).gamma[0]
     assert np.allclose(gamma, np.diag([2 * c1 ** 2, 2 * c2 ** 2]), atol=1e-14)
 
 
@@ -63,7 +66,7 @@ def test_density_matches_fock_space_oracle(k, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(k, k))  # not symmetric: alpha and beta densities differ
     c /= np.linalg.norm(c)
-    gamma = one_particle_density([ci_state(c)]).gamma[0]
+    gamma = one_particle_density(ci_state(c)).gamma[0]
     assert np.allclose(gamma, brute_force_opdm(c), atol=1e-12)
     assert np.trace(gamma) == pytest.approx(2.0, abs=1e-12)
 
@@ -73,7 +76,7 @@ def test_occupations_are_the_schmidt_coefficients(curve, request):
     # the singlet C is symmetric, so C C^T + C^T C = 2 C C^T and the natural
     # occupations are twice the squared singular values of C
     for rec in request.getfixturevalue(curve)[0]:
-        c = rec.ci.coefficients
+        c = rec.ci.coefficients[0]
         assert np.abs(c - c.T).max() <= 1e-12, rec.r
         sigma = np.linalg.svd(c, compute_uv=False)
         assert np.abs(rec.occupations - 2.0 * sigma ** 2).max() <= 1e-12, rec.r
@@ -98,11 +101,43 @@ def test_entropy_reference_values():
         == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
+def test_stacked_entropies_are_the_per_row_entropies_bit_for_bit(curve, request):
+    occ = np.stack([rec.occupations for rec in request.getfixturevalue(curve)[0]])
+    assert von_neumann_entropies(occ).tolist() == [von_neumann_entropy(row) for row in occ]
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_scan_entropies_are_the_per_row_entropies_bit_for_bit(name):
+    # past ~20 Bohr up to two of the 6-31G** occupations clip to 0
+    points, _ = run_scan(ScanConfig(name, 0.3, 100.0, 40, grid="logarithmic"))
+    assert [p.entropy for p in points] == [von_neumann_entropy(p.occupations) for p in points]
+
+
+def test_stacked_entropies_group_rows_by_their_positive_count():
+    # K = 10 with 0 to 4 trailing zeros: numpy sums 8 or more terms in 8 partial
+    # sums, so the zero-padded row sums round differently from the per-row ones
+    rng = np.random.default_rng(5)
+    occ = np.sort(2.0 * rng.dirichlet(np.ones(10), size=200), axis=1)[:, ::-1].copy()
+    for n, row in enumerate(occ):
+        row[10 - n % 5:] = 0.0
+    per_row = [von_neumann_entropy(row) for row in occ]
+    assert von_neumann_entropies(occ).tolist() == per_row
+    x = occ / 2.0
+    padded = -np.sum(x * np.log2(np.where(x > 0.0, x, 1.0)), axis=-1)
+    assert padded.tolist() != per_row  # what this test tells apart
+
+
 def test_correlation_energy_sign_handling():
     assert correlation_energy(-1.0, -1.1) == pytest.approx(0.1)
     assert correlation_energy(-1.0, -1.0) == 0.0
     with pytest.raises(NumericalCheckError):
         correlation_energy(-1.1, -1.0)
+    # a batch, elementwise: one violation fails it
+    e_hf = np.array([-1.0, -1.0])
+    assert correlation_energy(e_hf, np.array([-1.1, -1.0])) == pytest.approx([0.1, 0.0])
+    with pytest.raises(NumericalCheckError, match="by 1.000e-01"):
+        correlation_energy(e_hf, np.array([-1.1, -0.9]))
 
 
 def test_rescale_entropy():

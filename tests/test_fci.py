@@ -8,23 +8,21 @@ the package is checked against the projected Fock-space Hamiltonian, and its
 ground state against the lowest eigenvalue over every determinant.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from h2ent.basis import build_ao_basis, load_basis
+from h2ent.basis import load_basis
 from h2ent.errors import SCFConvergenceError
 from h2ent.fci import build_hamiltonian, mo_transform, run_fci, singlet_gerade_basis
 from h2ent.integrals import compute_all
-from h2ent.molecule import Molecule, h2, nuclear_repulsion
-from h2ent.scf import run_rhf
+from h2ent.molecule import h2, nuclear_repulsion
+from h2ent.scf import run_rhf_batch
 from oracles import determinant_hamiltonian
 
 
 def mo_integrals(ints, c):
-    """h and g of one geometry, transformed as a batch of one."""
-    h, g = mo_transform([ints], c[None])
+    """h and g of one geometry, a batch of one, in the orbitals c."""
+    h, g = mo_transform(ints, c[None])
     return h[0], g[0]
 
 
@@ -134,43 +132,44 @@ def test_stacked_basis_is_one_basis_per_geometry():
 def test_block_ground_state_is_the_determinant_space_ground_state(sweeps, name):
     # past R ~ 6 Bohr the lowest triplet comes within 1e-8 Hartree of the
     # ground state; it lies outside the block
-    for r, mol, ints, scf in sweeps[name]:
-        ci = run_fci([ints], [scf], [mol])[0]
-        ham = determinant_hamiltonian(*mo_integrals(ints, scf.mo_coefficients))
-        lowest = np.linalg.eigvalsh(ham)[0]
-        assert ci.e_fci == pytest.approx(lowest + nuclear_repulsion(mol), rel=0.0, abs=1e-12), r
-        assert np.array_equal(ci.coefficients, ci.coefficients.T), r
+    rs, mols, ints, scf = sweeps[name]
+    ci = run_fci(ints, scf, mols)
+    h, g = mo_transform(ints, scf.mo_coefficients)
+    e_nuc = nuclear_repulsion(mols)
+    for n, r in enumerate(rs):
+        lowest = np.linalg.eigvalsh(determinant_hamiltonian(h[n], g[n]))[0]
+        assert ci.e_fci[n] == pytest.approx(lowest + e_nuc[n], rel=0.0, abs=1e-12), r
+        assert np.array_equal(ci.coefficients[n], ci.coefficients[n].T), r
 
 
 def test_mo_transform_identity_is_symmetrization():
-    mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("sto-3g")), mol)
+    ints = compute_all(load_basis("sto-3g"), h2(1.4))
     h, g = mo_integrals(ints, np.eye(2))
-    assert np.allclose(h, ints.hcore, atol=1e-15)
-    assert np.allclose(g, ints.eri, atol=1e-14)
+    assert np.allclose(h, ints.hcore[0], atol=1e-15)
+    assert np.allclose(g, ints.eri[0], atol=1e-14)
     with pytest.raises(ValueError):
-        mo_transform([ints], np.eye(3)[None])
+        mo_transform(ints, np.eye(3)[None])
 
 
 @pytest.fixture(scope="module")
 def sto3g_solution():
     mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("sto-3g")), mol)
-    scf = run_rhf(ints, mol)
+    ints = compute_all(load_basis("sto-3g"), mol)
+    scf = run_rhf_batch(ints, mol)
     return mol, ints, scf
 
 
 def test_hf_diagonal_reproduces_scf_energy(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    h, g = mo_integrals(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[None])[0])
-    assert ham[0, 0] + nuclear_repulsion(mol) == pytest.approx(scf.e_hf, abs=1e-10)
+    h, g = mo_integrals(ints, scf.mo_coefficients[0])
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity)[0])
+    assert ham[0, 0] + nuclear_repulsion(mol)[0] == pytest.approx(scf.e_hf[0], abs=1e-10)
 
 
 def test_double_excitation_coupling_is_exchange_integral(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    h, g = mo_integrals(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[None])[0])
+    h, g = mo_integrals(ints, scf.mo_coefficients[0])
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity)[0])
     # block column 0 is C[0, 0] (sigma_g^2) and column 1 is C[1, 1] (sigma_u^2)
     assert ham[0, 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
 
@@ -179,31 +178,31 @@ def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
     # the singlet-gerade block of the 4x4 problem is the 2x2 over the two
     # closed-shell configurations; its lower eigenvalue is available in closed form
     mol, ints, scf = sto3g_solution
-    h, g = mo_integrals(ints, scf.mo_coefficients)
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[None])[0])
+    h, g = mo_integrals(ints, scf.mo_coefficients[0])
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity)[0])
     assert ham.shape == (2, 2)
     a, b, c = ham[0, 0], ham[1, 1], ham[0, 1]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
     assert np.linalg.eigvalsh(determinant_hamiltonian(h, g))[0] == pytest.approx(lower, abs=1e-12)
-    ci = run_fci([ints], [scf], [mol])[0]
-    assert ci.e_fci == pytest.approx(lower + nuclear_repulsion(mol), abs=1e-12)
+    ci = run_fci(ints, scf, mol)
+    assert ci.e_fci[0] == pytest.approx(lower + nuclear_repulsion(mol)[0], abs=1e-12)
 
 
 def test_fci_requires_converged_reference(sto3g_solution):
     mol, ints, scf = sto3g_solution
     with pytest.raises(SCFConvergenceError):
-        run_fci([ints], [replace(scf, converged=False)], [mol])
+        run_fci(ints, scf._replace(converged=np.array([False])), mol)
 
 
 def test_fci_rejects_other_electron_counts(sto3g_solution):
     mol, ints, scf = sto3g_solution
     with pytest.raises(ValueError):
-        run_fci([ints], [scf], [Molecule(mol.atoms, 4)])
+        run_fci(ints, scf, mol._replace(n_electrons=4))
 
 
 def test_phase_convention(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    c = run_fci([ints], [scf], [mol])[0].coefficients
+    c = run_fci(ints, scf, mol).coefficients[0]
     assert c.shape == (2, 2)
     assert c.flat[np.argmax(np.abs(c))] > 0.0
 
@@ -213,9 +212,9 @@ def test_inverse_iteration_oracle_polarized_basis():
     # iteration from the HF determinant is an independent check on the dense
     # eigensolver and on the singlet-gerade block
     mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
-    scf = run_rhf(ints, mol)
-    ham = determinant_hamiltonian(*mo_integrals(ints, scf.mo_coefficients))
+    ints = compute_all(load_basis("6-31gss"), mol)
+    scf = run_rhf_batch(ints, mol)
+    ham = determinant_hamiltonian(*mo_integrals(ints, scf.mo_coefficients[0]))
     assert ham.shape == (100, 100)
     x = np.zeros(100)
     x[0] = 1.0  # the HF determinant C[0, 0]
@@ -225,29 +224,29 @@ def test_inverse_iteration_oracle_polarized_basis():
         x /= np.linalg.norm(x)
         mu = x @ ham @ x
     assert np.linalg.eigvalsh(ham)[0] == pytest.approx(mu, abs=1e-9)
-    ci = run_fci([ints], [scf], [mol])[0]
-    assert ci.e_fci == pytest.approx(mu + nuclear_repulsion(mol), abs=1e-9)
+    ci = run_fci(ints, scf, mol)
+    assert ci.e_fci[0] == pytest.approx(mu + nuclear_repulsion(mol)[0], abs=1e-9)
 
 
 def test_fci_energy_invariant_under_virtual_rotation():
     mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
-    scf = run_rhf(ints, mol)
-    ref = run_fci([ints], [scf], [mol])[0].e_fci
+    ints = compute_all(load_basis("6-31gss"), mol)
+    scf = run_rhf_batch(ints, mol)
+    ref = run_fci(ints, scf, mol).e_fci[0]
     c = scf.mo_coefficients.copy()
     th = 0.37
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     # a rotation within one parity space keeps the parity labels valid
-    assert scf.parity[4] == scf.parity[5] == -1.0
-    c[:, [4, 5]] = c[:, [4, 5]] @ rot
-    rotated = replace(scf, mo_coefficients=c)
-    assert run_fci([ints], [rotated], [mol])[0].e_fci == pytest.approx(ref, abs=1e-10)
+    assert scf.parity[0, 4] == scf.parity[0, 5] == -1.0
+    c[0][:, [4, 5]] = c[0][:, [4, 5]] @ rot
+    rotated = scf._replace(mo_coefficients=c)
+    assert run_fci(ints, rotated, mol).e_fci[0] == pytest.approx(ref, abs=1e-10)
 
 
 def test_dissociation_configurations_equalize(sto3g_curve):
     records, _ = sto3g_curve
     far = records[-1]
     assert far.r == 20.0
-    c_gg, c_uu = far.ci.coefficients[0, 0], far.ci.coefficients[1, 1]
+    c_gg, c_uu = far.ci.coefficients[0, 0, 0], far.ci.coefficients[0, 1, 1]
     assert abs(c_gg) == pytest.approx(abs(c_uu), abs=1e-3)
     assert c_gg > 0.0

@@ -1,7 +1,5 @@
 """Analytic Gaussian integrals against closed forms and the quadrature oracle."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -12,8 +10,9 @@ from h2ent.fci import run_fci
 from h2ent.integrals import (_TUV_ROW, IntegralSet, _eri_block, _hermite_coulomb_all, _pair,
                              boys, boys_table, compute_all, eri, kinetic, nuclear_attraction,
                              overlap)
-from h2ent.molecule import Molecule, atom, h2, helium
-from h2ent.scf import run_rhf
+from h2ent.molecule import h2, helium, molecule, stack
+from h2ent.scf import run_rhf_batch
+from conftest import take
 from oracles import (eri_block_by_term_pairs, eri_by_gaussian_transform,
                      hermite_coulomb_by_entry, quadrature_oracle, quadrature_oracle_eri)
 
@@ -131,7 +130,7 @@ def test_kinetic_closed_form():
 
 def test_nuclear_closed_form():
     # <s|1/r|s> at the center: 2 sqrt(2 alpha / pi)
-    mol = Molecule((atom("H", (0.0, 0.0, 0.0)),), 1)
+    mol = molecule([("H", (0.0, 0.0, 0.0))], 1)
     for alpha in (0.5, 1.0, 2.0):
         f = s_prim(alpha)
         assert nuclear_attraction(f, f, mol) \
@@ -215,9 +214,9 @@ def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatc
         return blocks[-1][2]
 
     monkeypatch.setattr(integrals, "_eri_block", kept)
-    mols = [h2(0.7), h2(1.4), h2(20.0), off_axis_h2(1.4)]
+    mols = stack([h2(0.7), h2(1.4), h2(20.0), off_axis_h2(1.4)])
     for name in ("sto-3g", "6-31gss"):
-        compute_all([build_ao_basis(mol, load_basis(name)) for mol in mols], mols)
+        compute_all(load_basis(name), mols)
     assert len(blocks) == 1 + 6
     assert sum(bra is ket and len(bra.start) > 1 for bra, ket, _ in blocks) == 4
     for bra, ket, out in blocks:
@@ -248,9 +247,8 @@ def test_eri_kernel_computes_each_unique_distribution_quartet_once(monkeypatch, 
 
     monkeypatch.setattr(integrals, "_eri_block", eri_block)
     monkeypatch.setattr(integrals, "boys_table", counting)
-    mols = [h2(r) for r in (0.7, 1.4, 20.0)]
-    compute_all([build_ao_basis(mol, load_basis(name)) for mol in mols], mols)
-    assert sum(sent) == per_geometry * len(mols)
+    compute_all(load_basis(name), h2((0.7, 1.4, 20.0)))
+    assert sum(sent) == per_geometry * 3
 
 
 def random_primitive(rng):
@@ -274,10 +272,11 @@ def test_compute_all_eris_match_the_gaussian_transform_oracle(name):
     for r in (0.3, 1.4, 5.0, 20.0):
         mol = h2(r)
         ao = build_ao_basis(mol, load_basis(name))
-        pairs = [(i, j) for i in range(ao.n) for j in range(i + 1)]
+        pairs = [(i, j) for i in range(len(ao.functions)) for j in range(i + 1)]
         quartets = np.array([ij + kl for x, ij in enumerate(pairs) for kl in pairs[:x + 1]])
         ref = eri_by_gaussian_transform([[ao.functions[m] for m in q] for q in quartets])
-        assert np.abs(compute_all(ao, mol).eri[tuple(quartets.T)] - ref).max() < 1e-12, r
+        g = compute_all(load_basis(name), mol).eri[0]
+        assert np.abs(g[tuple(quartets.T)] - ref).max() < 1e-12, r
 
 
 def test_eri_eightfold_symmetry_exact():
@@ -293,28 +292,29 @@ def test_eri_eightfold_symmetry_exact():
 def test_compute_all_matches_single_calls():
     mol = h2(1.4)
     ao = build_ao_basis(mol, load_basis("6-31gss"))
-    ints = compute_all(ao, mol)
+    ints = compute_all(load_basis("6-31gss"), mol)
+    k_ao = len(ao.functions)
     rng = np.random.default_rng(11)
     for _ in range(20):
         # canonical index order reproduces the exact code path of compute_all
-        i, j = sorted(rng.integers(0, ao.n, 2), reverse=True)
-        k, l = sorted(rng.integers(0, ao.n, 2), reverse=True)
+        i, j = sorted(rng.integers(0, k_ao, 2), reverse=True)
+        k, l = sorted(rng.integers(0, k_ao, 2), reverse=True)
         if i * (i + 1) // 2 + j < k * (k + 1) // 2 + l:
             i, j, k, l = k, l, i, j
         fi, fj, fk, fl = (ao.functions[m] for m in (i, j, k, l))
-        assert ints.eri[i, j, k, l] == eri(fi, fj, fk, fl)
-    for i in range(ao.n):
+        assert ints.eri[0, i, j, k, l] == eri(fi, fj, fk, fl)
+    for i in range(k_ao):
         for j in range(i + 1):
             val = overlap(ao.functions[i], ao.functions[j])
-            assert ints.overlap[i, j] == val
-            assert ints.overlap[j, i] == val
+            assert ints.overlap[0, i, j] == val
+            assert ints.overlap[0, j, i] == val
 
 
 def off_axis_h2(r):
     """H2 with a generic bond direction, so every Cartesian branch is used."""
     origin = np.array([0.3, -0.2, 0.1])
     direction = np.array([0.48, -0.6, 0.64])  # unit vector
-    return Molecule((atom("H", origin), atom("H", origin + r * direction)), 2)
+    return molecule([("H", origin), ("H", origin + r * direction)], 2)
 
 
 def test_every_eri_of_compute_all_is_its_one_quartet_call():
@@ -323,8 +323,8 @@ def test_every_eri_of_compute_all_is_its_one_quartet_call():
     # quartet is zero by symmetry, so an orientation the two disagree on shows in rounding
     mol = off_axis_h2(1.4)
     ao = build_ao_basis(mol, load_basis("6-31gss"))
-    g = compute_all(ao, mol).eri
-    pairs = [(i, j) for i in range(ao.n) for j in range(i + 1)]
+    g = compute_all(load_basis("6-31gss"), mol).eri[0]
+    pairs = [(i, j) for i in range(len(ao.functions)) for j in range(i + 1)]
     for x, (i, j) in enumerate(pairs):
         for k, l in pairs[:x + 1]:
             fi, fj, fk, fl = (ao.functions[m] for m in (i, j, k, l))
@@ -335,16 +335,16 @@ def test_off_axis_h2_matches_bond_along_z():
     basis = load_basis("6-31gss")
     energies = []
     for mol in (h2(1.4), off_axis_h2(1.4)):
-        ints = compute_all(build_ao_basis(mol, basis), mol)
-        scf = run_rhf(ints, mol)
-        energies.append((scf.e_hf, run_fci([ints], [scf], [mol])[0].e_fci))
+        ints = compute_all(basis, mol)
+        scf = run_rhf_batch(ints, mol)
+        energies.append((scf.e_hf[0], run_fci(ints, scf, mol).e_fci[0]))
     assert energies[1] == pytest.approx(energies[0], abs=1e-10)
 
 
 def test_off_axis_one_electron_oracle_spot_checks():
     mol = off_axis_h2(1.4)
     ao = build_ao_basis(mol, load_basis("6-31gss"))
-    ints = compute_all(ao, mol)
+    ints = take(compute_all(load_basis("6-31gss"), mol), 0)
     # single-primitive s (0.161) and p (1.1) functions: inside the oracle's range
     for i, j in ((1, 7), (3, 8), (4, 6)):
         f, g = ao.functions[i], ao.functions[j]
@@ -358,18 +358,17 @@ def test_off_axis_one_electron_oracle_spot_checks():
 
 def test_compute_all_is_deterministic_and_exactly_symmetric():
     mol = off_axis_h2(1.4)
-    ao = build_ao_basis(mol, load_basis("6-31gss"))
-    a, b = compute_all(ao, mol), compute_all(ao, mol)
-    for name in ("overlap", "kinetic", "nuclear", "eri"):
+    a, b = (compute_all(load_basis("6-31gss"), mol) for _ in range(2))
+    for name in IntegralSet._fields:
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    g = a.eri
+    g = a.eri[0]
     for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
         assert np.array_equal(g, g.transpose(axes))
 
 
 def test_integral_matrices_well_formed():
-    mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
+    ints = take(compute_all(load_basis("6-31gss"), h2(1.4)), 0)
+    assert np.array_equal(ints.hcore, ints.kinetic + ints.nuclear)
     assert np.array_equal(ints.overlap, ints.overlap.T)
     assert np.array_equal(ints.kinetic, ints.kinetic.T)
     assert np.array_equal(ints.nuclear, ints.nuclear.T)
@@ -379,11 +378,13 @@ def test_integral_matrices_well_formed():
 
 
 def assert_same_integrals(batch, singles):
-    assert len(batch) == len(singles)
-    for a, b in zip(batch, singles):
-        for field in fields(IntegralSet):
-            x, y = getattr(a, field.name), getattr(b, field.name)
-            assert x.shape == y.shape and np.array_equal(x, y), field.name
+    # geometry n of the batch against the batch of one singles[n], field by field
+    for field in IntegralSet._fields:
+        x = getattr(batch, field)
+        assert len(x) == len(singles), field
+        for n, single in enumerate(singles):
+            y = getattr(single, field)
+            assert y.shape == (1,) + x.shape[1:] and np.array_equal(x[n], y[0]), (field, n)
 
 
 @pytest.mark.parametrize("name, rs", [
@@ -392,24 +393,26 @@ def assert_same_integrals(batch, singles):
 ])
 def test_batched_compute_all_equals_one_point_calls(name, rs):
     basis = load_basis(name)
-    mols = [h2(r) for r in rs]
-    aos = [build_ao_basis(mol, basis) for mol in mols]
-    singles = [compute_all(ao, mol) for ao, mol in zip(aos, mols)]
-    assert_same_integrals(compute_all(aos, mols), singles)
+    singles = [compute_all(basis, h2(r)) for r in rs]
+    assert_same_integrals(compute_all(basis, h2(rs)), singles)
     # and neither depends on the batch's size or order
-    assert_same_integrals(compute_all(aos[::-3], mols[::-3]), singles[::-3])
+    assert_same_integrals(compute_all(basis, h2(rs[::-3])), singles[::-3])
 
 
-def test_mixed_batch_is_split_into_layouts():
-    # bases, atom counts and shell orders that differ go to batches of their own,
-    # and the results come back in input order
+def test_mixed_batch_is_rejected_and_each_layout_batch_is_its_one_point_calls():
+    # one batch is one molecule's atoms, in one order, with one electron count: any
+    # other mix raises; every batch of one layout equals its one-point calls, in
+    # either basis, whatever the geometries
     sto, pol = load_basis("sto-3g"), load_basis("6-31gss")
-    flipped = Molecule((atom("H", (0.0, 0.0, 1.4)), atom("H", (0.0, 0.0, 0.0))), 2)
-    cases = [(h2(1.4), pol), (helium(), pol), (h2(2.0), sto), (off_axis_h2(1.4), pol),
-             (flipped, pol), (h2(0.9), pol), (helium(), sto)]
-    mols = [mol for mol, _ in cases]
-    aos = [build_ao_basis(mol, basis) for mol, basis in cases]
-    assert_same_integrals(compute_all(aos, mols),
-                          [compute_all(ao, mol) for ao, mol in zip(aos, mols)])
-    with pytest.raises(ValueError):
-        compute_all(aos, mols[:-1])
+    flipped = molecule([("H", (0.0, 0.0, 1.4)), ("H", (0.0, 0.0, 0.0))], 2)
+    heh = molecule([("H", (0.0, 0.0, 0.0)), ("He", (0.0, 0.0, 1.4))], 2)
+    hhe = molecule([("He", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 1.4))], 2)
+    for mixed in ([h2(1.4), helium()], [helium(), h2(1.4)], [heh, hhe],
+                  [h2(1.4), h2(0.9)._replace(n_electrons=1)]):
+        with pytest.raises(ValueError, match="one molecule's atoms"):
+            stack(mixed)
+    for basis, mols in ((pol, [h2(1.4), off_axis_h2(1.4), flipped, h2(0.9)]),
+                        (sto, [flipped, h2(2.0)]), (pol, [helium(), helium()]),
+                        (sto, [helium()])):
+        assert_same_integrals(compute_all(basis, stack(mols)),
+                              [compute_all(basis, mol) for mol in mols])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from h2ent.basis import BasisFunction, primitive_norm
-from h2ent.molecule import Molecule, atom
+from h2ent.molecule import molecule
 from oracles import eri_by_gaussian_transform, quadrature_oracle, quadrature_oracle_eri
 
 
@@ -25,7 +25,7 @@ def test_oracle_overlap_and_kinetic_closed_forms():
 
 
 def test_oracle_nuclear_closed_form():
-    mol = Molecule((atom("H", (0.0, 0.0, 0.0)),), 1)
+    mol = molecule([("H", (0.0, 0.0, 0.0))], 1)
     f = s_prim(0.9)
     assert quadrature_oracle(f, f, "nuclear", mol) \
         == pytest.approx(-2.0 * np.sqrt(2.0 * 0.9 / np.pi), abs=1e-8)

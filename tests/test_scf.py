@@ -4,28 +4,30 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from h2ent.basis import build_ao_basis, load_basis
+from h2ent import integrals
+from h2ent.basis import load_basis
 from h2ent.cli import main
 from h2ent.errors import LinearDependenceError, SymmetryError
 from h2ent.integrals import compute_all
-from h2ent.molecule import h2, helium, nuclear_repulsion, Molecule, atom
+from h2ent.molecule import h2, helium, molecule, nuclear_repulsion, stack
 from h2ent.scf import (SCFSettings, build_fock, coulomb_exchange, density_from_coeffs,
                        run_rhf, run_rhf_batch, symmetric_orthogonalizer)
-from conftest import SWEEP_R
+from conftest import SWEEP_R, take
 from oracles import fock_by_einsum
 
 
 @pytest.fixture(scope="module")
 def h2_sto3g():
     mol = h2(1.4)
-    ints = compute_all(build_ao_basis(mol, load_basis("sto-3g")), mol)
+    ints = compute_all(load_basis("sto-3g"), mol)
     return mol, ints
 
 
 def test_orthogonalizer_inverts_overlap(h2_sto3g):
     _, ints = h2_sto3g
-    x = symmetric_orthogonalizer(ints.overlap)
-    assert np.allclose(x.T @ ints.overlap @ x, np.eye(2), atol=1e-14)
+    s = ints.overlap[0]
+    x = symmetric_orthogonalizer(s)
+    assert np.allclose(x.T @ s @ x, np.eye(2), atol=1e-14)
 
 
 def test_orthogonalizer_rejects_singular():
@@ -36,36 +38,35 @@ def test_orthogonalizer_rejects_singular():
 
 def test_density_shape_and_trace(h2_sto3g):
     _, ints = h2_sto3g
-    x = symmetric_orthogonalizer(ints.overlap)
+    x = symmetric_orthogonalizer(ints.overlap[0])
     d = density_from_coeffs(x, 1)
     assert d.shape == (2, 2)
-    assert np.trace(d @ ints.overlap) == pytest.approx(2.0, abs=1e-12)
+    assert np.trace(d @ ints.overlap[0]) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError):
         density_from_coeffs(x, 3)
 
 
 def test_fock_with_zero_density_is_hcore(h2_sto3g):
     _, ints = h2_sto3g
-    f = build_fock(ints.hcore, np.zeros((2, 2)), coulomb_exchange(ints.eri))
-    assert np.array_equal(f, ints.hcore)
+    f = build_fock(ints.hcore[0], np.zeros((2, 2)), coulomb_exchange(ints.eri[0]))
+    assert np.array_equal(f, ints.hcore[0])
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_supermatrix_fock_matches_einsum_oracle(name):
     # a random symmetric density, one geometry and a stack of two
     rng = np.random.default_rng(7)
-    mols = [h2(1.4), h2(3.7)]
-    ints = compute_all([build_ao_basis(m, load_basis(name)) for m in mols], mols)
-    k = len(ints[0].hcore)
+    ints = compute_all(load_basis(name), h2([1.4, 3.7]))
+    k = ints.hcore.shape[-1]
     d = rng.normal(size=(2, k, k))
     d = d + d.swapaxes(-1, -2)
-    stacked = build_fock(np.stack([i.hcore for i in ints]), d,
-                         coulomb_exchange(np.stack([i.eri for i in ints])))
-    for n, i in enumerate(ints):
-        oracle = fock_by_einsum(i.hcore, d[n], i.eri)
-        assert np.allclose(build_fock(i.hcore, d[n], coulomb_exchange(i.eri)), oracle,
+    stacked = build_fock(ints.hcore, d, coulomb_exchange(ints.eri))
+    for n in range(2):
+        hcore, eri = ints.hcore[n], ints.eri[n]
+        oracle = fock_by_einsum(hcore, d[n], eri)
+        assert np.allclose(build_fock(hcore, d[n], coulomb_exchange(eri)), oracle,
                            rtol=0.0, atol=1e-13)
-        assert np.array_equal(stacked[n], build_fock(i.hcore, d[n], coulomb_exchange(i.eri)))
+        assert np.array_equal(stacked[n], build_fock(hcore, d[n], coulomb_exchange(eri)))
 
 
 def test_settings_validation():
@@ -77,7 +78,7 @@ def test_settings_validation():
 
 def test_odd_electron_count_rejected(h2_sto3g):
     _, ints = h2_sto3g
-    ion = Molecule((atom("H", (0, 0, 0)), atom("H", (0, 0, 1.4))), 1)
+    ion = h2(1.4)._replace(n_electrons=1)
     with pytest.raises(ValueError):
         run_rhf(ints, ion)
 
@@ -85,7 +86,7 @@ def test_odd_electron_count_rejected(h2_sto3g):
 def test_four_electron_count_rejected(h2_sto3g):
     # the one occupied orbital is the lowest gerade one: two electrons only
     _, ints = h2_sto3g
-    dianion = Molecule((atom("H", (0, 0, 0)), atom("H", (0, 0, 1.4))), 4)
+    dianion = h2(1.4)._replace(n_electrons=4)
     with pytest.raises(ValueError, match="two electrons"):
         run_rhf(ints, dianion)
 
@@ -93,11 +94,11 @@ def test_four_electron_count_rejected(h2_sto3g):
 def test_helium_closed_form():
     # one orbital: E = 2 h_11 + (11|11), no iteration freedom
     mol = helium()
-    ints = compute_all(build_ao_basis(mol, load_basis("sto-3g")), mol)
+    ints = compute_all(load_basis("sto-3g"), mol)
     res = run_rhf(ints, mol)
     assert res.converged
-    s = ints.overlap[0, 0]
-    e_exact = 2.0 * ints.hcore[0, 0] / s + ints.eri[0, 0, 0, 0] / s ** 2
+    s = ints.overlap[0, 0, 0]
+    e_exact = 2.0 * ints.hcore[0, 0, 0] / s + ints.eri[0, 0, 0, 0, 0] / s ** 2
     assert res.e_hf == pytest.approx(e_exact, abs=1e-12)
 
 
@@ -105,14 +106,15 @@ def test_h2_matches_golden_section_oracle(h2_sto3g):
     # one occupied MO in a 2-AO basis: a single rotation angle parametrizes
     # every normalized orbital, so scalar minimization is an independent oracle
     mol, ints = h2_sto3g
-    x = symmetric_orthogonalizer(ints.overlap)
-    e_nuc = nuclear_repulsion(mol)
+    ints_1 = take(ints, 0)
+    x = symmetric_orthogonalizer(ints_1.overlap)
+    e_nuc = nuclear_repulsion(mol)[0]
 
     def energy(theta):
         c = x @ np.array([np.cos(theta), np.sin(theta)])
         d = 2.0 * np.outer(c, c)
-        f = fock_by_einsum(ints.hcore, d, ints.eri)
-        return 0.5 * np.sum(d * (ints.hcore + f)) + e_nuc
+        f = fock_by_einsum(ints_1.hcore, d, ints_1.eri)
+        return 0.5 * np.sum(d * (ints_1.hcore + f)) + e_nuc
 
     opt = minimize_scalar(energy, bracket=(0.0, np.pi / 4, np.pi / 2),
                           method="golden", options={"xtol": 1e-12})
@@ -126,6 +128,7 @@ def test_h2_matches_golden_section_oracle(h2_sto3g):
 def test_converged_state_properties(h2_sto3g):
     mol, ints = h2_sto3g
     res = run_rhf(ints, mol)
+    ints = take(ints, 0)
     c = res.mo_coefficients
     assert np.allclose(c.T @ ints.overlap @ c, np.eye(2), atol=1e-8)
     d = density_from_coeffs(c, 1)
@@ -140,7 +143,7 @@ def test_stretched_polarized_basis_converges():
     # parity block on its own keeps them from mixing, so plain iteration
     # lands on the symmetric RHF solution
     mol = h2(10.0)
-    ints = compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol)
+    ints = compute_all(load_basis("6-31gss"), mol)
     res = run_rhf(ints, mol)
     assert res.converged
     assert res.e_hf == pytest.approx(-0.7480776723549947, abs=1e-8)
@@ -151,6 +154,9 @@ def test_nonconvergence_is_reported_not_raised(h2_sto3g):
     res = run_rhf(ints, mol, SCFSettings(max_iterations=1))
     assert not res.converged
     assert res.iterations == 1
+    # one geometry without the batch axis, and Python scalars, as perfbench reads them
+    assert type(res.iterations) is int and type(res.converged) is bool
+    assert res.mo_coefficients.shape == (2, 2) and type(res.e_hf) is float
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
@@ -159,61 +165,66 @@ def test_batch_results_are_one_point_results(name, max_iterations):
     # the geometries iterate in lockstep and leave as they converge: a result,
     # its iteration count included, does not depend on the batch it is in
     settings = SCFSettings(max_iterations=max_iterations)
-    mols = [h2(r) for r in list(SWEEP_R) + [20.0]]
-    ints = compute_all([build_ao_basis(m, load_basis(name)) for m in mols], mols)
+    rs = list(SWEEP_R) + [20.0]
+    mols = h2(rs)
+    ints = compute_all(load_basis(name), mols)
     batch = run_rhf_batch(ints, mols, settings)
-    sub = list(range(len(mols)))[::-3]
-    part = dict(zip(sub, run_rhf_batch([ints[n] for n in sub], [mols[n] for n in sub],
-                                       settings)))
-    for n, res in enumerate(batch):
-        for other in [run_rhf(ints[n], mols[n], settings)] + ([part[n]] if n in part else []):
+    sub = np.arange(len(rs))[::-3]
+    part = run_rhf_batch(take(ints, sub), take(mols, sub), settings)
+    parts = {n: take(part, m) for m, n in enumerate(sub)}
+    for n in range(len(rs)):
+        res = take(batch, n)
+        one = run_rhf(take(ints, [n]), take(mols, [n]), settings)
+        for other in [one] + ([parts[n]] if n in parts else []):
             assert (res.e_hf, res.e_nuclear, res.iterations, res.converged) \
                 == (other.e_hf, other.e_nuclear, other.iterations, other.converged), n
             for field in ("mo_coefficients", "orbital_energies", "parity"):
                 assert getattr(res, field).tobytes() == getattr(other, field).tobytes(), n
     if name == "6-31gss" and max_iterations == 8:  # 7 to 10 needed: some run out
-        assert {res.converged for res in batch} == {True, False}
+        assert set(batch.converged.tolist()) == {True, False}
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_every_r_converges_fast_to_a_gerade_orbital(sweeps, name):
-    for r, _, ints, res in sweeps[name]:
-        assert res.converged and res.iterations <= 12, (r, res.iterations)
-        c0 = res.mo_coefficients[:, 0]
-        assert np.allclose(ints.inversion @ c0, c0, rtol=0.0, atol=1e-12), r
+    rs, _, ints, res = sweeps[name]
+    for n, r in enumerate(rs):
+        assert res.converged[n] and res.iterations[n] <= 12, (r, res.iterations[n])
+        c0 = res.mo_coefficients[n, :, 0]
+        assert np.allclose(ints.inversion[n] @ c0, c0, rtol=0.0, atol=1e-12), r
 
 
 def test_sto3g_energy_matches_symmetric_closed_form(sweeps):
     # the only gerade orbital of two 1s functions is c_g = (1, 1)/sqrt(2(1 + S12)),
     # so E_HF = 2 h_gg + (gg|gg) + 1/R with no iteration at all
-    for r, _, ints, res in sweeps["sto-3g"]:
-        cg = np.ones(2) / np.sqrt(2.0 * (1.0 + ints.overlap[0, 1]))
-        e_closed = 2.0 * cg @ ints.hcore @ cg \
-            + np.einsum("p,q,r,s,pqrs->", cg, cg, cg, cg, ints.eri) + 1.0 / r
-        assert res.e_hf == pytest.approx(e_closed, abs=1e-12), r
+    rs, _, ints, res = sweeps["sto-3g"]
+    for n, r in enumerate(rs):
+        cg = np.ones(2) / np.sqrt(2.0 * (1.0 + ints.overlap[n, 0, 1]))
+        e_closed = 2.0 * cg @ ints.hcore[n] @ cg \
+            + np.einsum("p,q,r,s,pqrs->", cg, cg, cg, cg, ints.eri[n]) + 1.0 / r
+        assert res.e_hf[n] == pytest.approx(e_closed, abs=1e-12), r
 
 
 @pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
 def test_parity_labels_are_the_inversion_eigenvalues(curve, request):
     # the FCI builds its singlet-gerade block from these labels
     for rec in request.getfixturevalue(curve)[0]:
-        c, parity = rec.scf.mo_coefficients, rec.scf.parity
+        c, parity = rec.scf.mo_coefficients[0], rec.scf.parity[0]
         assert np.array_equal(np.abs(parity), np.ones(len(parity))), rec.r
-        assert np.abs(rec.ints.inversion @ c - c * parity).max() <= 1e-12, rec.r
+        assert np.abs(rec.ints.inversion[0] @ c - c * parity).max() <= 1e-12, rec.r
 
 
 @pytest.mark.parametrize("r", [10.0, 10.01])
 def test_polarized_basis_iterations_do_not_hinge_on_last_digits(r):
     # last-digit changes in the integrals once moved this point between 8 and 42 iterations
     mol = h2(r)
-    res = run_rhf(compute_all(build_ao_basis(mol, load_basis("6-31gss")), mol), mol)
+    res = run_rhf(compute_all(load_basis("6-31gss"), mol), mol)
     assert res.converged and res.iterations <= 12
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 @pytest.mark.parametrize("mol", [h2(1.4), h2(37.0), helium()], ids=["h2-1.4", "h2-37", "he"])
 def test_inversion_is_a_signed_permutation_and_a_symmetry(name, mol):
-    ints = compute_all(build_ao_basis(mol, load_basis(name)), mol)
+    ints = take(compute_all(load_basis(name), mol), 0)
     p = ints.inversion
     assert np.array_equal(np.abs(p).sum(axis=0), np.ones(len(p)))
     assert np.array_equal(p @ p, np.eye(len(p)))
@@ -222,28 +233,36 @@ def test_inversion_is_a_signed_permutation_and_a_symmetry(name, mol):
 
 
 def test_molecule_without_inversion_symmetry_is_rejected():
-    heh = Molecule((atom("H", (0, 0, 0)), atom("He", (0, 0, 1.4))), 2)
-    h3 = Molecule(tuple(atom("H", (0, 0, z)) for z in (0.0, 1.4, 2.8)), 2)
+    heh = molecule([("H", (0, 0, 0)), ("He", (0, 0, 1.4))], 2)
+    h3 = molecule([("H", (0, 0, z)) for z in (0.0, 1.4, 2.8)], 2)
     for mol in (heh, h3):
         for name in ("sto-3g", "6-31gss"):
             with pytest.raises(SymmetryError):
-                compute_all(build_ao_basis(mol, load_basis(name)), mol)
+                compute_all(load_basis(name), mol)
 
 
-def test_batch_without_inversion_symmetry_is_rejected():
+def test_batch_without_inversion_symmetry_is_rejected(monkeypatch):
     # the check runs once per batch, on the stacked overlaps and core Hamiltonians,
     # and a batch fails when any one geometry lacks the symmetry
-    heh = [Molecule((atom("H", (0, 0, 0)), atom("He", (0, 0, r))), 2) for r in (0.9, 1.4, 3.0)]
+    heh = stack([molecule([("H", (0, 0, 0)), ("He", (0, 0, r))], 2) for r in (0.9, 1.4, 3.0)])
+    nuclear = integrals._ShellPairs.nuclear
+
+    def asymmetric_middle(self, xyz, charges):
+        # the middle geometry's nuclei pull as HeH's do, the others' as H2's
+        return np.concatenate([nuclear(self, xyz[..., :1], (1, 1)),
+                               nuclear(self, xyz[..., 1:2], (1, 2)),
+                               nuclear(self, xyz[..., 2:], (1, 1))], axis=1)
+
     for name in ("sto-3g", "6-31gss"):
         basis = load_basis(name)
         with pytest.raises(SymmetryError, match="no inversion symmetry"):
-            compute_all([build_ao_basis(mol, basis) for mol in heh], heh)
-        # H2's functions in the nuclear field of HeH: only the middle geometry's core
-        # Hamiltonian is asymmetric
-        mols = [h2(0.9), heh[1], h2(3.0)]
-        aos = [build_ao_basis(h2(r), basis) for r in (0.9, 1.4, 3.0)]
-        with pytest.raises(SymmetryError, match="no inversion symmetry"):
-            compute_all(aos, mols)
+            compute_all(basis, heh)
+        mols = h2([0.9, 1.4, 3.0])
+        compute_all(basis, mols)
+        with monkeypatch.context() as m:
+            m.setattr(integrals._ShellPairs, "nuclear", asymmetric_middle)
+            with pytest.raises(SymmetryError, match="no inversion symmetry"):
+                compute_all(basis, mols)
 
 
 def test_point_at_100_bohr_succeeds(capsys):
