@@ -50,36 +50,29 @@ def mo_transform(ints, c):
 
 
 def singlet_gerade_basis(parity):
-    """Orthonormal vec(E_aa), vec(E_ab + E_ba)/sqrt(2), a < b of equal parity, as columns.
-
-    The parities (G, K) of G geometries give (G, K^2, M), which needs the same
-    parity counts, and so the same M, in every geometry.
-    """
-    n, k = parity.shape
+    """Orthonormal vec(E_aa), vec(E_ab + E_ba)/sqrt(2), a < b of equal parity, as the
+    columns of one (K^2, M) array, from the (K,) parities of the K MOs."""
+    k = len(parity)
     a, b = np.triu_indices(k)  # the pairs a <= b in row-major order
-    same = parity[:, a] == parity[:, b]
-    m = np.count_nonzero(same, axis=-1)
-    if np.any(m != m[0]):
-        raise ValueError("the geometries differ in their parity counts")
-    pick = np.nonzero(same)[1].reshape(n, m[0])  # each row's equal-parity pairs
-    a, b = a[pick], b[pick]
+    same = parity[a] == parity[b]
+    a, b = a[same], b[same]
     w = np.where(a == b, 1.0, 0.5 ** 0.5)
-    basis = np.zeros((n, k * k, m[0]))
-    geometry, column = np.arange(n)[:, None], np.arange(m[0])
-    basis[geometry, a * k + b, column] = w
-    basis[geometry, b * k + a, column] = w
+    basis = np.zeros((k * k, len(a)))
+    column = np.arange(len(a))
+    basis[a * k + b, column] = w
+    basis[b * k + a, column] = w
     return basis
 
 
 def build_hamiltonian(h, g, basis):
     """The block B^T H B of the K^2 x K^2 Hamiltonian on vec(C), B from
-    `singlet_gerade_basis`; h (..., K, K), g (..., K, K, K, K), B (..., K^2, M)."""
+    `singlet_gerade_basis`; h (..., K, K), g (..., K, K, K, K), B (K^2, M)."""
     k = h.shape[-1]
     one = np.eye(k)
     # h (x) 1 + 1 (x) h + g[a, c, b, d], each indexed [a, b, c, d]
     ham = (h[..., :, None, :, None] * one[None, :, None, :]
            + one[:, None, :, None] * h[..., None, :, None, :] + g.swapaxes(-3, -2))
-    return basis.swapaxes(-1, -2) @ ham.reshape(h.shape[:-2] + (k * k, k * k)) @ basis
+    return basis.T @ ham.reshape(h.shape[:-2] + (k * k, k * k)) @ basis
 
 
 def run_fci(ints, scf, mols):
@@ -96,7 +89,7 @@ def run_fci(ints, scf, mols):
     c = scf.mo_coefficients
     n, k = c.shape[:2]
     h, g = mo_transform(ints, c)
-    basis = singlet_gerade_basis(scf.parity)
+    basis = singlet_gerade_basis(scf.parity[0])  # one parity row for the batch
     vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, basis))
     c = (basis @ vecs[..., :1]).reshape(n, k, k)
     flat = c.reshape(n, -1)

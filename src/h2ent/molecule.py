@@ -51,8 +51,8 @@ def h2(r_bohr):
     """Neutral H2 with the bond along z, one atom at the origin: a batch of one geometry
     per bond length of r_bohr, a number or a sequence."""
     rs = np.atleast_1d(np.asarray(r_bohr, dtype=float))
-    if not np.all(rs > 0):
-        raise ValueError(f"internuclear distance must be positive, got {r_bohr}")
+    if not np.all((rs > 0) & np.isfinite(rs)):
+        raise ValueError(f"internuclear distance must be positive and finite, got {r_bohr}")
     xyz = np.zeros((len(rs), 2, 3))
     xyz[:, 1, 2] = rs
     return Molecule(("H", "H"), (1, 1), xyz, 2)

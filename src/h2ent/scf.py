@@ -3,12 +3,12 @@
 Closed-shell two-electron RHF only, symmetric even at dissociation. Plain
 fixed-point iteration from the core-Hamiltonian guess; the one occupied orbital
 is the lowest of F in the gerade space of the inversion P, so a stretched bond's
-near-degenerate sigma_g and sigma_u cannot mix. `run_rhf_batch` iterates a batch
-of geometries in lockstep and returns one stacked SCFResult; `run_rhf` is its batch
-of one, without the batch axis.
+near-degenerate sigma_g and sigma_u cannot mix. The MOs come in parity blocks,
+gerade then ungerade, each in ascending energy, so every geometry of a layout has
+the same parity row. `run_rhf_batch` iterates a batch of geometries in lockstep and
+returns one stacked SCFResult; `run_rhf` is its batch of one, without the batch axis.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,24 +17,16 @@ from .errors import LinearDependenceError
 from .molecule import nuclear_repulsion
 
 
-@dataclass(frozen=True)
-class SCFSettings:
-    max_iterations: int = 200
-    energy_tolerance: float = 1e-10
-    density_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.energy_tolerance <= 0 or self.density_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+MAX_ITERATIONS = 200
+ENERGY_TOLERANCE = 1e-10
+DENSITY_TOLERANCE = 1e-8
 
 
 class SCFResult(NamedTuple):
     """The RHF solutions of G geometries, the batch axis first in every field."""
     mo_coefficients: np.ndarray   # (G, K, K), columns are MOs
-    orbital_energies: np.ndarray  # (G, K), lowest gerade first, then ascending; Hartree
-    parity: np.ndarray            # (G, K), +1 gerade, -1 ungerade, per MO
+    orbital_energies: np.ndarray  # (G, K), gerade then ungerade, each ascending; Hartree
+    parity: np.ndarray            # (G, K), +1 gerade, -1 ungerade; one row, repeated
     e_hf: np.ndarray              # total energy incl. nuclear repulsion
     e_nuclear: np.ndarray         # nuclear repulsion, Hartree
     iterations: np.ndarray
@@ -72,21 +64,21 @@ def build_fock(hcore, d, jk):
     return hcore + (jk @ d.reshape(d.shape[:-2] + (-1, 1))).reshape(d.shape)
 
 
-def run_rhf(ints, mol, settings=SCFSettings()):
+def run_rhf(ints, mol):
     """Roothaan RHF of one geometry, a batch of one: its SCFResult without the batch
     axis, with Python scalars for the energies, the iterations and the converged flag.
     Non-convergence is reported via the converged flag."""
     return SCFResult(*(x[0] if x.ndim > 1 else x[0].item()
-                       for x in run_rhf_batch(ints, mol, settings)))
+                       for x in run_rhf_batch(ints, mol)))
 
 
-def run_rhf_batch(ints, mols, settings=SCFSettings()):
+def run_rhf_batch(ints, mols):
     """Roothaan RHF of a batch of two-electron geometries and their IntegralSet.
 
     The geometries iterate in lockstep, one stacked call per step; each keeps its own
     convergence test and iteration count and leaves the iteration when it converges,
     so its result does not depend on the batch. One stacked SCFResult; a geometry that
-    reaches max_iterations has converged False. A singular overlap raises
+    reaches MAX_ITERATIONS has converged False. A singular overlap raises
     LinearDependenceError.
     """
     if mols.n_electrons != 2:
@@ -111,20 +103,19 @@ def run_rhf_batch(ints, mols, settings=SCFSettings()):
 
     n = len(hcore)
     final_d = np.empty_like(hcore)
-    iterations = np.full(n, settings.max_iterations)
+    iterations = np.full(n, MAX_ITERATIONS)
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)  # the geometries still iterating, and below their arrays
     h, g2, xl, en = hcore, jk, xg, e_nuc
     d, e_old = occupied_density(h, xl), np.zeros(n)
-    for it in range(1, settings.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         f = build_fock(h, d, g2)
         e_total = energy(d, f, h, en)
         d_new = occupied_density(f, xl)
         delta_e = e_total - e_old
         rms_d = np.sqrt(np.mean((d_new - d) ** 2, axis=(-2, -1)))
         d, e_old = d_new, e_total
-        done = (np.abs(delta_e) < settings.energy_tolerance) \
-            & (rms_d < settings.density_tolerance) & (it > 1)
+        done = (np.abs(delta_e) < ENERGY_TOLERANCE) & (rms_d < DENSITY_TOLERANCE) & (it > 1)
         if done.any():
             final_d[live[done]], iterations[live[done]] = d[done], it
             converged[live[done]] = True
@@ -140,9 +131,5 @@ def run_rhf_batch(ints, mols, settings=SCFSettings()):
     (eg, cg), (eu, cu) = (np.linalg.eigh(b.swapaxes(-1, -2) @ f @ b) for b in (xg, xu))
     eps, c = np.concatenate((eg, eu), -1), np.concatenate((xg @ cg, xu @ cu), -1)
     par = np.concatenate((np.ones_like(eg), -np.ones_like(eu)), -1)
-    order = np.concatenate((np.zeros((n, 1), dtype=np.intp),  # lowest gerade first
-                            1 + eps[:, 1:].argsort(axis=-1, kind="stable")), -1)
-    eps, par = np.take_along_axis(eps, order, -1), np.take_along_axis(par, order, -1)
-    c = np.take_along_axis(c, order[:, None, :], -1)
     return SCFResult(mo_coefficients=c, orbital_energies=eps, parity=par, e_hf=e_total,
                      e_nuclear=e_nuc, iterations=iterations, converged=converged)

@@ -13,7 +13,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from h2ent.basis import load_basis
+from h2ent.basis import BasisFunction, load_basis, primitive_norm
 from h2ent.correlation import (correlation_energy, natural_occupations,
                                one_particle_density, von_neumann_entropy)
 from h2ent.fci import run_fci
@@ -25,6 +25,16 @@ from h2ent.scf import run_rhf_batch
 def take(record, idx):
     """The geometries idx (an index array) of a stacked record, still stacked."""
     return type(record)(*(x[idx] if isinstance(x, np.ndarray) else x for x in record))
+
+
+def random_primitive(rng, max_l=1):
+    """A normalized Cartesian primitive of l <= max_l per axis, exponent in [0.1, 3]
+    and centre in the cube [-1.5, 1.5]^3 Bohr."""
+    alpha = rng.uniform(0.1, 3.0)
+    center = tuple(rng.uniform(-1.5, 1.5, 3))
+    powers = tuple(int(p) for p in rng.integers(0, max_l + 1, 3))
+    return BasisFunction(center, powers, (alpha,),
+                         (primitive_norm(alpha, powers),))
 
 
 @dataclass(frozen=True)

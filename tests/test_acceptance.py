@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from h2ent.basis import BasisFunction, primitive_norm
 from h2ent.bell import (MeasurementSettings, TSIRELSON, TwoQubitState,
                         chsh_max_closed_form, chsh_max_grid, chsh_value,
                         product_updown, singlet)
@@ -18,21 +17,13 @@ from h2ent.cli import main
 from h2ent.fci import mo_transform
 from h2ent.integrals import boys, eri, kinetic, nuclear_attraction, overlap
 from h2ent.molecule import h2
-from conftest import SCAN_GRID, compute_point
-from oracles import quadrature_oracle, quadrature_oracle_eri
+from conftest import SCAN_GRID, compute_point, random_primitive
+from oracles import eri_by_gaussian_transform, quadrature_oracle
 
 
 def report(number, ok, summary):
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'}: {summary}")
     assert ok, f"criterion {number} failed: {summary}"
-
-
-def random_primitive(rng, max_l=1):
-    alpha = rng.uniform(0.1, 3.0)
-    center = tuple(rng.uniform(-1.5, 1.5, 3))
-    powers = tuple(int(p) for p in rng.integers(0, max_l + 1, 3))
-    return BasisFunction(center, powers, (alpha,),
-                         (primitive_norm(alpha, powers),))
 
 
 def test_criterion_1_integral_oracle_suite():
@@ -48,14 +39,15 @@ def test_criterion_1_integral_oracle_suite():
             abs(kinetic(f, g) - quadrature_oracle(f, g, "kinetic")),
             abs(nuclear_attraction(f, g, mol)
                 - quadrature_oracle(f, g, "nuclear", mol)))
-    worst_eri = 0.0
-    for _ in range(10):
-        funcs = [random_primitive(rng) for _ in range(4)]
-        worst_eri = max(worst_eri, abs(eri(*funcs) - quadrature_oracle_eri(*funcs)))
+    # the ERIs against the exact Gaussian-transform oracle, which
+    # tests/test_quadrature.py checks against the grid one
+    quartets = [[random_primitive(rng) for _ in range(4)] for _ in range(200)]
+    exact = eri_by_gaussian_transform(quartets)
+    worst_eri = max(abs(eri(*funcs) - e) for funcs, e in zip(quartets, exact))
     elapsed = time.perf_counter() - t0
-    ok = worst_one < 1e-6 and worst_eri < 1e-5 and elapsed < 30.0
+    ok = worst_one < 1e-6 and worst_eri < 1e-12 and elapsed < 30.0
     report(1, ok, f"24 one-electron cases (worst {worst_one:.2e} < 1e-6), "
-                  f"10 ERI cases (worst {worst_eri:.2e} < 1e-5), {elapsed:.1f} s")
+                  f"200 ERI cases (worst {worst_eri:.2e} < 1e-12), {elapsed:.1f} s")
 
 
 def test_criterion_2_boys_endpoints():

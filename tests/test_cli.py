@@ -18,7 +18,7 @@ from h2ent.correlation import OPDM
 from h2ent.cli import (CurvePoint, ScanConfig, emit, main, run_scan,
                        run_single_point, scan_grid)
 from h2ent.errors import LinearDependenceError
-from h2ent.molecule import ANGSTROM_TO_BOHR
+from h2ent.molecule import ANGSTROM_TO_BOHR, h2
 from h2ent.scf import symmetric_orthogonalizer
 
 CSV_HEADER = "R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2"
@@ -216,6 +216,41 @@ def test_run_single_point_values():
     assert len(rep.occupations) == 2
 
 
+# E_HF, E_FCI, entropy and occupations of single points, bit for bit, as float.hex:
+# two runs of the same code cannot show a last-digit drift, these can. A change that
+# moves them says why and by how much; another LAPACK or BLAS build may move the
+# last bits.
+SCIENCE_PINS = {
+    ("sto-3g", 0.3): ("0x1.9d6d5e85ac864p-1", "0x1.9a31b5fd47c9cp-1", "0x1.1b41790602779p-6",
+        ["0x1.ff2c90a55aa79p+0", "0x1.a6deb54ab0c2ap-9"]),
+    ("sto-3g", 1.4): ("-0x1.1de0fd711e52ep+0", "-0x1.232484285ce2cp+0", "0x1.925cecd605416p-4",
+        ["0x1.f97ec1d126d53p+0", "0x1.a04f8bb64ab49p-6"]),
+    ("sto-3g", 20.0): ("-0x1.2447db73664dfp-1", "-0x1.ddc7a1e305d34p-1", "0x1.0000000000000p+0",
+        ["0x1.0000000000039p+0", "0x1.fffffffffff8ap-1"]),
+    ("sto-3g", 100.0): ("-0x1.1a0a6acf8f416p-1", "-0x1.ddc7a1e305d3cp-1", "0x1.0000000000000p+0",
+        ["0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"]),
+    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ap+0", "0x1.161f2f3bd7a54p-3",
+        ["0x1.f83adc0c3268ep+0", "0x1.4a6cd5c451029p-6", "0x1.a084a0646fa59p-8",
+         "0x1.9e4da06cdfc65p-10", "0x1.9e4da06cdfc62p-10", "0x1.ee71035ed1a40p-13",
+         "0x1.732a347515892p-13", "0x1.f24e1dd91607ap-14", "0x1.f24e1dd916074p-14",
+         "0x1.25e1740bc53cbp-16"]),
+    ("6-31gss", 20.0): ("-0x1.720641222c728p-1", "-0x1.fe30c4b3afba4p-1", "0x1.0000003885fa4p+0",
+        ["0x1.fffffffcac35ep-1", "0x1.fffffffcab658p-1", "0x1.1c10b2b82da1fp-32",
+         "0x1.1c10b2b6b8f3cp-32", "0x1.1c10b2b8dd7bep-34", "0x1.1c10b2b8dce4cp-34",
+         "0x1.1c10b2b5ff54dp-34", "0x1.1c10b2b5f9a96p-34",
+         "0x0.0p+0", "0x0.0p+0"]),
+}
+
+
+@pytest.mark.parametrize("name,r", list(SCIENCE_PINS))
+def test_science_output_is_pinned_bit_for_bit(name, r):
+    rep = run_single_point(r, name)
+    e_hf, e_fci, entropy, occupations = SCIENCE_PINS[name, r]
+    assert (rep.e_hf, rep.e_fci, rep.entropy) \
+        == (float.fromhex(e_hf), float.fromhex(e_fci), float.fromhex(entropy))
+    assert rep.occupations.tolist() == [float.fromhex(x) for x in occupations]
+
+
 def test_run_scan_with_rescale():
     points, failures = run_scan(config(n_points=2, rescale=True))
     assert not failures
@@ -311,6 +346,15 @@ def test_scan_rejects_non_finite_distances(tmp_path, capsys):
         assert main(["scan", flag, value, "--out", out]) == 1
         assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_point_rejects_non_finite_distances(capsys):
+    # an infinite R is a usage error, not an SCF of NaNs that fails to converge
+    for r in (np.inf, [1.4, np.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            h2(r)
+    assert main(["point", "-R", "inf"]) == 1
+    assert "must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

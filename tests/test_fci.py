@@ -99,7 +99,7 @@ def test_hamiltonian_matches_fock_space_oracle(k, seed):
 def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
     h, g = random_mo_integrals(k, seed)
     parity = np.random.default_rng(seed).choice([1.0, -1.0], size=k)
-    b = singlet_gerade_basis(parity[None])[0]
+    b = singlet_gerade_basis(parity)
     # B spans the singlet-gerade space: vec(C) with C = C^T and C[a, b] = 0
     # unless parity[a] = parity[b], the image of (1 + swap)/2 (1 + P x P)/2
     swap = np.eye(k * k).reshape(k, k, k * k).transpose(1, 0, 2).reshape(k * k, k * k)
@@ -111,21 +111,16 @@ def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
     assert np.allclose(build_hamiltonian(h, g, b), b.T @ big @ b, rtol=0.0, atol=1e-12)
 
 
-def test_stacked_basis_is_one_basis_per_geometry():
-    # the MO parity order changes with R, so each geometry has its own basis
-    rng = np.random.default_rng(11)
-    parity = np.array([rng.permutation([1.0, 1.0, 1.0, -1.0, -1.0]) for _ in range(6)])
-    stacked = singlet_gerade_basis(parity)
-    assert stacked.shape == (6, 25, 9)  # 3 * 4 / 2 + 2 * 3 / 2 pairs
-    for p, b in zip(parity, stacked):
-        assert np.array_equal(b, singlet_gerade_basis(p[None])[0])
-        pairs = [(i, j) for i in range(5) for j in range(i, 5) if p[i] == p[j]]
-        for column, (i, j) in zip(b.T, pairs):  # columns in row-major pair order
-            c = column.reshape(5, 5)
-            assert c[i, j] == c[j, i] == (1.0 if i == j else 0.5 ** 0.5)
-            assert np.count_nonzero(c) == (1 if i == j else 2)
-    with pytest.raises(ValueError, match="parity counts"):
-        singlet_gerade_basis(np.array([[1.0, 1.0], [1.0, -1.0]]))
+def test_singlet_gerade_basis_is_one_column_per_equal_parity_pair():
+    # the MOs come gerade first, then ungerade, in every geometry: one basis
+    parity = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
+    b = singlet_gerade_basis(parity)
+    assert b.shape == (25, 9)  # 3 * 4 / 2 + 2 * 3 / 2 pairs
+    pairs = [(i, j) for i in range(5) for j in range(i, 5) if parity[i] == parity[j]]
+    for column, (i, j) in zip(b.T, pairs):  # columns in row-major pair order
+        c = column.reshape(5, 5)
+        assert c[i, j] == c[j, i] == (1.0 if i == j else 0.5 ** 0.5)
+        assert np.count_nonzero(c) == (1 if i == j else 2)
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
@@ -162,14 +157,14 @@ def sto3g_solution():
 def test_hf_diagonal_reproduces_scf_energy(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_integrals(ints, scf.mo_coefficients[0])
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity)[0])
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[0]))
     assert ham[0, 0] + nuclear_repulsion(mol)[0] == pytest.approx(scf.e_hf[0], abs=1e-10)
 
 
 def test_double_excitation_coupling_is_exchange_integral(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_integrals(ints, scf.mo_coefficients[0])
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity)[0])
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[0]))
     # block column 0 is C[0, 0] (sigma_g^2) and column 1 is C[1, 1] (sigma_u^2)
     assert ham[0, 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
 
@@ -179,7 +174,7 @@ def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
     # closed-shell configurations; its lower eigenvalue is available in closed form
     mol, ints, scf = sto3g_solution
     h, g = mo_integrals(ints, scf.mo_coefficients[0])
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity)[0])
+    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[0]))
     assert ham.shape == (2, 2)
     a, b, c = ham[0, 0], ham[1, 1], ham[0, 1]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
@@ -236,9 +231,10 @@ def test_fci_energy_invariant_under_virtual_rotation():
     c = scf.mo_coefficients.copy()
     th = 0.37
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    # a rotation within one parity space keeps the parity labels valid
-    assert scf.parity[0, 4] == scf.parity[0, 5] == -1.0
-    c[0][:, [4, 5]] = c[0][:, [4, 5]] @ rot
+    # a rotation within one parity space keeps the parity labels valid: the first
+    # two ungerade MOs, after the five gerade ones
+    assert scf.parity[0, 5] == scf.parity[0, 6] == -1.0
+    c[0][:, [5, 6]] = c[0][:, [5, 6]] @ rot
     rotated = scf._replace(mo_coefficients=c)
     assert run_fci(ints, rotated, mol).e_fci[0] == pytest.approx(ref, abs=1e-10)
 

@@ -7,6 +7,7 @@ import pytest
 
 from h2ent.basis import BasisFunction, primitive_norm
 from h2ent.molecule import molecule
+from conftest import random_primitive
 from oracles import eri_by_gaussian_transform, quadrature_oracle, quadrature_oracle_eri
 
 
@@ -46,6 +47,16 @@ def test_gaussian_transform_oracle_closed_forms():
         rho = 4.0 * a * b / (2.0 * a + 2.0 * b)
         exact = math.erf(math.sqrt(rho) * r) / r if r else 2.0 * math.sqrt(rho / math.pi)
         assert eri_by_gaussian_transform([(f, f, g, g)])[0] == pytest.approx(exact, abs=1e-14)
+
+
+def test_grid_and_transform_eri_oracles_agree():
+    # two independent ERI oracles back each other on random Cartesian quartets, to the
+    # grid's documented 1e-5
+    rng = np.random.default_rng(2024)
+    quartets = [[random_primitive(rng) for _ in range(4)] for _ in range(2)]
+    exact = eri_by_gaussian_transform(quartets)
+    for funcs, e in zip(quartets, exact):
+        assert abs(quadrature_oracle_eri(*funcs) - e) < 1e-5
 
 
 def test_oracle_rejects_unknown_kind():

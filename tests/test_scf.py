@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from h2ent import integrals
+from h2ent import integrals, scf
 from h2ent.basis import load_basis
 from h2ent.cli import main
 from h2ent.errors import LinearDependenceError, SymmetryError
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, helium, molecule, nuclear_repulsion, stack
-from h2ent.scf import (SCFSettings, build_fock, coulomb_exchange, density_from_coeffs,
-                       run_rhf, run_rhf_batch, symmetric_orthogonalizer)
+from h2ent.scf import (build_fock, coulomb_exchange, density_from_coeffs, run_rhf,
+                       run_rhf_batch, symmetric_orthogonalizer)
 from conftest import SWEEP_R, take
 from oracles import fock_by_einsum
 
@@ -67,13 +67,6 @@ def test_supermatrix_fock_matches_einsum_oracle(name):
         assert np.allclose(build_fock(hcore, d[n], coulomb_exchange(eri)), oracle,
                            rtol=0.0, atol=1e-13)
         assert np.array_equal(stacked[n], build_fock(hcore, d[n], coulomb_exchange(eri)))
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SCFSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        SCFSettings(energy_tolerance=0.0)
 
 
 def test_odd_electron_count_rejected(h2_sto3g):
@@ -149,9 +142,10 @@ def test_stretched_polarized_basis_converges():
     assert res.e_hf == pytest.approx(-0.7480776723549947, abs=1e-8)
 
 
-def test_nonconvergence_is_reported_not_raised(h2_sto3g):
+def test_nonconvergence_is_reported_not_raised(h2_sto3g, monkeypatch):
     mol, ints = h2_sto3g
-    res = run_rhf(ints, mol, SCFSettings(max_iterations=1))
+    monkeypatch.setattr(scf, "MAX_ITERATIONS", 1)
+    res = run_rhf(ints, mol)
     assert not res.converged
     assert res.iterations == 1
     # one geometry without the batch axis, and Python scalars, as perfbench reads them
@@ -161,20 +155,20 @@ def test_nonconvergence_is_reported_not_raised(h2_sto3g):
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 @pytest.mark.parametrize("max_iterations", [200, 8])
-def test_batch_results_are_one_point_results(name, max_iterations):
+def test_batch_results_are_one_point_results(name, max_iterations, monkeypatch):
     # the geometries iterate in lockstep and leave as they converge: a result,
     # its iteration count included, does not depend on the batch it is in
-    settings = SCFSettings(max_iterations=max_iterations)
+    monkeypatch.setattr(scf, "MAX_ITERATIONS", max_iterations)
     rs = list(SWEEP_R) + [20.0]
     mols = h2(rs)
     ints = compute_all(load_basis(name), mols)
-    batch = run_rhf_batch(ints, mols, settings)
+    batch = run_rhf_batch(ints, mols)
     sub = np.arange(len(rs))[::-3]
-    part = run_rhf_batch(take(ints, sub), take(mols, sub), settings)
+    part = run_rhf_batch(take(ints, sub), take(mols, sub))
     parts = {n: take(part, m) for m, n in enumerate(sub)}
     for n in range(len(rs)):
         res = take(batch, n)
-        one = run_rhf(take(ints, [n]), take(mols, [n]), settings)
+        one = run_rhf(take(ints, [n]), take(mols, [n]))
         for other in [one] + ([parts[n]] if n in parts else []):
             assert (res.e_hf, res.e_nuclear, res.iterations, res.converged) \
                 == (other.e_hf, other.e_nuclear, other.iterations, other.converged), n
@@ -211,6 +205,24 @@ def test_parity_labels_are_the_inversion_eigenvalues(curve, request):
         c, parity = rec.scf.mo_coefficients[0], rec.scf.parity[0]
         assert np.array_equal(np.abs(parity), np.ones(len(parity))), rec.r
         assert np.abs(rec.ints.inversion[0] @ c - c * parity).max() <= 1e-12, rec.r
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_mos_come_in_fixed_parity_blocks_each_ascending(sweeps, name):
+    # gerade MOs, then ungerade ones: one parity row for the whole batch, so the
+    # FCI builds one singlet-gerade basis for it
+    _, _, ints, res = sweeps[name]
+    n_g = np.count_nonzero(np.linalg.eigvalsh(ints.inversion[0]) > 0)
+    k = res.parity.shape[1]
+    assert 0 < n_g < k
+    row = np.array([1.0] * n_g + [-1.0] * (k - n_g))
+    assert np.array_equal(res.parity, np.broadcast_to(row, res.parity.shape))
+    eps = res.orbital_energies
+    assert np.all(np.diff(eps[:, :n_g]) >= 0.0) and np.all(np.diff(eps[:, n_g:]) >= 0.0)
+    # in 6-31G** an ungerade MO lies below the top gerade one: the blocks are not
+    # the ascending order of all K energies
+    if name == "6-31gss":
+        assert np.any(eps[:, n_g] < eps[:, n_g - 1])
 
 
 @pytest.mark.parametrize("r", [10.0, 10.01])
