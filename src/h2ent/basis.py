@@ -67,11 +67,6 @@ class BasisSet:
     name: str
     shells_per_element: dict
 
-    def __post_init__(self):
-        for elem, shells in self.shells_per_element.items():
-            if not any(s.angular_momentum == 0 for s in shells):
-                raise ValueError(f"element {elem} has no s shell")
-
 
 def parse_basis(text, name="custom"):
     """Parse a Gaussian94-style basis definition into a BasisSet."""
@@ -88,6 +83,8 @@ def parse_basis(text, name="custom"):
             if element is not None:
                 if not shells:
                     raise BasisParseError(f"element block {element} has no shells", lineno)
+                if not any(s.angular_momentum == 0 for s in shells):
+                    raise BasisParseError(f"element block {element} has no s shell", lineno)
                 shells_per_element[element] = tuple(shells)
                 element, shells = None, []
             continue

@@ -1,5 +1,6 @@
 """Command-line driver: single points, dissociation scans and CHSH demos.
 
+A scan's result is one stacked Curve record, which `emit` writes as CSV or JSON.
 Exit codes: 0 success, 1 usage error, 2 computation failure.
 """
 
@@ -7,6 +8,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +35,6 @@ class ScanConfig:
     n_points: int
     grid: str = "linear"
     unit: str = "bohr"
-    output_path: str = None
-    format: str = "csv"
     rescale: bool = False
     far_point: float = None  # appended dissociation proxy, Bohr
     basis_dir: str = None
@@ -52,54 +52,48 @@ class ScanConfig:
             raise ValueError(f"unknown grid {self.grid!r}")
         if self.unit not in ("bohr", "angstrom"):
             raise ValueError(f"unknown unit {self.unit!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    r: float        # Bohr
-    e_hf: float
-    e_fci: float
-    e_corr: float
-    entropy: float  # bits
-    occupations: np.ndarray  # descending
-    rescaled_entropy: float = None
+class Curve(NamedTuple):
+    """The dissociation curve at G geometries, the batch axis first in every field."""
+    r: np.ndarray            # (G,), Bohr
+    e_hf: np.ndarray         # (G,), Hartree
+    e_fci: np.ndarray
+    e_corr: np.ndarray
+    entropy: np.ndarray      # (G,), bits
+    occupations: np.ndarray  # (G, K), descending
+    rescaled_entropy: np.ndarray = None  # (G,), or None
 
 
 def run_single_point(r_bohr, basis, basis_dir=None):
-    """Full pipeline geometry -> integrals -> SCF -> FCI -> CurvePoint at one R.
+    """Full pipeline geometry -> integrals -> SCF -> FCI -> Curve at one R.
 
     basis is a loaded BasisSet, or a basis name or path to load. The point is a
-    scan batch of one: its values are bit for bit its scan row's.
+    scan batch of one, returned without the batch axis, with Python floats for
+    the scalars: its values are bit for bit its scan row's.
     """
     if not isinstance(basis, BasisSet):
         basis = load_basis(basis, basis_dir=basis_dir)
     mols = h2(r_bohr)
     ints = compute_all(basis, mols)
     scf = SCFResult(*(np.asarray(x)[None] for x in run_rhf(ints, mols)))
-    return _curve_points(*_correlate([r_bohr], ints, scf, mols))[0]
+    return Curve(*(x[0] if x.ndim > 1 else x[0].item()
+                   for x in _correlate([r_bohr], ints, scf, mols)[:-1]))
 
 
 def _correlate(rs, ints, scf, mols):
     """The stages after the SCF for a batch of geometries, one stacked pass each: the
-    curve's columns R, E_HF, E_FCI, E_corr and entropy as one (5, G) array, and the
-    (G, K) occupations. Raises the H2entError of the first point that fails."""
+    batch's Curve, without the rescaled entropy. Raises the H2entError of the first
+    point that fails."""
     if not scf.converged.all():
         n = np.argmin(scf.converged)  # the first that did not
         raise SCFConvergenceError(f"SCF did not converge at R = {rs[n]} Bohr "
                                   f"({scf.iterations[n]} iterations)")
     ci = run_fci(ints, scf, mols)
     occupations = natural_occupations(one_particle_density(ci))
-    return np.array([rs, scf.e_hf, ci.e_fci, correlation_energy(scf.e_hf, ci.e_fci),
-                     von_neumann_entropies(occupations)]), occupations
-
-
-def _curve_points(columns, occupations, rescaled=None):
-    """One CurvePoint per geometry of the stacked curve: the pipeline's only split."""
-    rescaled = [None] * len(occupations) if rescaled is None else rescaled.tolist()
-    return [CurvePoint(*row, occupations=occ, rescaled_entropy=s)
-            for row, occ, s in zip(columns.T.tolist(), occupations, rescaled)]
+    return Curve(np.asarray(rs, float), scf.e_hf, ci.e_fci,
+                 correlation_energy(scf.e_hf, ci.e_fci), von_neumann_entropies(occupations),
+                 occupations)
 
 
 def _take(record, n):
@@ -124,14 +118,15 @@ def scan_grid(config):
 def run_scan(config):
     """Scan the dissociation curve; per-point failures are recorded, not fatal.
 
-    Returns (points, failures) with failures as (R, message) pairs; a point
-    fails on an H2entError, and any other exception propagates. Raises
-    RuntimeError if every point failed. The basis is loaded once. The grid is
-    walked in batches of SCAN_BATCH geometries, each through one `compute_all`
-    call, whose errors propagate, and one stacked pass per later stage. In a
-    batch in which a point fails, the stages after the SCF are redone one point
-    at a time on the batch's SCF result (the SCF too, if the batch's raised),
-    so that each point records its own error.
+    Returns (curve, failures): one Curve of the points that succeeded, ascending in
+    R, with the rescaled entropy if config.rescale, and failures as (R, message)
+    pairs. A point fails on an H2entError, and any other exception propagates.
+    Raises RuntimeError if every point failed. The basis is loaded once. The grid
+    is walked in batches of SCAN_BATCH geometries, each through one `compute_all`
+    call, whose errors propagate, and one stacked pass per later stage. In a batch
+    in which a point fails, the stages after the SCF are redone one point at a time
+    on the batch's SCF result (the SCF too, if the batch's raised), so that each
+    point records its own error.
     """
     curves = []
     failures = []
@@ -156,36 +151,37 @@ def run_scan(config):
     if not curves:
         raise RuntimeError("all scan points failed: "
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))
-    columns = np.concatenate([c for c, _ in curves], axis=1)
-    occupations = np.concatenate([o for _, o in curves])
-    rescaled = rescale_entropy(columns[4], columns[3]) if config.rescale else None
-    return _curve_points(columns, occupations, rescaled), failures
+    # each field of the batches' curves joined, all but the rescaled entropy
+    curve = Curve(*map(np.concatenate, zip(*(c[:-1] for c in curves))))
+    if config.rescale:
+        curve = curve._replace(rescaled_entropy=rescale_entropy(curve.entropy, curve.e_corr))
+    return curve, failures
+
+
+_COLUMNS = ("R_bohr", "E_HF", "E_FCI", "E_corr", "entropy_bits", "entropy_rescaled")
 
 
 def _fmt(x):
     return "" if x is None else f"{x:.17g}"
 
 
-def emit(points, fmt, path, n_orbitals=None):
-    """Write scan points as CSV or JSON with 17 significant digits."""
-    if n_orbitals is None:
-        n_orbitals = len(points[0].occupations) if points else 0
+def emit(curve, fmt, path):
+    """Write a Curve as CSV or JSON, one row per geometry, with 17 significant digits."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    rescaled = curve.rescaled_entropy
+    rescaled = [None] * len(curve.r) if rescaled is None else rescaled.tolist()
+    occupations = curve.occupations.tolist()
+    rows = zip(zip(*(x.tolist() for x in curve[:5]), rescaled), occupations)
+    if fmt == "csv":
+        k = curve.occupations.shape[1]  # also with no rows
+        lines = [",".join(_COLUMNS + tuple(f"n_{i+1}" for i in range(k)))]
+        lines += [",".join(_fmt(x) for x in (*row, *occ)) for row, occ in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps([{**dict(zip(_COLUMNS, row)), "occupations": occ}
+                           for row, occ in rows], indent=2) + "\n"
     try:
-        if fmt == "csv":
-            lines = ["R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,"
-                     + ",".join(f"n_{i+1}" for i in range(n_orbitals))]
-            for p in points:
-                row = [p.r, p.e_hf, p.e_fci, p.e_corr, p.entropy, p.rescaled_entropy]
-                row += list(p.occupations)
-                lines.append(",".join(_fmt(x) for x in row))
-            text = "\n".join(lines) + "\n"
-        else:
-            text = json.dumps([{
-                "R_bohr": p.r, "E_HF": p.e_hf, "E_FCI": p.e_fci,
-                "E_corr": p.e_corr, "entropy_bits": p.entropy,
-                "entropy_rescaled": p.rescaled_entropy,
-                "occupations": list(p.occupations),
-            } for p in points], indent=2) + "\n"
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
@@ -264,14 +260,13 @@ def main(argv=None):
                 basis_name=args.basis, r_min=args.rmin, r_max=args.rmax,
                 n_points=args.points,
                 grid="logarithmic" if args.log_grid else "linear",
-                unit=args.unit, output_path=args.out, format=args.format,
-                rescale=args.rescale, far_point=args.far_point,
+                unit=args.unit, rescale=args.rescale, far_point=args.far_point,
                 basis_dir=args.basis_dir)
-            points, failures = run_scan(config)
-            emit(points, config.format, config.output_path)
+            curve, failures = run_scan(config)
+            emit(curve, args.format, args.out)
             for r, msg in failures:
                 sys.stderr.write(f"warning: point R={r:g} failed: {msg}\n")
-            print(f"wrote {len(points)} points to {config.output_path}")
+            print(f"wrote {len(curve.r)} points to {args.out}")
         elif args.command == "point":
             r = args.r * (ANGSTROM_TO_BOHR if args.unit == "angstrom" else 1.0)
             rep = run_single_point(r, args.basis, basis_dir=args.basis_dir)

@@ -24,7 +24,7 @@ class OPDM:
     def __post_init__(self):
         g = self.gamma
         if not np.max(np.abs(g - g.swapaxes(-1, -2))) <= 1e-12:  # a NaN fails too
-            raise ValueError("density matrix must be symmetric")
+            raise NumericalCheckError("density matrix must be symmetric")
 
 
 def one_particle_density(ci):

@@ -40,14 +40,15 @@ def test_criterion_1_integral_oracle_suite():
             abs(nuclear_attraction(f, g, mol)
                 - quadrature_oracle(f, g, "nuclear", mol)))
     # the ERIs against the exact Gaussian-transform oracle, which
-    # tests/test_quadrature.py checks against the grid one
+    # tests/test_quadrature.py checks against the grid one; relative to each
+    # value, since the random quartets are mostly small (all below 0.05)
     quartets = [[random_primitive(rng) for _ in range(4)] for _ in range(200)]
     exact = eri_by_gaussian_transform(quartets)
-    worst_eri = max(abs(eri(*funcs) - e) for funcs, e in zip(quartets, exact))
+    worst_eri = max(abs(eri(*funcs) - e) / abs(e) for funcs, e in zip(quartets, exact))
     elapsed = time.perf_counter() - t0
-    ok = worst_one < 1e-6 and worst_eri < 1e-12 and elapsed < 30.0
+    ok = worst_one < 1e-6 and worst_eri <= 1e-12 and elapsed < 30.0
     report(1, ok, f"24 one-electron cases (worst {worst_one:.2e} < 1e-6), "
-                  f"200 ERI cases (worst {worst_eri:.2e} < 1e-12), {elapsed:.1f} s")
+                  f"200 ERI cases (worst relative {worst_eri:.2e} <= 1e-12), {elapsed:.1f} s")
 
 
 def test_criterion_2_boys_endpoints():

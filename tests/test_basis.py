@@ -8,7 +8,7 @@ import pytest
 from h2ent.basis import (AOBasis, BasisFunction, Shell,
                          build_ao_basis, load_basis, parse_basis,
                          primitive_norm)
-from h2ent.cli import run_single_point
+from h2ent.cli import main, run_single_point
 from h2ent.errors import (BasisParseError, MissingElementError,
                           UnsupportedShellError)
 from h2ent.integrals import overlap
@@ -209,6 +209,19 @@ def test_zero_coefficient_shell_rejected_without_warnings():
                 parse_basis(f"H 0\nS 1 1.00\n 1.0 1.0\n{shell}\n****\n")
         assert err.value.line_number == 4, shell
         assert "zero norm" in str(err.value)
+
+
+def test_block_without_an_s_shell_is_a_parse_error(tmp_path, capsys):
+    # like an empty block, it is found at the block's ****, and exits 2 as
+    # every other malformed basis file does
+    text = "H 0\nS 1 1.00\n 1.0 1.0\n****\nHe 0\nP 1 1.00\n 1.0 1.0\n****\n"
+    with pytest.raises(BasisParseError) as err:
+        parse_basis(text)
+    assert err.value.line_number == 8
+    path = tmp_path / "p-only.gbs"
+    path.write_text(text)
+    assert main(["point", "-R", "1.4", "--basis", str(path)]) == 2
+    assert "line 8: element block He has no s shell" in capsys.readouterr().err
 
 
 def test_repeated_element_block_rejected():

@@ -1,11 +1,11 @@
 """Command-line interface: scans, single points, CHSH demo, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,8 @@ import h2ent
 from h2ent import cli, correlation, fci, scf
 from h2ent.basis import load_basis
 from h2ent.correlation import OPDM
-from h2ent.cli import (CurvePoint, ScanConfig, emit, main, run_scan,
-                       run_single_point, scan_grid)
+from h2ent.cli import (Curve, ScanConfig, emit, main, run_scan, run_single_point,
+                       scan_grid)
 from h2ent.errors import LinearDependenceError
 from h2ent.molecule import ANGSTROM_TO_BOHR, h2
 from h2ent.scf import symmetric_orthogonalizer
@@ -41,8 +41,6 @@ def test_config_validation():
         config(grid="cubic")
     with pytest.raises(ValueError):
         config(unit="parsec")
-    with pytest.raises(ValueError):
-        config(format="xml")
 
 
 def test_scan_grid_linear_log_and_units():
@@ -73,8 +71,8 @@ def test_scan_loads_the_basis_once(monkeypatch):
         return load_basis(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_basis", counting_load)
-    points, failures = run_scan(config(far_point=20.0))
-    assert len(points) + len(failures) == 4 and len(loads) == 1
+    curve, failures = run_scan(config(far_point=20.0))
+    assert len(curve.r) + len(failures) == 4 and len(loads) == 1
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -114,13 +112,13 @@ def test_run_scan_propagates_programming_errors(monkeypatch):
         run_scan(config())
 
 
-def assert_rows_kept(points, before, bad_r):
+def assert_rows_kept(curve, before, bad_r):
     # every other point of the 5-point grid is kept, byte for byte
-    kept = [p for p in before if p.r != bad_r]
-    assert len(before) == 5 and len(points) == len(kept) == 4
-    for p, q in zip(points, kept):
-        assert p.occupations.tobytes() == q.occupations.tobytes()
-        assert replace(p, occupations=None) == replace(q, occupations=None)
+    kept = before.r != bad_r
+    assert len(before.r) == 5 and len(curve.r) == kept.sum() == 4
+    for name, x, y in zip(Curve._fields[:-1], curve, before):
+        assert x.tobytes() == y[kept].tobytes(), name
+    assert curve.rescaled_entropy is before.rescaled_entropy is None
 
 
 def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
@@ -128,7 +126,7 @@ def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
     # that point's own
     cfg = config(n_points=4, far_point=20.0)
     before, _ = run_scan(cfg)
-    assert len(before) == len(scan_grid(cfg)) == 5
+    assert len(before.r) == len(scan_grid(cfg)) == 5
     bad_r = scan_grid(cfg)[2]
     original = scf.run_rhf_batch
     calls = []
@@ -139,16 +137,16 @@ def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
         return res._replace(converged=res.converged & (mols.xyz[:, 1, 2] != bad_r))
 
     patch_everywhere(monkeypatch, original, failing_rhf)
-    points, failures = run_scan(cfg)
+    curve, failures = run_scan(cfg)
     assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
     assert calls == [5]  # the points are redone on the batch's SCF results
-    assert_rows_kept(points, before, bad_r)
+    assert_rows_kept(curve, before, bad_r)
 
 
 def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
     cfg = config(n_points=4, far_point=20.0)
     before, _ = run_scan(cfg)
-    assert len(before) == len(scan_grid(cfg)) == 5
+    assert len(before.r) == len(scan_grid(cfg)) == 5
     bad_r = scan_grid(cfg)[1]
     original = cli.compute_all
 
@@ -159,12 +157,39 @@ def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
         return ints._replace(overlap=np.where(bad[:, None, None], 1.0, ints.overlap))
 
     monkeypatch.setattr(cli, "compute_all", singular_overlap)
-    points, failures = run_scan(cfg)
+    curve, failures = run_scan(cfg)
     assert [r for r, _ in failures] == [bad_r]
     with pytest.raises(LinearDependenceError) as exc:
         symmetric_orthogonalizer(np.ones((2, 2)))
     assert failures[0][1] == str(exc.value)
-    assert_rows_kept(points, before, bad_r)
+    assert_rows_kept(curve, before, bad_r)
+
+
+def nan_coefficient(bad_r):
+    # run_fci with a NaN in one CI coefficient of the geometries at bad_r
+    def run_fci(ints, scf, mols):
+        ci = fci.run_fci(ints, scf, mols)
+        c = ci.coefficients.copy()
+        c[mols.xyz[:, 1, 2] == bad_r, 0, 1] = np.nan
+        return ci._replace(coefficients=c)
+    return run_fci
+
+
+def test_scan_point_with_a_nan_ci_coefficient_fails_alone(monkeypatch):
+    # the density matrix's symmetry check is a computation failure of that point
+    cfg = config(n_points=4, far_point=20.0)
+    before, _ = run_scan(cfg)
+    bad_r = scan_grid(cfg)[3]
+    monkeypatch.setattr(cli, "run_fci", nan_coefficient(bad_r))
+    curve, failures = run_scan(cfg)
+    assert failures == [(bad_r, "density matrix must be symmetric")]
+    assert_rows_kept(curve, before, bad_r)
+
+
+def test_nan_ci_coefficient_at_a_point_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_fci", nan_coefficient(1.4))
+    assert main(["point", "-R", "1.4"]) == 2
+    assert "computation failed: density matrix must be symmetric" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
@@ -174,14 +199,16 @@ def test_scan_rows_are_single_points_bit_for_bit(name, monkeypatch):
                      grid="logarithmic")
     basis = load_basis(name)
     singles = [run_single_point(r, basis) for r in scan_grid(cfg)]
+    assert all(p.rescaled_entropy is None for p in singles)
+    singles = Curve(*(np.array(x) for x in list(zip(*singles))[:-1]))
     scans = [run_scan(cfg)[0]]
     monkeypatch.setattr(cli, "SCAN_BATCH", 7)
     scans.append(run_scan(cfg)[0])
-    for points in scans:
-        assert len(points) == len(singles) == 40
-        for p, q in zip(points, singles):
-            assert p.occupations.tobytes() == q.occupations.tobytes(), p.r
-            assert replace(p, occupations=None) == replace(q, occupations=None), p.r
+    for curve in scans:
+        assert len(curve.r) == len(singles.r) == 40
+        for name, x, y in zip(Curve._fields[:-1], curve, singles):
+            assert x.tobytes() == y.tobytes(), name
+        assert curve.rescaled_entropy is None
 
 
 def test_scan_memory_is_bounded_by_the_batch():
@@ -213,7 +240,8 @@ def test_run_single_point_values():
     assert rep.e_fci < rep.e_hf
     assert rep.entropy > 0.0
     assert rep.r == 1.4
-    assert len(rep.occupations) == 2
+    assert rep.occupations.shape == (2,) and rep.rescaled_entropy is None
+    assert all(type(x) is float for x in rep[:5])  # no batch axis
 
 
 # E_HF, E_FCI, entropy and occupations of single points, bit for bit, as float.hex:
@@ -252,39 +280,76 @@ def test_science_output_is_pinned_bit_for_bit(name, r):
 
 
 def test_run_scan_with_rescale():
-    points, failures = run_scan(config(n_points=2, rescale=True))
+    curve, failures = run_scan(config(n_points=2, rescale=True))
     assert not failures
-    assert points[-1].rescaled_entropy == pytest.approx(points[-1].e_corr)
+    assert curve.rescaled_entropy[-1] == pytest.approx(curve.e_corr[-1])
 
 
 def test_emit_csv(tmp_path):
-    points, _ = run_scan(config(n_points=2))
+    curve, _ = run_scan(config(n_points=2))
     path = tmp_path / "scan.csv"
-    emit(points, "csv", path)
+    emit(curve, "csv", path)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     fields = lines[1].split(",")
-    assert float(fields[0]) == points[0].r
-    assert float(fields[1]) == points[0].e_hf  # 17 digits round-trip exactly
+    assert float(fields[0]) == curve.r[0]
+    assert float(fields[1]) == curve.e_hf[0]  # 17 digits round-trip exactly
     assert fields[5] == ""  # no rescaling requested
 
 
 def test_emit_csv_header_only(tmp_path):
+    # K comes from the occupations' shape, also with no rows
     path = tmp_path / "empty.csv"
-    emit([], "csv", path, n_orbitals=2)
+    emit(Curve(*[np.empty(0)] * 5, np.empty((0, 2))), "csv", path)
     assert path.read_text() == CSV_HEADER + "\n"
 
 
+def test_emit_rejects_an_unknown_format(tmp_path):
+    curve, _ = run_scan(config(n_points=2))
+    path = tmp_path / "scan.xml"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(curve, "xml", path)
+    assert not path.exists()
+
+
 def test_emit_json(tmp_path):
-    points, _ = run_scan(config(n_points=2))
+    curve, _ = run_scan(config(n_points=2))
     path = tmp_path / "scan.json"
-    emit(points, "json", path)
+    emit(curve, "json", path)
     data = json.loads(path.read_text())
     assert len(data) == 2
-    assert data[0]["E_HF"] == points[0].e_hf
+    assert data[0]["E_HF"] == curve.e_hf[0]
     assert data[0]["entropy_rescaled"] is None
     assert len(data[0]["occupations"]) == 2
+
+
+# `h2ent scan --points 3 --rescale`, far point included, byte for byte: two runs of
+# the same code cannot show a change of format, order or last digit, these can. The
+# values are the science output's, so the caveat of SCIENCE_PINS holds for them too.
+SCAN_CSV = """\
+R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2
+0.69999999999999996,-0.83713029822090257,-0.84632598439675299,0.009195686175850426,\
+0.030791796319806383,0.011155959318651114,1.9936815481731898,0.0063184518268097952
+5.3500000000000005,-0.66899573091398556,-0.93404437345090607,0.26504864253692051,\
+0.9922623267003603,0.35949958992742931,1.1034770608194946,0.89652293918050519
+10,-0.59597063485127677,-0.93316371200429715,0.33719307715302038,\
+0.99999992340417276,0.36230294420904802,1.0003258594192819,0.99967414058071868
+20,-0.57086072715460634,-0.93316369911455022,0.36230297195994388,\
+1,0.36230297195994388,1.0000000000000127,0.9999999999999869
+"""
+SCAN_JSON_SHA256 = "d51236b72e79f201d990c7a92ecb2eb96b6a607c10b78b9667e762f8e0a66460"
+
+
+def test_scan_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    csv, js = tmp_path / "scan.csv", tmp_path / "scan.json"
+    assert main(["scan", "--points", "3", "--rescale", "--out", str(csv)]) == 0
+    assert main(["scan", "--points", "3", "--rescale", "--format", "json",
+                 "--out", str(js)]) == 0
+    assert csv.read_text() == SCAN_CSV
+    assert hashlib.sha256(js.read_bytes()).hexdigest() == SCAN_JSON_SHA256
+    assert json.loads(js.read_text())[-1]["R_bohr"] == 20.0
+    assert capsys.readouterr().out.count("wrote 4 points") == 2
 
 
 def test_main_scan_and_determinism(tmp_path, capsys):

@@ -35,16 +35,16 @@ def brute_force_opdm(coefficients):
 
 
 def test_opdm_requires_symmetry():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalCheckError):
         OPDM(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def test_opdm_symmetry_bound_is_absolute():
     # within the relative tolerance allclose applies by default
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(NumericalCheckError, match="symmetric"):
         OPDM(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
     OPDM(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(NumericalCheckError, match="symmetric"):
         OPDM(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
@@ -110,8 +110,8 @@ def test_stacked_entropies_are_the_per_row_entropies_bit_for_bit(curve, request)
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_scan_entropies_are_the_per_row_entropies_bit_for_bit(name):
     # past ~20 Bohr up to two of the 6-31G** occupations clip to 0
-    points, _ = run_scan(ScanConfig(name, 0.3, 100.0, 40, grid="logarithmic"))
-    assert [p.entropy for p in points] == [von_neumann_entropy(p.occupations) for p in points]
+    curve, _ = run_scan(ScanConfig(name, 0.3, 100.0, 40, grid="logarithmic"))
+    assert curve.entropy.tolist() == [von_neumann_entropy(occ) for occ in curve.occupations]
 
 
 def test_stacked_entropies_group_rows_by_their_positive_count():
