@@ -2,13 +2,16 @@
 
 Two-qubit states, the singlet and product reference states and CHSH
 evaluation. The correlation tensor T_ij = Tr[rho sigma_i x sigma_j] is one
-contraction of rho with the Pauli-pair tensor, built once at import, and each
-correlation E(u, w) is the bilinear form u . T w. The CHSH maximum comes
-twice: `chsh_max_grid` builds the optimal settings from the eigenvectors of
-T^T T and evaluates them on T, and `chsh_max_closed_form` is the Horodecki
-criterion 2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as the oracle.
+product of the (9, 16) matrix of flattened Pauli pairs, built at import, with
+rho flattened, and each correlation E(u, w) is the bilinear form u . T w. The
+CHSH maximum comes twice: `chsh_max_grid` builds the optimal settings from one
+`eigh` of T^T T and evaluates them on T, and `chsh_max_closed_form` is the
+Horodecki criterion 2 sqrt(m1 + m2) (Phys. Lett. A 200, 340 (1995)), kept as
+the oracle. Every check is written `not x <= bound`, so NaN fails it.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +23,16 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
-# _PAULI_PAIRS[i, j] = (sigma_i x sigma_j)^T, so Tr[rho sigma_i x sigma_j] is
-# the sum over a, b of _PAULI_PAIRS[i, j, a, b] rho[a, b].
-_PAULI_PAIRS = np.array([[np.kron(p, q).T for q in PAULI] for p in PAULI])
+# Row 3 i + j is (sigma_i x sigma_j)^T flattened, so Tr[rho sigma_i x sigma_j]
+# is that row times rho flattened.
+_PAULI_PAIRS = np.array([np.kron(p, q).T.ravel() for p in PAULI for q in PAULI])
 
 
 def unit_vector(v):
+    """v as a float array, one vector or a stack of them, each of unit norm."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-12:
+    norm = np.sqrt((v * v).sum(-1))
+    if not abs(norm - 1.0).max() <= 1e-12:
         raise ValueError(f"vector must have unit norm, |v| = {norm}")
     return v
 
@@ -41,40 +45,37 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12):
+        if not abs(rho - rho.conj().T).max() <= 1e-12:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12:
+        if not abs(rho.trace().real - 1.0) <= 1e-12:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
+        if not np.linalg.eigvalsh(rho)[0] >= -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
         object.__setattr__(self, "rho", rho)
 
     def correlation_tensor(self):
         """T_ij = Tr[rho sigma_i x sigma_j]."""
-        return np.einsum("ijab,ab->ij", _PAULI_PAIRS, self.rho).real
+        return (_PAULI_PAIRS @ self.rho.ravel()).real.reshape(3, 3)
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
-    a: np.ndarray  # first party
-    d: np.ndarray  # first party
-    b: np.ndarray  # second party
-    c: np.ndarray  # second party
+class MeasurementSettings(namedtuple("MeasurementSettings", "a d b c")):
+    """Unit 3-vectors: a, d on the first party, b, c on the second."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in "adbc":
-            object.__setattr__(self, name, unit_vector(getattr(self, name)))
+    def __new__(cls, a, d, b, c):
+        s = np.array((a, d, b, c), dtype=float)
+        if s.shape != (4, 3):
+            raise ValueError("settings must be four 3-vectors")
+        return super().__new__(cls, *unit_vector(s))
 
 
-@dataclass(frozen=True)
-class CHSHReport:
-    value: float
-    settings: MeasurementSettings
-    violated: bool
+class CHSHReport(namedtuple("CHSHReport", "value settings violated")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.value) > TSIRELSON + 1e-9:
-            raise ValueError(f"CHSH value {self.value} beyond the Tsirelson bound")
+    def __new__(cls, value, settings, violated):
+        if not abs(value) <= TSIRELSON + 1e-9:
+            raise ValueError(f"CHSH value {value} beyond the Tsirelson bound")
+        return super().__new__(cls, value, settings, violated)
 
 
 def singlet():
@@ -103,43 +104,41 @@ def chsh_value(state, settings):
 
 
 def _chsh(t, s):
-    return float(s.a @ t @ s.b + s.d @ t @ s.b + s.d @ t @ s.c - s.a @ t @ s.c)
+    tb, tc = t @ s.b, t @ s.c
+    return float(s.a @ (tb - tc) + s.d @ (tb + tc))
 
 
 def chsh_max_closed_form(state):
     """2 sqrt(m1 + m2) with m1, m2 the two largest eigenvalues of T^T T."""
     t = state.correlation_tensor()
     m = np.linalg.eigvalsh(t.T @ t)  # ascending
-    return float(2.0 * np.sqrt(m[-1] + m[-2]))
+    return 2.0 * math.sqrt(m[2] + m[1])
 
 
-def _party1_settings(t, bvec, cvec):
-    def normalized(v):
-        n = np.linalg.norm(v)
-        return v / n if n > 1e-14 else np.array([0.0, 0.0, 1.0])
-    return normalized(t @ (bvec - cvec)), normalized(t @ (bvec + cvec))
+def _direction(x):
+    n = math.sqrt(x @ x)
+    return x / n if n > 1e-14 else np.array([0.0, 0.0, 1.0])
 
 
 def chsh_max_grid(state, angular_resolution=1.0):
     """Maximize CHSH with the optimal settings, built in closed form.
 
-    For fixed b, c the best a, d give ||T(b - c)|| + ||T(b + c)||. With v1, v2
-    the eigenvectors of T^T T for its largest eigenvalues m1 >= m2, the choice
-    b, c = cos(theta) v1 +- sin(theta) v2, tan(theta) = sqrt(m2 / m1), makes
-    this 2 sqrt(m1 + m2). The value is `chsh_value` at these settings, from the
-    same T.
+    For fixed b, c the best a, d lie along T(b - c), T(b + c) and give
+    ||T(b - c)|| + ||T(b + c)||. With v1, v2 the eigenvectors of T^T T for its
+    largest eigenvalues m1 >= m2, the choice b, c = cos(theta) v1 +- sin(theta)
+    v2, tan(theta) = sqrt(m2 / m1), makes this 2 sqrt(m1 + m2). Then b - c and
+    b + c lie along v2 and v1, so a, d are T v2, T v1 normalised (z where that
+    vanishes). The value is `chsh_value` at these settings, from the same T.
 
     `angular_resolution` has no effect, since the settings are exact; it is
     accepted so that callers passing it by keyword or position keep working.
     """
     t = state.correlation_tensor()
-    m, v = np.linalg.eigh(t.T @ t)
-    m = np.clip(m, 0.0, None)
-    theta = np.arctan2(np.sqrt(m[-2]), np.sqrt(m[-1]))
-    bvec = np.cos(theta) * v[:, -1] + np.sin(theta) * v[:, -2]
-    cvec = np.cos(theta) * v[:, -1] - np.sin(theta) * v[:, -2]
-    avec, dvec = _party1_settings(t, bvec, cvec)
-    settings = MeasurementSettings(a=avec, d=dvec, b=bvec, c=cvec)
+    m, v = np.linalg.eigh(t.T @ t)  # ascending
+    theta = math.atan2(math.sqrt(max(0.0, m[1])), math.sqrt(max(0.0, m[2])))
+    v2, v1 = v[:, 1], v[:, 2]
+    u1, u2 = math.cos(theta) * v1, math.sin(theta) * v2
+    settings = MeasurementSettings(_direction(t @ v2), _direction(t @ v1),
+                                   u1 + u2, u1 - u2)
     value = _chsh(t, settings)
-    return CHSHReport(value=value, settings=settings,
-                      violated=value > 2.0 + 1e-9)
+    return CHSHReport(value, settings, value > 2.0 + 1e-9)

@@ -87,14 +87,18 @@ def boys_table(mmax, x):
         k = np.rint(xs / _BOYS_STEP).astype(np.intp)
         d = k * _BOYS_STEP - xs  # F_m' = -F_{m+1}, so the step is -(x - x_k)
         grid = _BOYS_GRID[mmax:mmax + _TAYLOR].take(k, axis=1)  # F_mmax.. at the x_k
-        fm = grid[-1]
+        fm = grid[-1]  # Horner in place: grid is take's own copy
         for j in range(_TAYLOR - 1, 0, -1):
-            fm = grid[j - 1] + fm * d / j
+            fm *= d
+            fm /= j
+            fm += grid[j - 1]
         col = np.empty((mmax + 1, idx.size))
         col[mmax] = fm
         x2 = 2.0 * xs
         for m in range(mmax, 0, -1):
-            col[m - 1] = (x2 * col[m] + expx) / (2 * m - 1)
+            f = np.multiply(x2, col[m], out=col[m - 1])
+            f += expx
+            f /= 2 * m - 1
         out[:, idx] = col
     idx = np.flatnonzero(~small)
     if idx.size:
@@ -104,7 +108,9 @@ def boys_table(mmax, x):
         col[0] = 0.5 * np.sqrt(np.pi / xl)
         x2 = 2.0 * xl
         for m in range(mmax):
-            col[m + 1] = ((2 * m + 1) * col[m] - expx) / x2
+            f = np.multiply(2 * m + 1, col[m], out=col[m + 1])
+            f -= expx
+            f /= x2
         out[:, idx] = col
     return out.reshape((mmax + 1,) + x.shape)
 

@@ -219,7 +219,7 @@ _PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
 def spin_observable(v):
     """sigma . v for a unit 3-vector v: a 2x2 Hermitian matrix with eigenvalues +-1."""
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
         raise ValueError(f"vector must have unit norm, |v| = {np.linalg.norm(v)}")
     return v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2]
 

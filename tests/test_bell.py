@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from h2ent.bell import (MeasurementSettings, TSIRELSON, TwoQubitState,
+from h2ent.bell import (CHSHReport, MeasurementSettings, TSIRELSON, TwoQubitState,
                         chsh_max_closed_form, chsh_max_grid, chsh_value,
                         correlation, product_updown, singlet)
 from h2ent.cli import _BELL_STATES
@@ -38,6 +38,8 @@ def test_spin_observable_properties():
     assert np.allclose(spin_observable([0, 0, 1]), np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         spin_observable([0, 0, 2])
+    with pytest.raises(ValueError):
+        spin_observable([np.nan, 0, 0])
 
 
 def test_state_validation():
@@ -57,6 +59,13 @@ def test_state_hermiticity_bound_is_absolute():
     rho[0, 1] = 0.2
     rho[1, 0] = 0.2 + 1e-6  # within the relative tolerance allclose applies by default
     with pytest.raises(ValueError, match="Hermitian"):
+        TwoQubitState(rho)
+
+
+def test_state_with_nan_is_rejected():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 0] = np.nan
+    with pytest.raises(ValueError):
         TwoQubitState(rho)
 
 
@@ -175,6 +184,37 @@ def test_optimal_settings_reach_closed_form(state, violated):
 
 
 def test_settings_validated():
-    z = np.array([0.0, 0.0, 1.0])
+    z, x2 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0])  # x2: a unit 2-vector
     with pytest.raises(ValueError):
         MeasurementSettings(a=2 * z, d=z, b=z, c=z)
+    with pytest.raises(ValueError):
+        MeasurementSettings(a=z, d=z, b=z, c=x2)
+    with pytest.raises(ValueError, match="3-vectors"):
+        MeasurementSettings(a=x2, d=x2, b=x2, c=x2)
+    s = MeasurementSettings(a=z, d=-z, b=[1, 0, 0], c=[0, 1, 0])
+    assert s.b.dtype == float and s.c.tolist() == [0.0, 1.0, 0.0]
+
+
+def test_nan_fails_every_chsh_check():
+    z = np.array([0.0, 0.0, 1.0])
+    nan = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="unit norm"):
+        MeasurementSettings(a=nan, d=z, b=z, c=z)
+    with pytest.raises(ValueError, match="unit norm"):
+        correlation(singlet(), nan, z)
+    with pytest.raises(ValueError, match="unit norm"):
+        correlation(singlet(), z, nan)
+    with pytest.raises(ValueError, match="unit norm"):
+        chsh_value(singlet(), MeasurementSettings(a=z, d=z, b=nan, c=z))
+    with pytest.raises(ValueError, match="Tsirelson"):
+        CHSHReport(value=np.nan, settings=MeasurementSettings(a=z, d=z, b=z, c=z),
+                   violated=False)
+
+
+def test_chsh_report_checks_the_tsirelson_bound():
+    s = chsh_max_grid(singlet()).settings
+    assert CHSHReport(value=TSIRELSON, settings=s, violated=True).value == TSIRELSON
+    with pytest.raises(ValueError, match="Tsirelson"):
+        CHSHReport(value=TSIRELSON + 1e-6, settings=s, violated=True)
+    with pytest.raises(ValueError, match="Tsirelson"):
+        CHSHReport(-np.inf, s, False)

@@ -379,17 +379,37 @@ def test_main_point(capsys):
     assert "occupations" in out
 
 
+# `h2ent bell` stdout byte for byte, signs of zero included: the settings' +-0.000000
+# show which way each eigenvector and fallback came out.
+BELL_SINGLET = """\
+max CHSH (optimal settings):  2.828427125
+max CHSH (closed form):       2.828427125
+  a = (+0.000000, -1.000000, +0.000000)
+  d = (+0.000000, +0.000000, -1.000000)
+  b = (+0.000000, +0.707107, +0.707107)
+  c = (+0.000000, -0.707107, +0.707107)
+violated: True
+"""
+BELL_STDOUT = {
+    "singlet": "state: singlet\n" + BELL_SINGLET,
+    "dissociation": "state: dissociation\n" + BELL_SINGLET,
+    "product": """\
+state: product
+max CHSH (optimal settings):  2.000000000
+max CHSH (closed form):       2.000000000
+  a = (+0.000000, +0.000000, +1.000000)
+  d = (+0.000000, +0.000000, -1.000000)
+  b = (+0.000000, +0.000000, +1.000000)
+  c = (+0.000000, +0.000000, +1.000000)
+violated: False
+""",
+}
+
+
 def test_main_bell(capsys):
-    assert main(["bell", "--state", "singlet"]) == 0
-    out = capsys.readouterr().out
-    assert "2.828427" in out
-    assert "violated: True" in out
-    assert main(["bell", "--state", "product"]) == 0
-    assert "violated: False" in capsys.readouterr().out
-    assert main(["bell", "--state", "dissociation"]) == 0
-    out = capsys.readouterr().out
-    assert "2.828427" in out
-    assert "violated: True" in out
+    for state, stdout in BELL_STDOUT.items():
+        assert main(["bell", "--state", state]) == 0
+        assert capsys.readouterr().out == stdout
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

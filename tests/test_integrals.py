@@ -1,5 +1,7 @@
 """Analytic Gaussian integrals against closed forms and the quadrature oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -88,6 +90,30 @@ def test_boys_table_does_not_depend_on_where_an_argument_sits():
     mostly_large[2, 3] = -1e-3
     with pytest.raises(ValueError, match="non-negative"):
         boys_table(3, mostly_large)
+
+
+# SHA-256 of boys_table(m, x).tobytes() (-0.0 as +0.0) on a fixed sweep over both
+# branches, m = 0..4: any change to the order of the Taylor or recursion arithmetic
+# moves a last bit somewhere in it.
+BOYS_SWEEP_SHA256 = (
+    "dcc7da0774236460c9401a976d967edb5a4f523a90c0d904aef110d315672426",
+    "840023b02f1dd177b76ac08284d462fa9f6f6a85c67f9db727fd88463f72bfc4",
+    "d1e47cd919fee3098b5dde053f9315500776778b02d0ebf2db98c7b24991844e",
+    "7de929d2136b26a80a199d5a8112355d5a490a56454b8ca97987231ba68665fc",
+    "e0461280f8d662c8409d0193f6005eabba8b636b60dea8edcc9022da34ed204d",
+)
+
+
+def boys_sweep():
+    """0 to 60 in steps of 0.01, zero and the switch at 36, then 5000 seeded points."""
+    return np.concatenate([np.linspace(0.0, 60.0, 6001), [0.0, 36.0],
+                           np.random.default_rng(0).uniform(0.0, 60.0, 5000)])
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_boys_table_is_pinned_bit_for_bit(m):
+    out = boys_table(m, boys_sweep())
+    assert hashlib.sha256((out + 0.0).tobytes()).hexdigest() == BOYS_SWEEP_SHA256[m]
 
 
 @pytest.mark.parametrize("lmax", range(17))
