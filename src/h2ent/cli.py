@@ -1,13 +1,14 @@
 """Command-line driver: single points, dissociation scans and CHSH demos.
 
-A scan's result is one stacked Curve record, which `emit` writes as CSV or JSON.
-Exit codes: 0 success, 1 usage error, 2 computation failure.
+`main` resolves each flag once: it converts distances to Bohr and loads the basis,
+with --basis-dir. The library functions take Bohr, and a loaded BasisSet or a basis
+name. A scan's result is one stacked Curve record, which `emit` writes as CSV or
+JSON. Exit codes: 0 success, 1 usage error, 2 computation failure.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,33 +28,6 @@ from .scf import SCFResult, run_rhf, run_rhf_batch
 SCAN_BATCH = 64
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    basis_name: str
-    r_min: float
-    r_max: float
-    n_points: int
-    grid: str = "linear"
-    unit: str = "bohr"
-    rescale: bool = False
-    far_point: float = None  # appended dissociation proxy, Bohr
-    basis_dir: str = None
-
-    def __post_init__(self):
-        for name in ("r_min", "r_max", "far_point"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.r_min <= 0 or self.r_max <= self.r_min:
-            raise ValueError("need 0 < r_min < r_max")
-        if self.n_points < 2:
-            raise ValueError("need at least two scan points")
-        if self.grid not in ("linear", "logarithmic"):
-            raise ValueError(f"unknown grid {self.grid!r}")
-        if self.unit not in ("bohr", "angstrom"):
-            raise ValueError(f"unknown unit {self.unit!r}")
-
-
 class Curve(NamedTuple):
     """The dissociation curve at G geometries, the batch axis first in every field."""
     r: np.ndarray            # (G,), Bohr
@@ -65,15 +39,15 @@ class Curve(NamedTuple):
     rescaled_entropy: np.ndarray = None  # (G,), or None
 
 
-def run_single_point(r_bohr, basis, basis_dir=None):
-    """Full pipeline geometry -> integrals -> SCF -> FCI -> Curve at one R.
+def run_single_point(r_bohr, basis):
+    """Full pipeline geometry -> integrals -> SCF -> FCI -> Curve at one R, in Bohr.
 
     basis is a loaded BasisSet, or a basis name or path to load. The point is a
     scan batch of one, returned without the batch axis, with Python floats for
     the scalars: its values are bit for bit its scan row's.
     """
     if not isinstance(basis, BasisSet):
-        basis = load_basis(basis, basis_dir=basis_dir)
+        basis = load_basis(basis)
     mols = h2(r_bohr)
     ints = compute_all(basis, mols)
     scf = SCFResult(*(np.asarray(x)[None] for x in run_rhf(ints, mols)))
@@ -102,36 +76,41 @@ def _take(record, n):
     return type(record)(*(x[n:n + 1] if isinstance(x, np.ndarray) else x for x in record))
 
 
-def scan_grid(config):
-    """The R grid in Bohr, ascending, with the optional far point appended."""
-    to_bohr = ANGSTROM_TO_BOHR if config.unit == "angstrom" else 1.0
-    lo, hi = config.r_min * to_bohr, config.r_max * to_bohr
-    if config.grid == "logarithmic":
-        rs = list(np.geomspace(lo, hi, config.n_points))
-    else:
-        rs = list(np.linspace(lo, hi, config.n_points))
-    if config.far_point is not None and config.far_point > hi:  # far point is in Bohr
-        rs.append(config.far_point)
+def scan_grid(r_min, r_max, n_points, log_grid=False, far_point=None):
+    """n_points R from r_min to r_max, evenly or log spaced, then far_point if it
+    lies beyond r_max: a list, ascending. All distances are in Bohr."""
+    for name, value in (("r_min", r_min), ("r_max", r_max), ("far_point", far_point)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if r_min <= 0 or r_max <= r_min:
+        raise ValueError("need 0 < r_min < r_max")
+    if n_points < 2:
+        raise ValueError("need at least two scan points")
+    rs = list((np.geomspace if log_grid else np.linspace)(r_min, r_max, n_points))
+    if far_point is not None and far_point > r_max:
+        rs.append(far_point)
     return rs
 
 
-def run_scan(config):
-    """Scan the dissociation curve; per-point failures are recorded, not fatal.
+def run_scan(rs, basis, rescale=False):
+    """Scan the dissociation curve at the ascending R of rs, in Bohr; basis is a
+    loaded BasisSet, or a basis name or path to load.
 
-    Returns (curve, failures): one Curve of the points that succeeded, ascending in
-    R, with the rescaled entropy if config.rescale, and failures as (R, message)
-    pairs. A point fails on an H2entError, and any other exception propagates.
-    Raises RuntimeError if every point failed. The basis is loaded once. The grid
-    is walked in batches of SCAN_BATCH geometries, each through one `compute_all`
-    call, whose errors propagate, and one stacked pass per later stage. In a batch
-    in which a point fails, the stages after the SCF are redone one point at a time
-    on the batch's SCF result (the SCF too, if the batch's raised), so that each
-    point records its own error.
+    Returns (curve, failures): one Curve of the points that succeeded, with the
+    rescaled entropy if rescale, and failures as (R, message) pairs. A point fails
+    on an H2entError; any other exception propagates. Raises ValueError if rs is
+    empty or not ascending (the rescaling anchors on its last point), and
+    RuntimeError if every point failed. The grid is walked in batches of SCAN_BATCH
+    geometries, each through one `compute_all` call, whose errors propagate, and one
+    stacked pass per later stage. In a batch in which a point fails, the stages after
+    the SCF are redone one point at a time on the batch's SCF result (the SCF too, if
+    the batch's raised), so that each point records its own error.
     """
-    curves = []
-    failures = []
-    basis = load_basis(config.basis_name, basis_dir=config.basis_dir)
-    rs = scan_grid(config)
+    if not len(rs) or np.any(np.diff(rs) < 0):
+        raise ValueError("rs must be ascending and not empty")
+    if not isinstance(basis, BasisSet):
+        basis = load_basis(basis)
+    curves, failures = [], []
     for lo in range(0, len(rs), SCAN_BATCH):
         batch = rs[lo:lo + SCAN_BATCH]
         mols = h2(batch)
@@ -153,7 +132,7 @@ def run_scan(config):
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))
     # each field of the batches' curves joined, all but the rescaled entropy
     curve = Curve(*map(np.concatenate, zip(*(c[:-1] for c in curves))))
-    if config.rescale:
+    if rescale:
         curve = curve._replace(rescaled_entropy=rescale_entropy(curve.entropy, curve.e_corr))
     return curve, failures
 
@@ -196,20 +175,19 @@ _BELL_STATES = {
 }
 
 
-def bell_demo(state_name, out=None):
+def bell_demo(state_name):
     """Print the CHSH report for one of the named reference states."""
-    out = sys.stdout if out is None else out
     state = _BELL_STATES[state_name]()
     report = bell.chsh_max_grid(state)
     closed = bell.chsh_max_closed_form(state)
     s = report.settings
-    out.write(f"state: {state_name}\n")
-    out.write(f"max CHSH (optimal settings):  {report.value:.9f}\n")
-    out.write(f"max CHSH (closed form):       {closed:.9f}\n")
+    print(f"state: {state_name}")
+    print(f"max CHSH (optimal settings):  {report.value:.9f}")
+    print(f"max CHSH (closed form):       {closed:.9f}")
     for name in "adbc":
         v = getattr(s, name)
-        out.write(f"  {name} = ({v[0]:+.6f}, {v[1]:+.6f}, {v[2]:+.6f})\n")
-    out.write(f"violated: {report.violated}\n")
+        print(f"  {name} = ({v[0]:+.6f}, {v[1]:+.6f}, {v[2]:+.6f})")
+    print(f"violated: {report.violated}")
     return report
 
 
@@ -252,24 +230,25 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one `h2ent` command line; returns the exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "scan":
-            config = ScanConfig(
-                basis_name=args.basis, r_min=args.rmin, r_max=args.rmax,
-                n_points=args.points,
-                grid="logarithmic" if args.log_grid else "linear",
-                unit=args.unit, rescale=args.rescale, far_point=args.far_point,
-                basis_dir=args.basis_dir)
-            curve, failures = run_scan(config)
+        if args.command == "bell":
+            bell_demo(args.state)
+            return 0
+        to_bohr = ANGSTROM_TO_BOHR if args.unit == "angstrom" else 1.0
+        if args.command == "scan":  # the far point is in Bohr in both units
+            rs = scan_grid(args.rmin * to_bohr, args.rmax * to_bohr, args.points,
+                           args.log_grid, args.far_point)
+            basis = load_basis(args.basis, basis_dir=args.basis_dir)
+            curve, failures = run_scan(rs, basis, args.rescale)
             emit(curve, args.format, args.out)
             for r, msg in failures:
                 sys.stderr.write(f"warning: point R={r:g} failed: {msg}\n")
             print(f"wrote {len(curve.r)} points to {args.out}")
-        elif args.command == "point":
-            r = args.r * (ANGSTROM_TO_BOHR if args.unit == "angstrom" else 1.0)
-            rep = run_single_point(r, args.basis, basis_dir=args.basis_dir)
+        else:
+            r = args.r * to_bohr
+            rep = run_single_point(r, load_basis(args.basis, basis_dir=args.basis_dir))
             print(f"R       = {r:.17g} Bohr")
             print(f"E_HF    = {rep.e_hf:.17g}")
             print(f"E_FCI   = {rep.e_fci:.17g}")
@@ -277,8 +256,6 @@ def main(argv=None):
             print(f"entropy = {rep.entropy:.17g} bits")
             occ = ", ".join(f"{x:.12g}" for x in rep.occupations)
             print(f"occupations = [{occ}]")
-        else:
-            bell_demo(args.state)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -15,8 +15,7 @@ import h2ent
 from h2ent import cli, correlation, fci, scf
 from h2ent.basis import load_basis
 from h2ent.correlation import OPDM
-from h2ent.cli import (Curve, ScanConfig, emit, main, run_scan, run_single_point,
-                       scan_grid)
+from h2ent.cli import Curve, emit, main, run_scan, run_single_point, scan_grid
 from h2ent.errors import LinearDependenceError
 from h2ent.molecule import ANGSTROM_TO_BOHR, h2
 from h2ent.scf import symmetric_orthogonalizer
@@ -24,46 +23,56 @@ from h2ent.scf import symmetric_orthogonalizer
 CSV_HEADER = "R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2"
 
 
-def config(**kw):
-    base = dict(basis_name="sto-3g", r_min=1.0, r_max=2.0, n_points=3)
-    base.update(kw)
-    return ScanConfig(**base)
+def grid(r_min=1.0, r_max=2.0, n_points=3, **kw):
+    return scan_grid(r_min, r_max, n_points, **kw)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        config(r_min=-1.0)
-    with pytest.raises(ValueError):
-        config(r_max=0.5)
-    with pytest.raises(ValueError):
-        config(n_points=1)
-    with pytest.raises(ValueError):
-        config(grid="cubic")
-    with pytest.raises(ValueError):
-        config(unit="parsec")
+    for kw, message in ((dict(r_min=-1.0), "need 0 < r_min < r_max"),
+                        (dict(r_max=0.5), "need 0 < r_min < r_max"),
+                        (dict(n_points=1), "need at least two scan points"),
+                        (dict(r_min=np.nan), "r_min must be finite, got nan"),
+                        (dict(far_point=np.inf), "far_point must be finite, got inf")):
+        with pytest.raises(ValueError) as exc:
+            grid(**kw)
+        assert str(exc.value) == message
 
 
-def test_scan_grid_linear_log_and_units():
-    assert np.allclose(scan_grid(config()), [1.0, 1.5, 2.0])
-    logs = scan_grid(config(grid="logarithmic"))
+def test_scan_grid_linear_log_and_far_point():
+    assert np.allclose(grid(), [1.0, 1.5, 2.0])
+    logs = grid(log_grid=True)
     assert logs[0] == pytest.approx(1.0) and logs[-1] == pytest.approx(2.0)
     assert logs[1] == pytest.approx(np.sqrt(2.0))
-    rs = scan_grid(config(unit="angstrom"))
-    assert rs[0] == pytest.approx(ANGSTROM_TO_BOHR)
-    rs = scan_grid(config(far_point=20.0))
+    rs = grid(far_point=20.0)
     assert len(rs) == 4 and rs[-1] == 20.0
-    assert len(scan_grid(config(far_point=1.5))) == 3  # inside range: skipped
+    assert len(grid(far_point=1.5)) == 3  # inside range: skipped
 
 
-def test_far_point_is_in_bohr_in_both_units():
+def test_run_scan_rejects_distances_out_of_order():
+    # the rescaled entropy anchors on the last point, so it must be the largest R
+    for rs in ([2.0, 1.0], [1.0, 20.0, 1.5], []):
+        with pytest.raises(ValueError, match="rs must be ascending and not empty"):
+            run_scan(rs, "sto-3g")
+
+
+def scan_r(tmp_path, *flags):
+    """The R_bohr column that `h2ent scan` from 1 to 2 in 3 points writes."""
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--rmin", "1.0", "--rmax", "2.0", "--points", "3", *flags,
+                 "--out", str(out)]) == 0
+    return [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+
+
+def test_far_point_is_in_bohr_in_both_units(tmp_path):
     for unit in ("bohr", "angstrom"):
-        rs = scan_grid(config(unit=unit, far_point=20.0))
+        rs = scan_r(tmp_path, "--unit", unit, "--far-point", "20")
         assert len(rs) == 4 and rs[-1] == 20.0
     # 3 Bohr lies inside the 1-2 Angstrom range, so it is not appended
-    assert len(scan_grid(config(unit="angstrom", far_point=3.0))) == 3
+    rs = scan_r(tmp_path, "--unit", "angstrom", "--far-point", "3")
+    assert len(rs) == 3 and rs[-1] == 2.0 * ANGSTROM_TO_BOHR
 
 
-def test_scan_loads_the_basis_once(monkeypatch):
+def test_scan_loads_the_basis_once(monkeypatch, tmp_path):
     loads = []
 
     def counting_load(*args, **kwargs):
@@ -71,8 +80,7 @@ def test_scan_loads_the_basis_once(monkeypatch):
         return load_basis(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_basis", counting_load)
-    curve, failures = run_scan(config(far_point=20.0))
-    assert len(curve.r) + len(failures) == 4 and len(loads) == 1
+    assert len(scan_r(tmp_path, "--far-point", "20")) == 4 and len(loads) == 1
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -109,7 +117,7 @@ def test_run_scan_propagates_programming_errors(monkeypatch):
 
     patch_everywhere(monkeypatch, fci.run_fci, broken)
     with pytest.raises(TypeError):
-        run_scan(config())
+        run_scan(grid(), "sto-3g")
 
 
 def assert_rows_kept(curve, before, bad_r):
@@ -124,10 +132,10 @@ def assert_rows_kept(curve, before, bad_r):
 def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
     # the points of a scan are one batch; an SCF failure at one R is still
     # that point's own
-    cfg = config(n_points=4, far_point=20.0)
-    before, _ = run_scan(cfg)
-    assert len(before.r) == len(scan_grid(cfg)) == 5
-    bad_r = scan_grid(cfg)[2]
+    rs = grid(n_points=4, far_point=20.0)
+    before, _ = run_scan(rs, "sto-3g")
+    assert len(before.r) == len(rs) == 5
+    bad_r = rs[2]
     original = scf.run_rhf_batch
     calls = []
 
@@ -137,17 +145,17 @@ def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
         return res._replace(converged=res.converged & (mols.xyz[:, 1, 2] != bad_r))
 
     patch_everywhere(monkeypatch, original, failing_rhf)
-    curve, failures = run_scan(cfg)
+    curve, failures = run_scan(rs, "sto-3g")
     assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
     assert calls == [5]  # the points are redone on the batch's SCF results
     assert_rows_kept(curve, before, bad_r)
 
 
 def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
-    cfg = config(n_points=4, far_point=20.0)
-    before, _ = run_scan(cfg)
-    assert len(before.r) == len(scan_grid(cfg)) == 5
-    bad_r = scan_grid(cfg)[1]
+    rs = grid(n_points=4, far_point=20.0)
+    before, _ = run_scan(rs, "sto-3g")
+    assert len(before.r) == len(rs) == 5
+    bad_r = rs[1]
     original = cli.compute_all
 
     def singular_overlap(basis, mols):
@@ -157,7 +165,7 @@ def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
         return ints._replace(overlap=np.where(bad[:, None, None], 1.0, ints.overlap))
 
     monkeypatch.setattr(cli, "compute_all", singular_overlap)
-    curve, failures = run_scan(cfg)
+    curve, failures = run_scan(rs, "sto-3g")
     assert [r for r, _ in failures] == [bad_r]
     with pytest.raises(LinearDependenceError) as exc:
         symmetric_orthogonalizer(np.ones((2, 2)))
@@ -177,11 +185,11 @@ def nan_coefficient(bad_r):
 
 def test_scan_point_with_a_nan_ci_coefficient_fails_alone(monkeypatch):
     # the density matrix's symmetry check is a computation failure of that point
-    cfg = config(n_points=4, far_point=20.0)
-    before, _ = run_scan(cfg)
-    bad_r = scan_grid(cfg)[3]
+    rs = grid(n_points=4, far_point=20.0)
+    before, _ = run_scan(rs, "sto-3g")
+    bad_r = rs[3]
     monkeypatch.setattr(cli, "run_fci", nan_coefficient(bad_r))
-    curve, failures = run_scan(cfg)
+    curve, failures = run_scan(rs, "sto-3g")
     assert failures == [(bad_r, "density matrix must be symmetric")]
     assert_rows_kept(curve, before, bad_r)
 
@@ -195,15 +203,14 @@ def test_nan_ci_coefficient_at_a_point_exits_2(monkeypatch, capsys):
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_scan_rows_are_single_points_bit_for_bit(name, monkeypatch):
     # the default batch holds the whole grid; batches of 7 split it unevenly
-    cfg = ScanConfig(basis_name=name, r_min=0.3, r_max=100.0, n_points=40,
-                     grid="logarithmic")
+    rs = scan_grid(0.3, 100.0, 40, log_grid=True)
     basis = load_basis(name)
-    singles = [run_single_point(r, basis) for r in scan_grid(cfg)]
+    singles = [run_single_point(r, basis) for r in rs]
     assert all(p.rescaled_entropy is None for p in singles)
     singles = Curve(*(np.array(x) for x in list(zip(*singles))[:-1]))
-    scans = [run_scan(cfg)[0]]
+    scans = [run_scan(rs, basis)[0]]
     monkeypatch.setattr(cli, "SCAN_BATCH", 7)
-    scans.append(run_scan(cfg)[0])
+    scans.append(run_scan(rs, basis)[0])
     for curve in scans:
         assert len(curve.r) == len(singles.r) == 40
         for name, x, y in zip(Curve._fields[:-1], curve, singles):
@@ -217,12 +224,13 @@ def test_scan_memory_is_bounded_by_the_batch():
     def peak(n_points):
         tracemalloc.start()
         try:
-            run_scan(config(r_min=0.5, r_max=10.0, n_points=n_points))
+            run_scan(grid(r_min=0.5, r_max=10.0, n_points=n_points), basis)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    run_scan(config())  # first-call allocations stay out of both peaks
+    basis = load_basis("sto-3g")
+    run_scan(grid(), basis)  # first-call allocations stay out of both peaks
     assert peak(400) <= 2 * peak(64)
 
 
@@ -280,13 +288,13 @@ def test_science_output_is_pinned_bit_for_bit(name, r):
 
 
 def test_run_scan_with_rescale():
-    curve, failures = run_scan(config(n_points=2, rescale=True))
+    curve, failures = run_scan(grid(n_points=2), "sto-3g", rescale=True)
     assert not failures
     assert curve.rescaled_entropy[-1] == pytest.approx(curve.e_corr[-1])
 
 
 def test_emit_csv(tmp_path):
-    curve, _ = run_scan(config(n_points=2))
+    curve, _ = run_scan(grid(n_points=2), "sto-3g")
     path = tmp_path / "scan.csv"
     emit(curve, "csv", path)
     lines = path.read_text().splitlines()
@@ -306,7 +314,7 @@ def test_emit_csv_header_only(tmp_path):
 
 
 def test_emit_rejects_an_unknown_format(tmp_path):
-    curve, _ = run_scan(config(n_points=2))
+    curve, _ = run_scan(grid(n_points=2), "sto-3g")
     path = tmp_path / "scan.xml"
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         emit(curve, "xml", path)
@@ -314,7 +322,7 @@ def test_emit_rejects_an_unknown_format(tmp_path):
 
 
 def test_emit_json(tmp_path):
-    curve, _ = run_scan(config(n_points=2))
+    curve, _ = run_scan(grid(n_points=2), "sto-3g")
     path = tmp_path / "scan.json"
     emit(curve, "json", path)
     data = json.loads(path.read_text())
@@ -418,6 +426,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--unit", "parsec", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 1
     # bad numeric configuration: ValueError path, exit code 1
     assert main(["scan", "--rmin", "-1", "--out", str(tmp_path / "x.csv")]) == 1

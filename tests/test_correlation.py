@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from h2ent.cli import ScanConfig, run_scan
+from h2ent.cli import run_scan, scan_grid
 from h2ent.correlation import (OPDM, correlation_energy,
                                natural_occupations, one_particle_density,
                                rescale_entropy, von_neumann_entropies,
@@ -110,7 +110,7 @@ def test_stacked_entropies_are_the_per_row_entropies_bit_for_bit(curve, request)
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_scan_entropies_are_the_per_row_entropies_bit_for_bit(name):
     # past ~20 Bohr up to two of the 6-31G** occupations clip to 0
-    curve, _ = run_scan(ScanConfig(name, 0.3, 100.0, 40, grid="logarithmic"))
+    curve, _ = run_scan(scan_grid(0.3, 100.0, 40, log_grid=True), name)
     assert curve.entropy.tolist() == [von_neumann_entropy(occ) for occ in curve.occupations]
 
 

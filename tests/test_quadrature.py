@@ -51,9 +51,13 @@ def test_gaussian_transform_oracle_closed_forms():
 
 def test_grid_and_transform_eri_oracles_agree():
     # two independent ERI oracles back each other on random Cartesian quartets, to the
-    # grid's documented 1e-5
+    # grid's documented 1e-5. Those are small (1.7e-4, 1.4e-3), so two compact s
+    # quartets, centres in [-0.5, 0.5]^3, add values of 0.48 and 0.16
     rng = np.random.default_rng(2024)
     quartets = [[random_primitive(rng) for _ in range(4)] for _ in range(2)]
+    rng = np.random.default_rng(7)
+    quartets += [[s_prim(rng.uniform(0.1, 3.0), rng.uniform(-0.5, 0.5, 3))
+                  for _ in range(4)] for _ in range(2)]
     exact = eri_by_gaussian_transform(quartets)
     for funcs, e in zip(quartets, exact):
         assert abs(quadrature_oracle_eri(*funcs) - e) < 1e-5
