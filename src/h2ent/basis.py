@@ -6,9 +6,9 @@ function has unit self-overlap.
 """
 
 import os
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,18 +29,12 @@ CARTESIAN_COMPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(NamedTuple):
     """One contracted shell; the coefficients include the primitive norms and
     the contraction norm, so each Cartesian component has unit self-overlap."""
     angular_momentum: int
     exponents: tuple
     coefficients: tuple
-
-    def __post_init__(self):
-        if self.angular_momentum not in (0, 1):
-            raise UnsupportedShellError(
-                f"only s and p shells supported, got l={self.angular_momentum}")
 
 
 def primitive_norm(exponent, powers):
@@ -62,8 +56,7 @@ def _normalized_shell(l, exponents, coefficients, lineno):
     return Shell(l, exponents, tuple(c * scale for c in coefs))
 
 
-@dataclass(frozen=True)
-class BasisSet:
+class BasisSet(NamedTuple):
     name: str
     shells_per_element: dict
 
@@ -163,8 +156,7 @@ def load_basis(name_or_path, basis_dir=None):
     return parse_basis(path.read_text(), name=str(name_or_path))
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(NamedTuple):
     """One contracted Cartesian Gaussian with fully normalized coefficients."""
     center: tuple
     powers: tuple
@@ -172,8 +164,7 @@ class BasisFunction:
     coefficients: tuple
 
 
-@dataclass(frozen=True)
-class AOBasis:
+class AOBasis(NamedTuple):
     functions: tuple
     shells: tuple  # (atom index, Shell) pairs, in build order
 
@@ -194,6 +185,9 @@ def build_ao_basis(mol, basis):
             raise MissingElementError(
                 f"basis {basis.name!r} has no entry for element {element}") from None
         for shell in element_shells:
+            if shell.angular_momentum not in CARTESIAN_COMPONENTS:
+                raise UnsupportedShellError(
+                    f"only s and p shells supported, got l={shell.angular_momentum}")
             shells.append((n, shell))
             for powers in CARTESIAN_COMPONENTS[shell.angular_momentum]:
                 functions.append(BasisFunction(tuple(center), powers, shell.exponents,

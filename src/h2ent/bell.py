@@ -12,7 +12,6 @@ the oracle. Every check is written `not x <= bound`, so NaN fails it.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +36,12 @@ def unit_vector(v):
     return v
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    rho: np.ndarray  # 4x4 density matrix
+class TwoQubitState(namedtuple("TwoQubitState", "rho")):
+    """A 4x4 two-qubit density matrix, stored as complex."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+    def __new__(cls, rho):
+        rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
         if not abs(rho - rho.conj().T).max() <= 1e-12:
@@ -51,7 +50,7 @@ class TwoQubitState:
             raise ValueError("density matrix must have unit trace")
         if not np.linalg.eigvalsh(rho)[0] >= -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
-        object.__setattr__(self, "rho", rho)
+        return super().__new__(cls, rho)
 
     def correlation_tensor(self):
         """T_ij = Tr[rho sigma_i x sigma_j]."""

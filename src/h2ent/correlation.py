@@ -10,35 +10,26 @@ entropy to the correlation energy at the largest scanned distance. The
 functions take a batch of geometries on a leading array axis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalCheckError
 
 
-@dataclass(frozen=True)
-class OPDM:
-    gamma: np.ndarray  # K x K, spin-summed, MO basis; or a stack of them
-
-    def __post_init__(self):
-        g = self.gamma
-        if not np.max(np.abs(g - g.swapaxes(-1, -2))) <= 1e-12:  # a NaN fails too
-            raise NumericalCheckError("density matrix must be symmetric")
-
-
 def one_particle_density(ci):
     """Spin-summed gamma_pq = <Psi|a+_p a_q|Psi> = (C C^T + C^T C)_pq of a stacked
-    CIResult of G geometries, as one OPDM with a stack of G matrices."""
+    CIResult of G geometries: a (G, K, K) stack of K x K matrices in the MO basis."""
     c = ci.coefficients
     ct = c.swapaxes(-1, -2)
-    return OPDM(c @ ct + ct @ c)
+    return c @ ct + ct @ c
 
 
-def natural_occupations(opdm):
-    """Descending eigenvalues of the spin-summed density matrix, clipped to [0, 2];
-    of a stack, one row per matrix, from one stacked call."""
-    vals = np.linalg.eigvalsh(opdm.gamma)[..., ::-1]
+def natural_occupations(gamma):
+    """Descending eigenvalues of a spin-summed density matrix, clipped to [0, 2]; of
+    a stack, one row per matrix, from one stacked call. The matrix must be symmetric
+    to 1e-12, since the eigensolver reads only its lower triangle."""
+    if not np.max(np.abs(gamma - gamma.swapaxes(-1, -2))) <= 1e-12:  # a NaN fails too
+        raise NumericalCheckError("density matrix must be symmetric")
+    vals = np.linalg.eigvalsh(gamma)[..., ::-1]
     if vals.min() < -1e-8 or vals.max() > 2.0 + 1e-8:
         raise NumericalCheckError(f"occupations outside [0, 2]: {vals}")
     return np.clip(vals, 0.0, 2.0)

@@ -2,9 +2,14 @@
 
 Grid-based integrals: every routine evaluates the defining integrand on a
 numerical grid and never touches the Hermite/Boys machinery. Documented
-accuracy: 1e-6 absolute for overlap/kinetic/nuclear (1e-5 for ERIs) over the
-exponent and separation ranges exercised by the tests (exponents in [0.1, 5],
-separations up to ~3 Bohr).
+accuracy: 1e-6 absolute for overlap/kinetic/nuclear over the exponent and
+separation ranges exercised by the tests (exponents in [0.1, 5], separations
+up to ~3 Bohr). ERIs are good to 1e-5 absolute on the quartets the tests check
+them on: exponents in [0.2, 3], centres in [-1.5, 1.5]^3, bra and ket exponent
+sums p in [1.7, 3.8] and q in [1.2, 4.4], q/p <= 1.8. Not beyond that: the
+outer 12-node Gauss-Hermite rule over the bra density misses a ket much more
+compact than the bra. The s quartet (0.240, 0.223 | 1.034, 2.177), centres in
+[-0.5, 0.5]^3, p = 0.46 and q/p = 6.9, is off by 4.2e-4 (4.6e-5 with 20 nodes).
 
 Spin correlations: Tr[rho (sigma.u x sigma.w)] element by element, from
 Kronecker products of the Pauli matrices, without the Pauli-pair contraction

@@ -5,8 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from h2ent.basis import (AOBasis, BasisFunction, Shell,
-                         build_ao_basis, load_basis, parse_basis,
+from h2ent.basis import (BasisSet, Shell, build_ao_basis, load_basis, parse_basis,
                          primitive_norm)
 from h2ent.cli import main, run_single_point
 from h2ent.errors import (BasisParseError, MissingElementError,
@@ -246,5 +245,7 @@ def test_missing_element_raises():
 
 
 def test_shell_validation():
-    with pytest.raises(UnsupportedShellError):
-        Shell(2, (1.0,), (1.0,))
+    # parse_basis rejects a d label; a hand-built d shell fails where the AOs are built
+    basis = BasisSet("spd", {"H": (Shell(0, (1.0,), (1.0,)), Shell(2, (1.0,), (1.0,)))})
+    with pytest.raises(UnsupportedShellError, match="l=2"):
+        build_ao_basis(h2(1.4), basis)

@@ -14,7 +14,6 @@ import pytest
 import h2ent
 from h2ent import cli, correlation, fci, scf
 from h2ent.basis import load_basis
-from h2ent.correlation import OPDM
 from h2ent.cli import Curve, emit, main, run_scan, run_single_point, scan_grid
 from h2ent.errors import LinearDependenceError
 from h2ent.molecule import ANGSTROM_TO_BOHR, h2
@@ -237,7 +236,7 @@ def test_scan_memory_is_bounded_by_the_batch():
 def test_numerical_check_failure_exit_2(monkeypatch, capsys):
     # occupations outside [0, 2] are a computation failure, not a usage error
     monkeypatch.setattr(cli, "one_particle_density",
-                        lambda ci: OPDM(np.diag([2.5, -0.5])))
+                        lambda ci: np.diag([2.5, -0.5]))
     assert main(["point", "-R", "1.4"]) == 2
     assert "occupations outside [0, 2]" in capsys.readouterr().err
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from h2ent.cli import run_scan, scan_grid
-from h2ent.correlation import (OPDM, correlation_energy,
-                               natural_occupations, one_particle_density,
-                               rescale_entropy, von_neumann_entropies,
-                               von_neumann_entropy)
+from h2ent.correlation import (correlation_energy, natural_occupations,
+                               one_particle_density, rescale_entropy,
+                               von_neumann_entropies, von_neumann_entropy)
 from h2ent.errors import NumericalCheckError
 from test_fci import annihilation_matrix, embed
 
@@ -36,26 +35,26 @@ def brute_force_opdm(coefficients):
 
 def test_opdm_requires_symmetry():
     with pytest.raises(NumericalCheckError):
-        OPDM(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        natural_occupations(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def test_opdm_symmetry_bound_is_absolute():
     # within the relative tolerance allclose applies by default
     with pytest.raises(NumericalCheckError, match="symmetric"):
-        OPDM(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
-    OPDM(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
+        natural_occupations(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
+    natural_occupations(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
     with pytest.raises(NumericalCheckError, match="symmetric"):
-        OPDM(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        natural_occupations(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_single_determinant_density():
-    gamma = one_particle_density(ci_state([[1.0, 0.0], [0.0, 0.0]])).gamma[0]
+    gamma = one_particle_density(ci_state([[1.0, 0.0], [0.0, 0.0]]))[0]
     assert np.allclose(gamma, np.diag([2.0, 0.0]), atol=1e-15)
 
 
 def test_two_configuration_density():
     c1, c2 = np.cos(0.3), np.sin(0.3)
-    gamma = one_particle_density(ci_state([[c1, 0.0], [0.0, c2]])).gamma[0]
+    gamma = one_particle_density(ci_state([[c1, 0.0], [0.0, c2]]))[0]
     assert np.allclose(gamma, np.diag([2 * c1 ** 2, 2 * c2 ** 2]), atol=1e-14)
 
 
@@ -66,7 +65,7 @@ def test_density_matches_fock_space_oracle(k, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(k, k))  # not symmetric: alpha and beta densities differ
     c /= np.linalg.norm(c)
-    gamma = one_particle_density(ci_state(c)).gamma[0]
+    gamma = one_particle_density(ci_state(c))[0]
     assert np.allclose(gamma, brute_force_opdm(c), atol=1e-12)
     assert np.trace(gamma) == pytest.approx(2.0, abs=1e-12)
 
@@ -83,13 +82,13 @@ def test_occupations_are_the_schmidt_coefficients(curve, request):
 
 
 def test_natural_occupations_descending_and_bounded():
-    occ = natural_occupations(OPDM(np.diag([0.3, 1.7])))
+    occ = natural_occupations(np.diag([0.3, 1.7]))
     assert np.allclose(occ, [1.7, 0.3])
     assert occ.sum() == pytest.approx(2.0)
     with pytest.raises(NumericalCheckError):
-        natural_occupations(OPDM(np.diag([2.5, 0.0])))
+        natural_occupations(np.diag([2.5, 0.0]))
     with pytest.raises(NumericalCheckError):
-        natural_occupations(OPDM(np.diag([-0.2, 1.0])))
+        natural_occupations(np.diag([-0.2, 1.0]))
 
 
 def test_entropy_reference_values():

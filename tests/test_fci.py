@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from h2ent.basis import load_basis
+from h2ent.cli import run_scan
 from h2ent.errors import SCFConvergenceError
 from h2ent.fci import build_hamiltonian, mo_transform, run_fci, singlet_gerade_basis
 from h2ent.integrals import compute_all
-from h2ent.molecule import h2, nuclear_repulsion
-from h2ent.scf import run_rhf_batch
+from h2ent.molecule import h2, molecule, nuclear_repulsion
+from h2ent.scf import run_rhf_batch, symmetric_orthogonalizer
 from oracles import determinant_hamiltonian
 
 
@@ -246,3 +247,27 @@ def test_dissociation_configurations_equalize(sto3g_curve):
     c_gg, c_uu = far.ci.coefficients[0, 0, 0], far.ci.coefficients[0, 1, 1]
     assert abs(c_gg) == pytest.approx(abs(c_uu), abs=1e-3)
     assert c_gg > 0.0
+
+
+@pytest.fixture(scope="module", params=["sto-3g", "6-31gss"])
+def wide_scan(request):
+    """A scan at the two ends of the range that converges, 0.01 and 1e4 Bohr, and at
+    1e3 Bohr: (basis name, Curve, failures)."""
+    return request.param, *run_scan([0.01, 1e3, 1e4], request.param)
+
+
+def test_scan_converges_far_outside_the_target_range(wide_scan):
+    # the documented range is 0.3-100 Bohr; every point from 0.01 to 1e4 converges
+    _, curve, failures = wide_scan
+    assert failures == []
+    assert curve.r.tolist() == [0.01, 1e3, 1e4]
+
+
+def test_fci_energy_is_exactly_twice_the_atom_at_dissociation(wide_scan):
+    # one H atom has one electron, so its energy in the basis is the lowest eigenvalue
+    # of its core Hamiltonian; far apart the two atoms neither overlap nor interact
+    name, curve, _ = wide_scan
+    ints = compute_all(load_basis(name), molecule([("H", (0.0, 0.0, 0.0))], 1))
+    x = symmetric_orthogonalizer(ints.overlap[0])
+    e_h = np.linalg.eigvalsh(x @ ints.hcore[0] @ x)[0]
+    assert np.abs(curve.e_fci[1:] - 2.0 * e_h).max() <= 1e-13
