@@ -146,12 +146,12 @@ def load_basis(name_or_path, basis_dir=None):
     if key in _BUILTIN_FILES:
         filename = _BUILTIN_FILES[key]
         for d in (basis_dir, os.environ.get("H2E_BASIS_DIR")):
-            if d and (Path(d) / filename).exists():
+            if d and (Path(d) / filename).is_file():
                 path = Path(d) / filename
                 break
         else:
             path = _DATA_DIR / filename
-    elif not path.exists():
+    elif not path.is_file():
         raise FileNotFoundError(f"unknown basis {name_or_path!r}")
     return parse_basis(path.read_text(), name=str(name_or_path))
 

@@ -27,15 +27,6 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 _PAULI_PAIRS = np.array([np.kron(p, q).T.ravel() for p in PAULI for q in PAULI])
 
 
-def unit_vector(v):
-    """v as a float array, one vector or a stack of them, each of unit norm."""
-    v = np.asarray(v, dtype=float)
-    norm = np.sqrt((v * v).sum(-1))
-    if not abs(norm - 1.0).max() <= 1e-12:
-        raise ValueError(f"vector must have unit norm, |v| = {norm}")
-    return v
-
-
 class TwoQubitState(namedtuple("TwoQubitState", "rho")):
     """A 4x4 two-qubit density matrix, stored as complex."""
     __slots__ = ()
@@ -65,7 +56,10 @@ class MeasurementSettings(namedtuple("MeasurementSettings", "a d b c")):
         s = np.array((a, d, b, c), dtype=float)
         if s.shape != (4, 3):
             raise ValueError("settings must be four 3-vectors")
-        return super().__new__(cls, *unit_vector(s))
+        norm = np.sqrt((s * s).sum(-1))
+        if not abs(norm - 1.0).max() <= 1e-12:
+            raise ValueError(f"vector must have unit norm, |v| = {norm}")
+        return super().__new__(cls, *s)
 
 
 class CHSHReport(namedtuple("CHSHReport", "value settings violated")):
@@ -92,21 +86,6 @@ def product_updown():
     return TwoQubitState(np.outer(psi, psi.conj()))
 
 
-def correlation(state, u, w):
-    """E(u, w) = Tr[rho (sigma.u x sigma.w)] = u . T w, u on party 1, w on party 2."""
-    return float(unit_vector(u) @ state.correlation_tensor() @ unit_vector(w))
-
-
-def chsh_value(state, settings):
-    """E(a,b) + E(d,b) + E(d,c) - E(a,c); a, d on party 1, b, c on party 2."""
-    return _chsh(state.correlation_tensor(), settings)
-
-
-def _chsh(t, s):
-    tb, tc = t @ s.b, t @ s.c
-    return float(s.a @ (tb - tc) + s.d @ (tb + tc))
-
-
 def chsh_max_closed_form(state):
     """2 sqrt(m1 + m2) with m1, m2 the two largest eigenvalues of T^T T."""
     t = state.correlation_tensor()
@@ -127,7 +106,8 @@ def chsh_max_grid(state, angular_resolution=1.0):
     largest eigenvalues m1 >= m2, the choice b, c = cos(theta) v1 +- sin(theta)
     v2, tan(theta) = sqrt(m2 / m1), makes this 2 sqrt(m1 + m2). Then b - c and
     b + c lie along v2 and v1, so a, d are T v2, T v1 normalised (z where that
-    vanishes). The value is `chsh_value` at these settings, from the same T.
+    vanishes). The value is E(a,b) + E(d,b) + E(d,c) - E(a,c) at these settings,
+    each E(u, w) = u . T w from the same T.
 
     `angular_resolution` has no effect, since the settings are exact; it is
     accepted so that callers passing it by keyword or position keep working.
@@ -139,5 +119,6 @@ def chsh_max_grid(state, angular_resolution=1.0):
     u1, u2 = math.cos(theta) * v1, math.sin(theta) * v2
     settings = MeasurementSettings(_direction(t @ v2), _direction(t @ v1),
                                    u1 + u2, u1 - u2)
-    value = _chsh(t, settings)
+    tb, tc = t @ settings.b, t @ settings.c
+    value = float(settings.a @ (tb - tc) + settings.d @ (tb + tc))
     return CHSHReport(value, settings, value > 2.0 + 1e-9)

@@ -52,28 +52,22 @@ def run_single_point(r_bohr, basis):
     ints = compute_all(basis, mols)
     scf = SCFResult(*(np.asarray(x)[None] for x in run_rhf(ints, mols)))
     return Curve(*(x[0] if x.ndim > 1 else x[0].item()
-                   for x in _correlate([r_bohr], ints, scf, mols)[:-1]))
+                   for x in _correlate([r_bohr], ints, scf)[:-1]))
 
 
-def _correlate(rs, ints, scf, mols):
-    """The stages after the SCF for a batch of geometries, one stacked pass each: the
-    batch's Curve, without the rescaled entropy. Raises the H2entError of the first
-    point that fails."""
+def _correlate(rs, ints, scf):
+    """The stages after the SCF for a batch of geometries at the R of rs, one stacked
+    pass each: the batch's Curve, without the rescaled entropy. Raises the H2entError
+    of the first point that fails."""
     if not scf.converged.all():
         n = np.argmin(scf.converged)  # the first that did not
         raise SCFConvergenceError(f"SCF did not converge at R = {rs[n]} Bohr "
                                   f"({scf.iterations[n]} iterations)")
-    ci = run_fci(ints, scf, mols)
+    ci = run_fci(ints, scf)
     occupations = natural_occupations(one_particle_density(ci))
     return Curve(np.asarray(rs, float), scf.e_hf, ci.e_fci,
                  correlation_energy(scf.e_hf, ci.e_fci), von_neumann_entropies(occupations),
                  occupations)
-
-
-def _take(record, n):
-    """Geometry n of a stacked record, as a batch of one: the arrays are sliced,
-    the fields shared by the batch kept."""
-    return type(record)(*(x[n:n + 1] if isinstance(x, np.ndarray) else x for x in record))
 
 
 def scan_grid(r_min, r_max, n_points, log_grid=False, far_point=None):
@@ -102,31 +96,27 @@ def run_scan(rs, basis, rescale=False):
     empty or not ascending (the rescaling anchors on its last point), and
     RuntimeError if every point failed. The grid is walked in batches of SCAN_BATCH
     geometries, each through one `compute_all` call, whose errors propagate, and one
-    stacked pass per later stage. In a batch in which a point fails, the stages after
-    the SCF are redone one point at a time on the batch's SCF result (the SCF too, if
-    the batch's raised), so that each point records its own error.
+    stacked pass per later stage. A batch that raises an H2entError goes back to the
+    front of the queue as batches of one, through the same path, so that each point
+    records its own error.
     """
     if not len(rs) or np.any(np.diff(rs) < 0):
         raise ValueError("rs must be ascending and not empty")
     if not isinstance(basis, BasisSet):
         basis = load_basis(basis)
     curves, failures = [], []
-    for lo in range(0, len(rs), SCAN_BATCH):
-        batch = rs[lo:lo + SCAN_BATCH]
+    batches = [rs[lo:lo + SCAN_BATCH] for lo in range(0, len(rs), SCAN_BATCH)]
+    while batches:
+        batch = batches.pop(0)
         mols = h2(batch)
         ints = compute_all(basis, mols)
-        scf = None
         try:
-            scf = run_rhf_batch(ints, mols)
-            curves.append(_correlate(batch, ints, scf, mols))
-        except H2entError:
-            for n, r in enumerate(batch):
-                one = _take(ints, n), _take(mols, n)
-                try:
-                    res = _take(scf, n) if scf else run_rhf_batch(*one)
-                    curves.append(_correlate([r], one[0], res, one[1]))
-                except H2entError as exc:  # record and continue
-                    failures.append((r, str(exc)))
+            curves.append(_correlate(batch, ints, run_rhf_batch(ints, mols)))
+        except H2entError as exc:  # record and continue
+            if len(batch) == 1:
+                failures.append((batch[0], str(exc)))
+            else:
+                batches[:0] = [[r] for r in batch]
     if not curves:
         raise RuntimeError("all scan points failed: "
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))

@@ -35,17 +35,11 @@ def natural_occupations(gamma):
     return np.clip(vals, 0.0, 2.0)
 
 
-def von_neumann_entropy(occ):
-    """S = -sum_k (n_k/2) log2(n_k/2) in bits for an occupation array, 0 log 0 = 0."""
-    x = occ / 2.0
-    x = x[x > 0.0]
-    return float(-np.sum(x * np.log2(x)))
-
-
 def von_neumann_entropies(occ):
-    """`von_neumann_entropy` of each row of a (G, K) stack, from one pass. numpy groups
-    a sum of 8 or more terms by its length, so each row sums only its positive entries,
-    rows of one count at a time: bit for bit the per-row values for rows with their
+    """S = -sum_k (n_k/2) log2(n_k/2) in bits, 0 log 0 = 0, of each row of a (G, K)
+    stack of occupations, from one pass. numpy groups a sum of 8 or more terms by its
+    length, so each row sums only its positive entries, rows of one count at a time:
+    bit for bit the sum over that row's positive entries alone, for rows with their
     positive entries first, as `natural_occupations` gives them."""
     x = occ / 2.0
     positive = x > 0.0

@@ -75,17 +75,14 @@ def build_hamiltonian(h, g, basis):
     return basis.T @ ham.reshape(h.shape[:-2] + (k * k, k * k)) @ basis
 
 
-def run_fci(ints, scf, mols):
+def run_fci(ints, scf):
     """Full CI ground states in the converged RHF orbital bases of a batch.
 
-    The IntegralSet, the stacked SCFResult and the geometries of G geometries give
-    one stacked CIResult, from one pass. Phase convention: largest-magnitude
-    coefficient positive.
+    The IntegralSet and the stacked SCFResult of G geometries give one stacked
+    CIResult, from one pass. Phase convention: largest-magnitude coefficient positive.
     """
     if not np.all(scf.converged):
         raise SCFConvergenceError("FCI requires a converged SCF reference")
-    if mols.n_electrons != 2:
-        raise ValueError(f"FCI handles two electrons, got {mols.n_electrons}")
     c = scf.mo_coefficients
     n, k = c.shape[:2]
     h, g = mo_transform(ints, c)

@@ -115,13 +115,6 @@ def boys_table(mmax, x):
     return out.reshape((mmax + 1,) + x.shape)
 
 
-def boys(m, x):
-    """Boys function F_m(x) = integral of t^(2m) exp(-x t^2) over [0, 1]."""
-    if m < 0 or int(m) != m:
-        raise ValueError(f"order must be a non-negative integer, got {m}")
-    return float(boys_table(int(m), float(x))[int(m)])
-
-
 _LMAX = _BOYS_MMAX  # t+u+v of R_tuv, as far as the Boys table reaches
 _TUV = [(t, u, n - t - u)
         for n in range(_LMAX + 1) for t in range(n + 1) for u in range(n + 1 - t)]

@@ -35,16 +35,10 @@ def molecule(atoms, n_electrons):
         raise ValueError(f"need atoms at finite 3-vector positions, got {atoms}")
     if n_electrons < 0:
         raise ValueError("electron count must be non-negative")
+    for element in elements:
+        if element not in ELEMENT_CHARGES:
+            raise ValueError(f"unknown element {element!r}")
     return Molecule(elements, tuple(ELEMENT_CHARGES[e] for e in elements), xyz, n_electrons)
-
-
-def stack(mols):
-    """The geometries of Molecules that list the same elements in the same order, with
-    the same electron count, as one batch; any other mix raises ValueError."""
-    if len({(mol.elements, mol.n_electrons) for mol in mols}) != 1:
-        raise ValueError("a batch needs one molecule's atoms, in one order, and one "
-                         "electron count")
-    return mols[0]._replace(xyz=np.concatenate([mol.xyz for mol in mols]))
 
 
 def h2(r_bohr):
@@ -56,10 +50,6 @@ def h2(r_bohr):
     xyz = np.zeros((len(rs), 2, 3))
     xyz[:, 1, 2] = rs
     return Molecule(("H", "H"), (1, 1), xyz, 2)
-
-
-def helium():
-    return molecule([("He", (0.0, 0.0, 0.0))], 2)
 
 
 def nuclear_repulsion(mol):

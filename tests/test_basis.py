@@ -11,7 +11,8 @@ from h2ent.cli import main, run_single_point
 from h2ent.errors import (BasisParseError, MissingElementError,
                           UnsupportedShellError)
 from h2ent.integrals import overlap
-from h2ent.molecule import ANGSTROM_TO_BOHR, h2, helium, molecule, nuclear_repulsion, stack
+from h2ent.molecule import ANGSTROM_TO_BOHR, h2, molecule, nuclear_repulsion
+from conftest import helium, stack
 from oracles import quadrature_oracle
 
 
@@ -49,6 +50,9 @@ def test_molecule_validates_its_atoms():
                      ([("H", (0.0, 0.0, 0.0))], -1)):
         with pytest.raises(ValueError):
             molecule(atoms, n)
+    for element in ("X", "h"):  # symbols are matched as written
+        with pytest.raises(ValueError, match=f"unknown element '{element}'"):
+            molecule([("H", (0.0, 0.0, 0.0)), (element, (0.0, 0.0, 1.4))], 2)
 
 
 def test_batch_ao_basis_is_one_layout_at_the_first_geometry():

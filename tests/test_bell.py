@@ -1,13 +1,12 @@
-"""CHSH machinery: correlations, maximization, reference states."""
+"""CHSH machinery: the correlation tensor, maximization, reference states."""
 
 import numpy as np
 import pytest
 
 from h2ent.bell import (CHSHReport, MeasurementSettings, TSIRELSON, TwoQubitState,
-                        chsh_max_closed_form, chsh_max_grid, chsh_value,
-                        correlation, product_updown, singlet)
+                        chsh_max_closed_form, chsh_max_grid, product_updown, singlet)
 from h2ent.cli import _BELL_STATES
-from oracles import correlation_by_trace, correlation_tensor_by_trace, spin_observable
+from oracles import chsh_by_trace, correlation_tensor_by_trace, spin_observable
 
 
 def random_unit_vectors(n, rng):
@@ -75,24 +74,18 @@ def test_correlation_tensor_matches_trace_oracle():
         assert np.max(np.abs(t - correlation_tensor_by_trace(state.rho))) <= 1e-15
 
 
-def test_correlation_and_chsh_value_match_trace_oracle():
-    rng = np.random.default_rng(5)
+def test_chsh_max_grid_value_matches_trace_oracle_at_its_settings():
     for state in oracle_states():
-        a, d, b, c = random_unit_vectors(4, rng)
-        assert abs(correlation(state, a, b) - correlation_by_trace(state.rho, a, b)) <= 1e-14
-        expected = (correlation_by_trace(state.rho, a, b) + correlation_by_trace(state.rho, d, b)
-                    + correlation_by_trace(state.rho, d, c)
-                    - correlation_by_trace(state.rho, a, c))
-        settings = MeasurementSettings(a=a, d=d, b=b, c=c)
-        assert abs(chsh_value(state, settings) - expected) <= 1e-14
+        rep = chsh_max_grid(state)
+        assert abs(rep.value - chsh_by_trace(state.rho, rep.settings)) <= 1e-14
 
 
-def test_correlation_rejects_non_unit_vectors():
+def test_settings_reject_non_unit_vectors():
     z = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        correlation(singlet(), 2 * z, z)
-    with pytest.raises(ValueError):
-        correlation(singlet(), z, 0.5 * z)
+    with pytest.raises(ValueError, match="unit norm"):
+        MeasurementSettings(a=z, d=z, b=z, c=0.5 * z)
+    with pytest.raises(ValueError, match="unit norm"):
+        MeasurementSettings(a=z, d=(1.0 + 1e-9) * z, b=z, c=z)
 
 
 def test_singlet_correlation_tensor():
@@ -109,7 +102,7 @@ def test_singlet_correlations_are_minus_cosine():
     state = singlet()
     rng = np.random.default_rng(1)
     for u, w in zip(random_unit_vectors(6, rng), random_unit_vectors(6, rng)):
-        assert correlation(state, u, w) == pytest.approx(-np.dot(u, w), abs=1e-12)
+        assert u @ state.correlation_tensor() @ w == pytest.approx(-np.dot(u, w), abs=1e-12)
 
 
 def test_product_state_means_match_density_matrix():
@@ -117,7 +110,7 @@ def test_product_state_means_match_density_matrix():
     state = product_updown()
     rng = np.random.default_rng(2)
     for u, w in zip(random_unit_vectors(5, rng), random_unit_vectors(5, rng)):
-        assert correlation(state, u, w) == pytest.approx(-u[2] * w[2], abs=1e-12)
+        assert u @ state.correlation_tensor() @ w == pytest.approx(-u[2] * w[2], abs=1e-12)
 
 
 def test_singlet_standard_settings_reach_tsirelson():
@@ -125,7 +118,7 @@ def test_singlet_standard_settings_reach_tsirelson():
     x = np.array([1.0, 0.0, 0.0])
     settings = MeasurementSettings(
         a=z, d=x, b=-(z + x) / np.sqrt(2.0), c=(z - x) / np.sqrt(2.0))
-    val = chsh_value(singlet(), settings)
+    val = chsh_by_trace(singlet().rho, settings)
     assert val == pytest.approx(TSIRELSON, abs=1e-12)
 
 
@@ -178,7 +171,7 @@ def test_optimal_settings_reach_closed_form(state, violated):
     for name in "adbc":
         assert np.linalg.norm(getattr(rep.settings, name)) \
             == pytest.approx(1.0, abs=1e-12)
-    assert rep.value == chsh_value(state, rep.settings)
+    assert abs(rep.value - chsh_by_trace(state.rho, rep.settings)) <= 1e-14
     assert rep.value == pytest.approx(chsh_max_closed_form(state), abs=1e-12)
     assert rep.violated == violated
 
@@ -198,14 +191,9 @@ def test_settings_validated():
 def test_nan_fails_every_chsh_check():
     z = np.array([0.0, 0.0, 1.0])
     nan = np.array([np.nan, 0.0, 0.0])
-    with pytest.raises(ValueError, match="unit norm"):
-        MeasurementSettings(a=nan, d=z, b=z, c=z)
-    with pytest.raises(ValueError, match="unit norm"):
-        correlation(singlet(), nan, z)
-    with pytest.raises(ValueError, match="unit norm"):
-        correlation(singlet(), z, nan)
-    with pytest.raises(ValueError, match="unit norm"):
-        chsh_value(singlet(), MeasurementSettings(a=z, d=z, b=nan, c=z))
+    for n in range(4):  # a NaN in each of the four settings
+        with pytest.raises(ValueError, match="unit norm"):
+            MeasurementSettings(*[nan if k == n else z for k in range(4)])
     with pytest.raises(ValueError, match="Tsirelson"):
         CHSHReport(value=np.nan, settings=MeasurementSettings(a=z, d=z, b=z, c=z),
                    violated=False)

@@ -16,7 +16,7 @@ from h2ent import cli, correlation, fci, scf
 from h2ent.basis import load_basis
 from h2ent.cli import Curve, emit, main, run_scan, run_single_point, scan_grid
 from h2ent.errors import LinearDependenceError
-from h2ent.molecule import ANGSTROM_TO_BOHR, h2
+from h2ent.molecule import ANGSTROM_TO_BOHR, h2, nuclear_repulsion
 from h2ent.scf import symmetric_orthogonalizer
 
 CSV_HEADER = "R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2"
@@ -146,7 +146,7 @@ def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
     patch_everywhere(monkeypatch, original, failing_rhf)
     curve, failures = run_scan(rs, "sto-3g")
     assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
-    assert calls == [5]  # the points are redone on the batch's SCF results
+    assert calls == [5, 1, 1, 1, 1, 1]  # the batch, then each of its points alone
     assert_rows_kept(curve, before, bad_r)
 
 
@@ -173,11 +173,12 @@ def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
 
 
 def nan_coefficient(bad_r):
-    # run_fci with a NaN in one CI coefficient of the geometries at bad_r
-    def run_fci(ints, scf, mols):
-        ci = fci.run_fci(ints, scf, mols)
+    # run_fci with a NaN in one CI coefficient of the geometries at bad_r, told
+    # apart by their nuclear repulsion
+    def run_fci(ints, scf):
+        ci = fci.run_fci(ints, scf)
         c = ci.coefficients.copy()
-        c[mols.xyz[:, 1, 2] == bad_r, 0, 1] = np.nan
+        c[scf.e_nuclear == nuclear_repulsion(h2(bad_r)), 0, 1] = np.nan
         return ci._replace(coefficients=c)
     return run_fci
 
@@ -480,6 +481,12 @@ def test_computation_failure_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_a_directory_is_an_unknown_basis(tmp_path, capsys):
+    for basis in ("", str(tmp_path)):  # "" names the working directory
+        assert main(["point", "-R", "1.4", "--basis", basis]) == 2
+        assert capsys.readouterr().err == f"computation failed: unknown basis {basis!r}\n"
 
 
 def test_basis_dir_flag(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 from h2ent.cli import run_scan, scan_grid
 from h2ent.correlation import (correlation_energy, natural_occupations,
                                one_particle_density, rescale_entropy,
-                               von_neumann_entropies, von_neumann_entropy)
+                               von_neumann_entropies)
 from h2ent.errors import NumericalCheckError
+from oracles import von_neumann_entropy
 from test_fci import annihilation_matrix, embed
 
 
@@ -92,12 +93,11 @@ def test_natural_occupations_descending_and_bounded():
 
 
 def test_entropy_reference_values():
-    assert von_neumann_entropy(np.array([2.0, 0.0])) == 0.0
-    assert von_neumann_entropy(np.array([1.0, 1.0])) \
-        == pytest.approx(1.0, abs=1e-15)
+    zero, one_bit, h95 = von_neumann_entropies(np.array([[2.0, 0.0], [1.0, 1.0], [1.9, 0.1]]))
+    assert zero == 0.0
+    assert one_bit == pytest.approx(1.0, abs=1e-15)
     expected = -(0.95 * np.log2(0.95) + 0.05 * np.log2(0.05))
-    assert von_neumann_entropy(np.array([1.9, 0.1])) \
-        == pytest.approx(expected, abs=1e-15)
+    assert h95 == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])

@@ -129,7 +129,7 @@ def test_block_ground_state_is_the_determinant_space_ground_state(sweeps, name):
     # past R ~ 6 Bohr the lowest triplet comes within 1e-8 Hartree of the
     # ground state; it lies outside the block
     rs, mols, ints, scf = sweeps[name]
-    ci = run_fci(ints, scf, mols)
+    ci = run_fci(ints, scf)
     h, g = mo_transform(ints, scf.mo_coefficients)
     e_nuc = nuclear_repulsion(mols)
     for n, r in enumerate(rs):
@@ -180,25 +180,19 @@ def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
     a, b, c = ham[0, 0], ham[1, 1], ham[0, 1]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
     assert np.linalg.eigvalsh(determinant_hamiltonian(h, g))[0] == pytest.approx(lower, abs=1e-12)
-    ci = run_fci(ints, scf, mol)
+    ci = run_fci(ints, scf)
     assert ci.e_fci[0] == pytest.approx(lower + nuclear_repulsion(mol)[0], abs=1e-12)
 
 
 def test_fci_requires_converged_reference(sto3g_solution):
     mol, ints, scf = sto3g_solution
     with pytest.raises(SCFConvergenceError):
-        run_fci(ints, scf._replace(converged=np.array([False])), mol)
-
-
-def test_fci_rejects_other_electron_counts(sto3g_solution):
-    mol, ints, scf = sto3g_solution
-    with pytest.raises(ValueError):
-        run_fci(ints, scf, mol._replace(n_electrons=4))
+        run_fci(ints, scf._replace(converged=np.array([False])))
 
 
 def test_phase_convention(sto3g_solution):
     mol, ints, scf = sto3g_solution
-    c = run_fci(ints, scf, mol).coefficients[0]
+    c = run_fci(ints, scf).coefficients[0]
     assert c.shape == (2, 2)
     assert c.flat[np.argmax(np.abs(c))] > 0.0
 
@@ -220,7 +214,7 @@ def test_inverse_iteration_oracle_polarized_basis():
         x /= np.linalg.norm(x)
         mu = x @ ham @ x
     assert np.linalg.eigvalsh(ham)[0] == pytest.approx(mu, abs=1e-9)
-    ci = run_fci(ints, scf, mol)
+    ci = run_fci(ints, scf)
     assert ci.e_fci[0] == pytest.approx(mu + nuclear_repulsion(mol)[0], abs=1e-9)
 
 
@@ -228,7 +222,7 @@ def test_fci_energy_invariant_under_virtual_rotation():
     mol = h2(1.4)
     ints = compute_all(load_basis("6-31gss"), mol)
     scf = run_rhf_batch(ints, mol)
-    ref = run_fci(ints, scf, mol).e_fci[0]
+    ref = run_fci(ints, scf).e_fci[0]
     c = scf.mo_coefficients.copy()
     th = 0.37
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -237,7 +231,7 @@ def test_fci_energy_invariant_under_virtual_rotation():
     assert scf.parity[0, 5] == scf.parity[0, 6] == -1.0
     c[0][:, [5, 6]] = c[0][:, [5, 6]] @ rot
     rotated = scf._replace(mo_coefficients=c)
-    assert run_fci(ints, rotated, mol).e_fci[0] == pytest.approx(ref, abs=1e-10)
+    assert run_fci(ints, rotated).e_fci[0] == pytest.approx(ref, abs=1e-10)
 
 
 def test_dissociation_configurations_equalize(sto3g_curve):

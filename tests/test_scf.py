@@ -9,10 +9,10 @@ from h2ent.basis import load_basis
 from h2ent.cli import main
 from h2ent.errors import LinearDependenceError, SymmetryError
 from h2ent.integrals import compute_all
-from h2ent.molecule import h2, helium, molecule, nuclear_repulsion, stack
+from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import (build_fock, coulomb_exchange, density_from_coeffs, run_rhf,
                        run_rhf_batch, symmetric_orthogonalizer)
-from conftest import SWEEP_R, take
+from conftest import SWEEP_R, helium, stack, take
 from oracles import fock_by_einsum
 
 
