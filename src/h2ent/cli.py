@@ -48,9 +48,8 @@ def run_single_point(r_bohr, basis):
     """
     if not isinstance(basis, BasisSet):
         basis = load_basis(basis)
-    mols = h2(r_bohr)
-    ints = compute_all(basis, mols)
-    scf = SCFResult(*(np.asarray(x)[None] for x in run_rhf(ints, mols)))
+    ints = compute_all(basis, h2(r_bohr))
+    scf = SCFResult(*(np.asarray(x)[None] for x in run_rhf(ints)))
     return Curve(*(x[0] if x.ndim > 1 else x[0].item()
                    for x in _correlate([r_bohr], ints, scf)[:-1]))
 
@@ -97,8 +96,8 @@ def run_scan(rs, basis, rescale=False):
     RuntimeError if every point failed. The grid is walked in batches of SCAN_BATCH
     geometries, each through one `compute_all` call, whose errors propagate, and one
     stacked pass per later stage. A batch that raises an H2entError goes back to the
-    front of the queue as batches of one, through the same path, so that each point
-    records its own error.
+    front of the queue as its two halves, through the same path, until each point
+    that fails records its own error in a batch of one.
     """
     if not len(rs) or np.any(np.diff(rs) < 0):
         raise ValueError("rs must be ascending and not empty")
@@ -108,15 +107,14 @@ def run_scan(rs, basis, rescale=False):
     batches = [rs[lo:lo + SCAN_BATCH] for lo in range(0, len(rs), SCAN_BATCH)]
     while batches:
         batch = batches.pop(0)
-        mols = h2(batch)
-        ints = compute_all(basis, mols)
+        ints = compute_all(basis, h2(batch))
         try:
-            curves.append(_correlate(batch, ints, run_rhf_batch(ints, mols)))
+            curves.append(_correlate(batch, ints, run_rhf_batch(ints)))
         except H2entError as exc:  # record and continue
             if len(batch) == 1:
                 failures.append((batch[0], str(exc)))
             else:
-                batches[:0] = [[r] for r in batch]
+                batches[:0] = [batch[:len(batch) // 2], batch[len(batch) // 2:]]
     if not curves:
         raise RuntimeError("all scan points failed: "
                            + "; ".join(f"R={r:g}: {m}" for r, m in failures))

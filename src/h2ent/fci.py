@@ -92,4 +92,4 @@ def run_fci(ints, scf):
     flat = c.reshape(n, -1)
     largest = np.take_along_axis(flat, np.abs(flat).argmax(-1)[:, None], -1)
     c = np.where(largest[:, :, None] < 0, -c, c)
-    return CIResult(e_fci=vals[:, 0] + scf.e_nuclear, coefficients=c)
+    return CIResult(e_fci=vals[:, 0] + ints.e_nuclear, coefficients=c)

@@ -2,7 +2,8 @@
 
 McMurchie-Davidson Hermite expansion with a Boys-function kernel shared by the
 nuclear-attraction and electron-repulsion integrals, batched by shell-pair
-class. Everything is in Hartree atomic units.
+class, with each geometry's nuclear repulsion beside them in the IntegralSet.
+Everything is in Hartree atomic units.
 
 The Boys function is tabulated (Helgaker, Jorgensen & Olsen, Molecular
 Electronic-Structure Theory, sec. 9.8.2): F_m on the grid x = 0, 0.05, ...
@@ -36,6 +37,7 @@ import numpy as np
 
 from .basis import CARTESIAN_COMPONENTS, build_ao_basis
 from .errors import SymmetryError
+from .molecule import nuclear_repulsion
 
 _BOYS_SWITCH = 36.0  # F_0 = sqrt(pi/x)/2 from here on drops erf(sqrt(x)): 1 - erf(6) ~ 2e-17
 _BOYS_STEP = 0.05
@@ -326,7 +328,7 @@ def eri(f, g, h, k):
 
 class IntegralSet(NamedTuple):
     """The integrals of a batch of G geometries, each array with the batch axis first:
-    (G, K, K) matrices and (G, K, K, K, K) ERIs in chemists' order."""
+    (G, K, K) matrices, (G, K, K, K, K) ERIs in chemists' order, and e_nuclear."""
     overlap: np.ndarray
     kinetic: np.ndarray
     nuclear: np.ndarray
@@ -334,6 +336,7 @@ class IntegralSet(NamedTuple):
     eri: np.ndarray
     inversion: np.ndarray  # signed AO permutation P of r -> -r about the molecular centre;
                            # the layout's own, one matrix broadcast over the batch
+    e_nuclear: np.ndarray  # (G,) nuclear repulsion, Hartree, which later stages read here
 
 
 def compute_all(basis, mols):
@@ -341,8 +344,8 @@ def compute_all(basis, mols):
 
     mols is a Molecule, a batch of geometries. The AO layout, shells ordered by (l,
     atom, exponents, coefficients), is built once for the batch. One pass with a
-    geometry axis on every primitive array gives one IntegralSet; each geometry's
-    values are bit for bit its one-point result.
+    geometry axis on every primitive array gives one IntegralSet, with the nuclear
+    repulsion; each geometry's values are bit for bit its one-point result.
     """
     ao = build_ao_basis(mols, basis)
     n_atoms = len(mols.elements)
@@ -400,4 +403,4 @@ def compute_all(basis, mols):
                             "identical atoms")
     g = np.take(g.reshape(n_geom, -1), src[:, :, None, None] * offsets[-1] + src, axis=1)
     return IntegralSet(overlap=s, kinetic=t, nuclear=v, hcore=hcore, eri=g,
-                       inversion=np.broadcast_to(p, s.shape))
+                       inversion=np.broadcast_to(p, s.shape), e_nuclear=nuclear_repulsion(mols))

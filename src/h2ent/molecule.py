@@ -1,8 +1,8 @@
 """Diatomic geometries, nuclear charges and the nuclear repulsion energy.
 
-A Molecule is a batch of geometries of one molecule: the pipeline takes one
-batch per stage, and one geometry is a batch of one. All lengths are in Bohr and
-all energies in Hartree.
+A Molecule is a batch of geometries of one molecule, nuclei only: the pipeline
+puts two electrons on them (one H atom is H-), takes one batch per stage, and
+takes one geometry as a batch of one. Lengths are in Bohr, energies in Hartree.
 """
 
 from itertools import combinations
@@ -20,36 +20,33 @@ ELEMENT_CHARGES = {
 
 class Molecule(NamedTuple):
     """G geometries of one molecule: its atoms' elements and nuclear charges, in order,
-    their positions, and its electron count. `xyz` is the one field with the batch axis."""
+    and their positions. `xyz` is the one field with the batch axis."""
     elements: tuple
     charges: tuple
     xyz: np.ndarray  # (G, atoms, 3), Bohr
-    n_electrons: int
 
 
-def molecule(atoms, n_electrons):
+def molecule(atoms):
     """One geometry, from (element, position) pairs with positions in Bohr."""
     elements = tuple(element for element, _ in atoms)
     xyz = np.array([[position for _, position in atoms]], dtype=float)
     if not elements or xyz.shape[2:] != (3,) or not np.all(np.isfinite(xyz)):
         raise ValueError(f"need atoms at finite 3-vector positions, got {atoms}")
-    if n_electrons < 0:
-        raise ValueError("electron count must be non-negative")
     for element in elements:
         if element not in ELEMENT_CHARGES:
             raise ValueError(f"unknown element {element!r}")
-    return Molecule(elements, tuple(ELEMENT_CHARGES[e] for e in elements), xyz, n_electrons)
+    return Molecule(elements, tuple(ELEMENT_CHARGES[e] for e in elements), xyz)
 
 
 def h2(r_bohr):
-    """Neutral H2 with the bond along z, one atom at the origin: a batch of one geometry
+    """H2 with the bond along z, one atom at the origin: a batch of one geometry
     per bond length of r_bohr, a number or a sequence."""
     rs = np.atleast_1d(np.asarray(r_bohr, dtype=float))
     if not np.all((rs > 0) & np.isfinite(rs)):
         raise ValueError(f"internuclear distance must be positive and finite, got {r_bohr}")
     xyz = np.zeros((len(rs), 2, 3))
     xyz[:, 1, 2] = rs
-    return Molecule(("H", "H"), (1, 1), xyz, 2)
+    return Molecule(("H", "H"), (1, 1), xyz)
 
 
 def nuclear_repulsion(mol):

@@ -5,8 +5,9 @@ fixed-point iteration from the core-Hamiltonian guess; the one occupied orbital
 is the lowest of F in the gerade space of the inversion P, so a stretched bond's
 near-degenerate sigma_g and sigma_u cannot mix. The MOs come in parity blocks,
 gerade then ungerade, each in ascending energy, so every geometry of a layout has
-the same parity row. `run_rhf_batch` iterates a batch of geometries in lockstep and
-returns one stacked SCFResult; `run_rhf` is its batch of one, without the batch axis.
+the same parity row. The SCF reads the IntegralSet alone and puts two electrons on
+its nuclei (one H atom is H-). `run_rhf_batch` iterates a batch of geometries in
+lockstep and returns one stacked SCFResult; `run_rhf` is its batch of one.
 """
 
 from typing import NamedTuple
@@ -14,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LinearDependenceError
-from .molecule import nuclear_repulsion
 
 
 MAX_ITERATIONS = 200
@@ -28,7 +28,6 @@ class SCFResult(NamedTuple):
     orbital_energies: np.ndarray  # (G, K), gerade then ungerade, each ascending; Hartree
     parity: np.ndarray            # (G, K), +1 gerade, -1 ungerade; one row, repeated
     e_hf: np.ndarray              # total energy incl. nuclear repulsion
-    e_nuclear: np.ndarray         # nuclear repulsion, Hartree
     iterations: np.ndarray
     converged: np.ndarray
 
@@ -40,15 +39,6 @@ def symmetric_orthogonalizer(s):
         raise LinearDependenceError(
             f"overlap matrix nearly singular (min eigenvalue {vals.min():.3e})")
     return vecs * vals[..., None, :] ** -0.5 @ vecs.swapaxes(-1, -2)
-
-
-def density_from_coeffs(c, n_occupied_pairs):
-    """Closed-shell density D = 2 C_occ C_occ^T, of one coefficient matrix or a stack."""
-    if n_occupied_pairs > c.shape[-1]:
-        raise ValueError(
-            f"{n_occupied_pairs} occupied pairs do not fit in {c.shape[-1]} orbitals")
-    occ = c[..., :n_occupied_pairs]
-    return 2.0 * occ @ occ.swapaxes(-1, -2)
 
 
 def coulomb_exchange(eri):
@@ -64,16 +54,16 @@ def build_fock(hcore, d, jk):
     return hcore + (jk @ d.reshape(d.shape[:-2] + (-1, 1))).reshape(d.shape)
 
 
-def run_rhf(ints, mol):
+def run_rhf(ints):
     """Roothaan RHF of one geometry, a batch of one: its SCFResult without the batch
     axis, with Python scalars for the energies, the iterations and the converged flag.
     Non-convergence is reported via the converged flag."""
     return SCFResult(*(x[0] if x.ndim > 1 else x[0].item()
-                       for x in run_rhf_batch(ints, mol)))
+                       for x in run_rhf_batch(ints)))
 
 
-def run_rhf_batch(ints, mols):
-    """Roothaan RHF of a batch of two-electron geometries and their IntegralSet.
+def run_rhf_batch(ints):
+    """Roothaan RHF of two electrons at each geometry of an IntegralSet's batch.
 
     The geometries iterate in lockstep, one stacked call per step; each keeps its own
     convergence test and iteration count and leaves the iteration when it converges,
@@ -81,11 +71,8 @@ def run_rhf_batch(ints, mols):
     reaches MAX_ITERATIONS has converged False. A singular overlap raises
     LinearDependenceError.
     """
-    if mols.n_electrons != 2:
-        raise ValueError(f"RHF handles two electrons, got {mols.n_electrons}")
-    hcore = ints.hcore
+    hcore, e_nuc = ints.hcore, ints.e_nuclear
     jk = coulomb_exchange(ints.eri)
-    e_nuc = nuclear_repulsion(mols)
     x = symmetric_orthogonalizer(ints.overlap)
     # P commutes with X = S^(-1/2), so X maps P's +1 and -1 eigenvectors to
     # orthonormal gerade and ungerade AO coefficient bases; eigh puts -1 first.
@@ -94,9 +81,10 @@ def run_rhf_batch(ints, mols):
     n_u = np.count_nonzero(parity < 0)
     xg, xu = x @ u[:, n_u:], x @ u[:, :n_u]
 
-    def occupied_density(f, xg):  # of the lowest gerade orbital
+    def occupied_density(f, xg):  # D = 2 c c^T of the lowest gerade orbital c
         vecs = np.linalg.eigh(xg.swapaxes(-1, -2) @ f @ xg)[1]
-        return density_from_coeffs(xg @ vecs[..., :1], 1)
+        c = xg @ vecs[..., :1]
+        return 2.0 * c @ c.swapaxes(-1, -2)
 
     def energy(d, f, h, e_nuc):
         return 0.5 * np.sum(d * (h + f), axis=(-2, -1)) + e_nuc
@@ -132,4 +120,4 @@ def run_rhf_batch(ints, mols):
     eps, c = np.concatenate((eg, eu), -1), np.concatenate((xg @ cg, xu @ cu), -1)
     par = np.concatenate((np.ones_like(eg), -np.ones_like(eu)), -1)
     return SCFResult(mo_coefficients=c, orbital_energies=eps, parity=par, e_hf=e_total,
-                     e_nuclear=e_nuc, iterations=iterations, converged=converged)
+                     iterations=iterations, converged=converged)

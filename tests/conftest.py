@@ -28,14 +28,13 @@ def take(record, idx):
 
 
 def stack(mols):
-    """The geometries of Molecules with the same atoms, in the same order, and the
-    same electron count, as one batch."""
-    assert len({(mol.elements, mol.n_electrons) for mol in mols}) == 1, mols
+    """The geometries of Molecules with the same atoms, in the same order, as one batch."""
+    assert len({mol.elements for mol in mols}) == 1, mols
     return mols[0]._replace(xyz=np.concatenate([mol.xyz for mol in mols]))
 
 
 def helium():
-    return molecule([("He", (0.0, 0.0, 0.0))], 2)
+    return molecule([("He", (0.0, 0.0, 0.0))])
 
 
 def random_primitive(rng, max_l=1):
@@ -63,9 +62,8 @@ class PointRecord:
 
 def compute_point(r, basis_name):
     basis = load_basis(basis_name)
-    mol = h2(r)
-    ints = compute_all(basis, mol)
-    scf = run_rhf_batch(ints, mol)
+    ints = compute_all(basis, h2(r))
+    scf = run_rhf_batch(ints)
     assert scf.converged[0], f"SCF failed at R={r} ({basis_name})"
     ci = run_fci(ints, scf)
     occ = natural_occupations(one_particle_density(ci))[0]
@@ -109,5 +107,5 @@ def sweeps():
     for name in ("sto-3g", "6-31gss"):
         mols = h2(SWEEP_R)
         ints = compute_all(load_basis(name), mols)
-        out[name] = (SWEEP_R, mols, ints, run_rhf_batch(ints, mols))
+        out[name] = (SWEEP_R, mols, ints, run_rhf_batch(ints))
     return out

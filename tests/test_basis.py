@@ -18,7 +18,6 @@ from oracles import quadrature_oracle
 
 def test_h2_geometry():
     mol = h2(1.4)
-    assert mol.n_electrons == 2
     assert (mol.elements, mol.charges) == (("H", "H"), (1, 1))
     assert mol.xyz.tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.4]]]
     assert nuclear_repulsion(mol) == pytest.approx([1.0 / 1.4], abs=1e-15)
@@ -34,7 +33,7 @@ def test_h2_rejects_nonpositive_distance():
 def test_h2_of_many_distances_is_one_batch_of_its_one_point_geometries():
     rs = [0.3, 1.4, 100.0]
     mols = h2(rs)
-    assert (mols.elements, mols.charges, mols.n_electrons) == (("H", "H"), (1, 1), 2)
+    assert (mols.elements, mols.charges) == (("H", "H"), (1, 1))
     assert np.array_equal(mols.xyz, stack([h2(r) for r in rs]).xyz)
     assert nuclear_repulsion(mols).tolist() == [nuclear_repulsion(h2(r))[0] for r in rs]
     for bad in ([1.4, 0.0], [-1.0], [np.nan]):
@@ -43,16 +42,15 @@ def test_h2_of_many_distances_is_one_batch_of_its_one_point_geometries():
 
 
 def test_molecule_validates_its_atoms():
-    mol = molecule([("He", (0, 0, 0)), ("H", [0.0, 0.0, 1.5])], 3)
-    assert (mol.elements, mol.charges, mol.n_electrons) == (("He", "H"), (2, 1), 3)
+    mol = molecule([("He", (0, 0, 0)), ("H", [0.0, 0.0, 1.5])])
+    assert (mol.elements, mol.charges) == (("He", "H"), (2, 1))
     assert mol.xyz.tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.5]]]
-    for atoms, n in (([], 2), ([("H", (0.0, 0.0))], 1), ([("H", (0.0, 0.0, np.inf))], 1),
-                     ([("H", (0.0, 0.0, 0.0))], -1)):
+    for atoms in ([], [("H", (0.0, 0.0))], [("H", (0.0, 0.0, np.inf))]):
         with pytest.raises(ValueError):
-            molecule(atoms, n)
+            molecule(atoms)
     for element in ("X", "h"):  # symbols are matched as written
         with pytest.raises(ValueError, match=f"unknown element '{element}'"):
-            molecule([("H", (0.0, 0.0, 0.0)), (element, (0.0, 0.0, 1.4))], 2)
+            molecule([("H", (0.0, 0.0, 0.0)), (element, (0.0, 0.0, 1.4))])
 
 
 def test_batch_ao_basis_is_one_layout_at_the_first_geometry():
@@ -64,7 +62,7 @@ def test_batch_ao_basis_is_one_layout_at_the_first_geometry():
 
 def test_helium_and_coincident_nuclei():
     assert nuclear_repulsion(helium()).tolist() == [0.0]
-    mol = molecule([("H", (0, 0, 0)), ("H", (0, 0, 0))], 2)
+    mol = molecule([("H", (0, 0, 0)), ("H", (0, 0, 0))])
     with pytest.raises(ValueError):
         nuclear_repulsion(mol)
 

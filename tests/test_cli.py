@@ -120,12 +120,28 @@ def test_run_scan_propagates_programming_errors(monkeypatch):
 
 
 def assert_rows_kept(curve, before, bad_r):
-    # every other point of the 5-point grid is kept, byte for byte
+    # every other point of the grid is kept, byte for byte
     kept = before.r != bad_r
-    assert len(before.r) == 5 and len(curve.r) == kept.sum() == 4
+    assert len(curve.r) == kept.sum() == len(before.r) - 1
     for name, x, y in zip(Curve._fields[:-1], curve, before):
         assert x.tobytes() == y[kept].tobytes(), name
     assert curve.rescaled_entropy is before.rescaled_entropy is None
+
+
+def failing_scf(monkeypatch, bad_r):
+    # run_rhf_batch with the geometries at bad_r, told apart by their nuclear
+    # repulsion, unconverged; returns the list of the batch sizes it is called with
+    original = scf.run_rhf_batch
+    calls = []
+
+    def failing_rhf(ints):
+        calls.append(len(ints.e_nuclear))
+        res = original(ints)
+        bad = ints.e_nuclear == nuclear_repulsion(h2(bad_r))
+        return res._replace(converged=res.converged & ~bad)
+
+    patch_everywhere(monkeypatch, original, failing_rhf)
+    return calls
 
 
 def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
@@ -135,19 +151,25 @@ def test_scan_point_whose_scf_fails_fails_alone(monkeypatch):
     before, _ = run_scan(rs, "sto-3g")
     assert len(before.r) == len(rs) == 5
     bad_r = rs[2]
-    original = scf.run_rhf_batch
-    calls = []
-
-    def failing_rhf(ints, mols, *args):
-        calls.append(len(mols.xyz))
-        res = original(ints, mols, *args)
-        return res._replace(converged=res.converged & (mols.xyz[:, 1, 2] != bad_r))
-
-    patch_everywhere(monkeypatch, original, failing_rhf)
+    calls = failing_scf(monkeypatch, bad_r)
     curve, failures = run_scan(rs, "sto-3g")
     assert [r for r, _ in failures] == [bad_r] and "did not converge" in failures[0][1]
-    assert calls == [5, 1, 1, 1, 1, 1]  # the batch, then each of its points alone
+    assert calls == [5, 2, 3, 1, 2]  # the batch, then the halves of each that fails
     assert_rows_kept(curve, before, bad_r)
+
+
+@pytest.mark.parametrize("bad", [0, 17, 40])
+def test_one_failed_point_of_a_long_scan_costs_log_many_batches(bad, monkeypatch):
+    # a failed batch goes back as its two halves, so one bad point of 41 takes at
+    # most 2 ceil(log2 41) + 1 = 13 batch calls, not 1 + 41
+    rs = scan_grid(0.3, 100.0, 40, log_grid=True, far_point=200.0)
+    before, _ = run_scan(rs, "sto-3g")
+    assert len(before.r) == len(rs) == 41
+    calls = failing_scf(monkeypatch, rs[bad])
+    curve, failures = run_scan(rs, "sto-3g")
+    assert [r for r, _ in failures] == [rs[bad]]
+    assert calls[0] == 41 and len(calls) <= 13, calls
+    assert_rows_kept(curve, before, rs[bad])
 
 
 def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
@@ -178,7 +200,7 @@ def nan_coefficient(bad_r):
     def run_fci(ints, scf):
         ci = fci.run_fci(ints, scf)
         c = ci.coefficients.copy()
-        c[scf.e_nuclear == nuclear_repulsion(h2(bad_r)), 0, 1] = np.nan
+        c[ints.e_nuclear == nuclear_repulsion(h2(bad_r)), 0, 1] = np.nan
         return ci._replace(coefficients=c)
     return run_fci
 
@@ -187,6 +209,7 @@ def test_scan_point_with_a_nan_ci_coefficient_fails_alone(monkeypatch):
     # the density matrix's symmetry check is a computation failure of that point
     rs = grid(n_points=4, far_point=20.0)
     before, _ = run_scan(rs, "sto-3g")
+    assert len(before.r) == len(rs) == 5
     bad_r = rs[3]
     monkeypatch.setattr(cli, "run_fci", nan_coefficient(bad_r))
     curve, failures = run_scan(rs, "sto-3g")
@@ -498,3 +521,8 @@ def test_basis_dir_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     e_hf = float([l for l in out.splitlines() if l.startswith("E_HF")][0].split("=")[1])
     assert e_hf > -1.1167143250
+    # an option of h2ent itself, not of the subcommand: after it, a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "-R", "1.4", "--basis-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --basis-dir" in capsys.readouterr().err

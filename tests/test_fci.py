@@ -151,7 +151,7 @@ def test_mo_transform_identity_is_symmetrization():
 def sto3g_solution():
     mol = h2(1.4)
     ints = compute_all(load_basis("sto-3g"), mol)
-    scf = run_rhf_batch(ints, mol)
+    scf = run_rhf_batch(ints)
     return mol, ints, scf
 
 
@@ -203,7 +203,7 @@ def test_inverse_iteration_oracle_polarized_basis():
     # eigensolver and on the singlet-gerade block
     mol = h2(1.4)
     ints = compute_all(load_basis("6-31gss"), mol)
-    scf = run_rhf_batch(ints, mol)
+    scf = run_rhf_batch(ints)
     ham = determinant_hamiltonian(*mo_integrals(ints, scf.mo_coefficients[0]))
     assert ham.shape == (100, 100)
     x = np.zeros(100)
@@ -221,7 +221,7 @@ def test_inverse_iteration_oracle_polarized_basis():
 def test_fci_energy_invariant_under_virtual_rotation():
     mol = h2(1.4)
     ints = compute_all(load_basis("6-31gss"), mol)
-    scf = run_rhf_batch(ints, mol)
+    scf = run_rhf_batch(ints)
     ref = run_fci(ints, scf).e_fci[0]
     c = scf.mo_coefficients.copy()
     th = 0.37
@@ -261,7 +261,7 @@ def test_fci_energy_is_exactly_twice_the_atom_at_dissociation(wide_scan):
     # one H atom has one electron, so its energy in the basis is the lowest eigenvalue
     # of its core Hamiltonian; far apart the two atoms neither overlap nor interact
     name, curve, _ = wide_scan
-    ints = compute_all(load_basis(name), molecule([("H", (0.0, 0.0, 0.0))], 1))
+    ints = compute_all(load_basis(name), molecule([("H", (0.0, 0.0, 0.0))]))
     x = symmetric_orthogonalizer(ints.overlap[0])
     e_h = np.linalg.eigvalsh(x @ ints.hcore[0] @ x)[0]
     assert np.abs(curve.e_fci[1:] - 2.0 * e_h).max() <= 1e-13

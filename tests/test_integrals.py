@@ -12,7 +12,7 @@ from h2ent.fci import run_fci
 from h2ent.integrals import (_TUV_ROW, IntegralSet, _eri_block, _hermite_coulomb_all, _pair,
                              boys_table, compute_all, eri, kinetic, nuclear_attraction,
                              overlap)
-from h2ent.molecule import h2, molecule
+from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import run_rhf_batch
 from conftest import helium, stack, take
 from oracles import (eri_block_by_term_pairs, eri_by_gaussian_transform,
@@ -152,7 +152,7 @@ def test_kinetic_closed_form():
 
 def test_nuclear_closed_form():
     # <s|1/r|s> at the center: 2 sqrt(2 alpha / pi)
-    mol = molecule([("H", (0.0, 0.0, 0.0))], 1)
+    mol = molecule([("H", (0.0, 0.0, 0.0))])
     for alpha in (0.5, 1.0, 2.0):
         f = s_prim(alpha)
         assert nuclear_attraction(f, f, mol) \
@@ -336,7 +336,7 @@ def off_axis_h2(r):
     """H2 with a generic bond direction, so every Cartesian branch is used."""
     origin = np.array([0.3, -0.2, 0.1])
     direction = np.array([0.48, -0.6, 0.64])  # unit vector
-    return molecule([("H", origin), ("H", origin + r * direction)], 2)
+    return molecule([("H", origin), ("H", origin + r * direction)])
 
 
 def test_every_eri_of_compute_all_is_its_one_quartet_call():
@@ -358,7 +358,7 @@ def test_off_axis_h2_matches_bond_along_z():
     energies = []
     for mol in (h2(1.4), off_axis_h2(1.4)):
         ints = compute_all(basis, mol)
-        scf = run_rhf_batch(ints, mol)
+        scf = run_rhf_batch(ints)
         energies.append((scf.e_hf[0], run_fci(ints, scf).e_fci[0]))
     assert energies[1] == pytest.approx(energies[0], abs=1e-10)
 
@@ -399,6 +399,18 @@ def test_integral_matrices_well_formed():
     assert np.all(ints.kinetic.diagonal() > 0.0)
 
 
+def test_nuclear_repulsion_comes_with_the_integrals():
+    # the SCF and the FCI read it from the IntegralSet: bit for bit the geometries'
+    # own, and exactly 0 for one atom
+    mols = h2([0.3, 1.4, 100.0])
+    for name in ("sto-3g", "6-31gss"):
+        basis = load_basis(name)
+        e_nuclear = compute_all(basis, mols).e_nuclear
+        assert e_nuclear.shape == (3,)
+        assert e_nuclear.tobytes() == nuclear_repulsion(mols).tobytes()
+        assert compute_all(basis, helium()).e_nuclear.tobytes() == np.zeros(1).tobytes()
+
+
 def assert_same_integrals(batch, singles):
     # geometry n of the batch against the batch of one singles[n], field by field
     for field in IntegralSet._fields:
@@ -425,7 +437,7 @@ def test_each_layout_batch_is_its_one_point_calls():
     # every batch of one layout (one molecule's atoms, in one order) equals its
     # one-point calls, in either basis, whatever the geometries
     sto, pol = load_basis("sto-3g"), load_basis("6-31gss")
-    flipped = molecule([("H", (0.0, 0.0, 1.4)), ("H", (0.0, 0.0, 0.0))], 2)
+    flipped = molecule([("H", (0.0, 0.0, 1.4)), ("H", (0.0, 0.0, 0.0))])
     for basis, mols in ((pol, [h2(1.4), off_axis_h2(1.4), flipped, h2(0.9)]),
                         (sto, [flipped, h2(2.0)]), (pol, [helium(), helium()]),
                         (sto, [helium()])):

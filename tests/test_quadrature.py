@@ -26,7 +26,7 @@ def test_oracle_overlap_and_kinetic_closed_forms():
 
 
 def test_oracle_nuclear_closed_form():
-    mol = molecule([("H", (0.0, 0.0, 0.0))], 1)
+    mol = molecule([("H", (0.0, 0.0, 0.0))])
     f = s_prim(0.9)
     assert quadrature_oracle(f, f, "nuclear", mol) \
         == pytest.approx(-2.0 * np.sqrt(2.0 * 0.9 / np.pi), abs=1e-8)

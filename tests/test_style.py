@@ -108,6 +108,24 @@ def program_callers():
     return called
 
 
+def test_only_the_integrals_and_the_cli_import_the_geometry():
+    # the geometry enters the pipeline once: `compute_all` takes a Molecule and puts
+    # what the later stages read, the nuclear repulsion too, into its IntegralSet
+    importers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and package_module(node) is not None:
+                module = package_module(node)
+                modules = [module] if module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name.removeprefix("h2ent.") for alias in node.names]
+            else:
+                continue
+            if "molecule" in modules:
+                importers.add(path.stem)
+    assert sorted(importers) == ["cli", "integrals"]
+
+
 def test_every_public_name_has_a_program_caller():
     # src/ holds what the program runs: a public def or class that only tests call
     # belongs in tests/
