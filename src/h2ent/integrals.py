@@ -23,7 +23,11 @@ out-of-place call, which may round differently by size.
 The Coulomb kernels compute each unique primitive quartet once: `_ShellPairs`
 merges the (i, j) and (j, i) primitive pairs of a shell paired with itself into
 one distribution, `_quartets` lists only the canonical combos of a diagonal class
-block, and `_eri_block` contracts them after one R_tuv pass. A quartet's bra is
+block, and `_eri_contract` contracts them. `compute_all` collects the R_tuv
+requests of every class's nuclear attraction and every class-pair block's ERIs
+and `_coulomb` serves them with one Boys/R_tuv pass per t+u+v limit, writing each
+request's arguments in place into that pass's arrays; every step of the pass is
+elementwise, so a request's values do not depend on its company. A quartet's bra is
 the pair with the larger `_pair_key`; `compute_all` lays its rows out in falling
 key order and mirrors the upper triangle into the lower. The `eri` wrapper orders
 its pairs by the same key, with a center in place of its atom's index, and so
@@ -31,6 +35,7 @@ computes a quartet as `compute_all` does, bit for bit, when the atoms are listed
 in ascending coordinate order, as `h2` lists them.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -162,6 +167,26 @@ def _hermite_coulomb_all(lmax, alpha, pq):
     return np.concatenate([level[:, 0] for level in levels])
 
 
+def _coulomb(*requests):
+    """R_tuv for Coulomb requests, with one `_hermite_coulomb_all` pass per t+u+v limit.
+
+    A request is (lmax, shape, fill): fill(alpha, pq) writes the request's alpha, of
+    `shape`, and P - Q, of (3,) + shape, in place into its slices of its pass's
+    arguments. Returns each request's R_tuv, (tuv,) + shape, a view of its pass."""
+    out = [None] * len(requests)
+    for lmax in sorted({req[0] for req in requests}, reverse=True):
+        mine = [(n, shape, fill) for n, (l, shape, fill) in enumerate(requests) if l == lmax]
+        sizes = [math.prod(shape) for _, shape, _ in mine]
+        at = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+        alpha, pq = np.empty(sum(sizes)), np.empty((3, sum(sizes)))
+        for (_, shape, fill), cols in zip(mine, at):
+            fill(alpha[cols].reshape(shape), pq[:, cols].reshape((3,) + shape))
+        rts = _hermite_coulomb_all(lmax, alpha, pq)
+        for (n, shape, _), cols in zip(mine, at):
+            out[n] = rts[:, cols].reshape((-1,) + shape)
+    return out
+
+
 class _ShellPairs:
     """The primitive pairs of shell pairs of one angular class in G geometries, stacked.
 
@@ -236,10 +261,17 @@ class _ShellPairs:
             + s[:, 0] * s[:, 1] * k[:, 2]
         return self.contract(self.coef * self.cube * cross)
 
-    def nuclear(self, xyz, charges):
-        """-sum_C Z_C <a| 1/|r-R_C| |b> in each geometry, the nuclei at xyz (3, atoms, G),
-        all in one Boys/R_tuv pass."""
-        rts = _hermite_coulomb_all(self.l, self.p, self.center[:, None] - xyz[..., None])
+    def nuclear_request(self, xyz):
+        """The Coulomb request of `nuclear` for the nuclei at xyz (3, atoms, G): alpha = p
+        and P - C, atom x geometry x distribution."""
+        def fill(alpha, pc):
+            alpha[...] = self.p
+            np.subtract(self.center[:, None], xyz[..., None], out=pc)
+        return self.l, xyz.shape[1:] + self.p.shape, fill
+
+    def nuclear(self, rts, charges):
+        """-sum_C Z_C <a| 1/|r-R_C| |b> in each geometry from the R_tuv of
+        `nuclear_request`, the nuclei's charges in atom order."""
         acc = sum(e[:, None] * rts[row] for e, row in zip(self.e, _TUV_ROW[tuple(self.tuv.T)]))
         v = sum(-z * acc[:, n] for n, z in enumerate(charges))
         return np.add.reduceat(2.0 * np.pi / self.p * v, self.start, axis=-1)
@@ -263,26 +295,43 @@ def _quartets(bra, ket):
     return mb, mk, first, at[2] + qb, at[3] + qk
 
 
-def _eri_block(bra, ket):
-    """(bra|ket) for the shell-pair combos of `_quartets` and all their component pairs,
-    as geometry x row x column, a row per (shell pair, component pair); the combos not
-    computed read zero.
+def _eri_request(bra, ket):
+    """`_quartets(bra, ket)` and the Coulomb request of their R_tuv: alpha = pq/(p + q)
+    and P - Q, geometry x quartet."""
+    quartets = _quartets(bra, ket)
+    qb, qk = quartets[3:]
+
+    def fill(alpha, pq):
+        pb, pk = bra.p[qb], ket.p[qk]
+        np.divide(pb * pk, pb + pk, out=alpha)
+        np.subtract(bra.center.take(qb, axis=-1), ket.center.take(qk, axis=-1), out=pq)
+    return quartets, (bra.l + ket.l, (bra.center.shape[1], len(qb)), fill)
+
+
+def _eri_contract(bra, ket, quartets, rts):
+    """(bra|ket) for the shell-pair combos of `quartets` and all their component pairs,
+    from the R_tuv of `_eri_request`, as geometry x row x column, a row per (shell pair,
+    component pair); the combos not computed read zero.
 
     R_(tuv+t'u'v') is gathered for every (ket term, bra term) at once, contracted with the
     ket and then the bra coefficients, and each combo's quartets are summed in one
     `reduceat`. Python's `sum` over a leading axis adds term after term, whatever the
     other axes' lengths; numpy's sum turns pairwise when they are all 1."""
-    mb, mk, first, qb, qk = _quartets(bra, ket)
-    pb, pk, pq = bra.p[qb], ket.p[qk], bra.center[..., qb]
-    pq -= ket.center[..., qk]  # P - Q
-    rts = _hermite_coulomb_all(bra.l + ket.l, pb * pk / (pb + pk), pq)
+    mb, mk, first, qb, qk = quartets
+    pb, pk = bra.p[qb], ket.p[qk]
     rt = rts[_TUV_ROW[tuple((ket.tuv[:, None] + bra.tuv).transpose(2, 0, 1))]]
-    w = sum(ket.e_ket[..., qk][:, None] * rt[:, :, None])
-    acc = sum(bra.e[..., qb][:, :, None] * w[:, None])
+    w = sum(ket.e_ket.take(qk, axis=-1)[:, None] * rt[:, :, None])
+    acc = sum(bra.e.take(qb, axis=-1)[:, :, None] * w[:, None])
     acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
     out = np.zeros((acc.shape[2], len(bra.start), len(bra.ij), len(ket.start), len(ket.ij)))
     out[:, mb, :, mk] = np.add.reduceat(acc, first, axis=-1).transpose(3, 2, 0, 1)
     return out.reshape(out.shape[0], len(bra.start) * len(bra.ij), -1)
+
+
+def _eri_block(bra, ket):
+    """`_eri_contract` of one class-pair block on its own Coulomb pass."""
+    quartets, request = _eri_request(bra, ket)
+    return _eri_contract(bra, ket, quartets, *_coulomb(request))
 
 
 def _function_key(shell):
@@ -317,7 +366,8 @@ def kinetic(f, g):
 
 def nuclear_attraction(f, g, mol):
     """-sum_A Z_A <f| 1/|r-R_A| |g> over the nuclei of mol."""
-    return float(_pair(f, g)[1].nuclear(mol.xyz.T, mol.charges)[0, 0, 0])
+    pair = _pair(f, g)[1]
+    return float(pair.nuclear(*_coulomb(pair.nuclear_request(mol.xyz.T)), mol.charges)[0, 0, 0])
 
 
 def eri(f, g, h, k):
@@ -376,14 +426,18 @@ def compute_all(basis, mols):
         row[first[x][:, None, None] + np.arange(na)[:, None], first[y][:, None, None]
             + np.arange(nb)] = offsets[-1] + np.arange(n).reshape(len(x), na, nb)
         offsets.append(offsets[-1] + n)
-    s, t, v = (np.concatenate([integral(b).transpose(1, 2, 0).reshape(n_geom, -1)
-                               for b in batches], axis=1)
-               for integral in (_ShellPairs.overlap, _ShellPairs.kinetic,
-                                lambda b: b.nuclear(xyz, mols.charges)))
+    # each class's nuclear attraction and each class-pair block's ERIs ask for R_tuv:
+    # one Boys/R_tuv pass per t+u+v limit serves them all
+    blocks = [(x, y, *_eri_request(bra, ket)) for x, bra in enumerate(batches)
+              for y, ket in enumerate(batches[x:], x)]
+    rts = _coulomb(*[b.nuclear_request(xyz) for b in batches], *[req for *_, req in blocks])
+    s, t, v = (np.concatenate([m.transpose(1, 2, 0).reshape(n_geom, -1) for m in ms], axis=1)
+               for ms in zip(*[(b.overlap(), b.kinetic(), b.nuclear(r, mols.charges))
+                               for b, r in zip(batches, rts)]))
     g = np.zeros((n_geom, offsets[-1], offsets[-1]))
-    for x, bra in enumerate(batches):
-        for y, ket in enumerate(batches[x:], x):
-            g[:, offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_block(bra, ket)
+    for (x, y, quartets, _), r in zip(blocks, rts[len(batches):]):
+        g[:, offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = _eri_contract(
+            batches[x], batches[y], quartets, r)
     # every pair and quartet reads the entry computed in its canonical order: the rows
     # fall in `_pair_key` order, so a quartet's bra is the earlier row, and the upper
     # triangle holds every entry computed with it (the lower, a twin's other orientation)

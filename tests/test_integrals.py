@@ -1,6 +1,7 @@
 """Analytic Gaussian integrals against closed forms and the quadrature oracle."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from numpy.polynomial.legendre import leggauss
 from h2ent import integrals
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
 from h2ent.fci import run_fci
-from h2ent.integrals import (_TUV_ROW, IntegralSet, _eri_block, _hermite_coulomb_all, _pair,
-                             boys_table, compute_all, eri, kinetic, nuclear_attraction,
-                             overlap)
+from h2ent.integrals import (_TUV_ROW, IntegralSet, _coulomb, _eri_block, _eri_contract,
+                             _eri_request, _hermite_coulomb_all, _pair, boys_table, compute_all,
+                             eri, kinetic, nuclear_attraction, overlap)
 from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import run_rhf_batch
 from conftest import helium, stack, take
@@ -231,11 +232,11 @@ def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatc
     # combo with itself holds both orientations
     blocks = []
 
-    def kept(bra, ket):
-        blocks.append((bra, ket, _eri_block(bra, ket)))
+    def kept(bra, ket, quartets, rts):
+        blocks.append((bra, ket, _eri_contract(bra, ket, quartets, rts)))
         return blocks[-1][2]
 
-    monkeypatch.setattr(integrals, "_eri_block", kept)
+    monkeypatch.setattr(integrals, "_eri_contract", kept)
     mols = stack([h2(0.7), h2(1.4), h2(20.0), off_axis_h2(1.4)])
     for name in ("sto-3g", "6-31gss"):
         compute_all(load_basis(name), mols)
@@ -248,29 +249,49 @@ def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatc
 @pytest.mark.parametrize("name, per_geometry", [("sto-3g", 297), ("6-31gss", 1630)])
 def test_eri_kernel_computes_each_unique_distribution_quartet_once(monkeypatch, name,
                                                                   per_geometry):
-    # the Boys arguments the ERI kernel asks for: one per distribution quartet of the
+    # the Boys arguments the ERI blocks ask for: one per distribution quartet of the
     # canonical shell-pair combos, a twin's (i, j) and (j, i) primitive pairs being one
     # distribution. STO-3G: shell pairs AA, AB, BB with 6, 9, 6 distributions and combos
     # AA-AA, AA-AB, AA-BB, AB-AB, AB-BB, BB-BB, 36 + 54 + 36 + 81 + 54 + 36 = 297 of the
     # 27 x 27 = 729 primitive quartets; 6-31G**: 1630 of 2875 (the full class blocks)
-    inside, sent = [], []
+    sent = []
 
-    def eri_block(bra, ket):
-        inside.append(True)
-        try:
-            return _eri_block(bra, ket)
-        finally:
-            inside.pop()
+    def eri_request(bra, ket):
+        quartets, request = _eri_request(bra, ket)
+        sent.append(math.prod(request[1]))
+        return quartets, request
 
-    def counting(mmax, x):
-        if inside:
-            sent.append(np.size(x))
-        return boys_table(mmax, x)
-
-    monkeypatch.setattr(integrals, "_eri_block", eri_block)
-    monkeypatch.setattr(integrals, "boys_table", counting)
+    monkeypatch.setattr(integrals, "_eri_request", eri_request)
     compute_all(load_basis(name), h2((0.7, 1.4, 20.0)))
     assert sum(sent) == per_geometry * 3
+
+
+@pytest.mark.parametrize("name, passes", [("sto-3g", [0]), ("6-31gss", [4, 3, 2, 1, 0])])
+def test_compute_all_makes_one_coulomb_pass_per_angular_momentum(monkeypatch, name, passes):
+    # the nuclear attraction of every class and the ERIs of every class-pair block share
+    # one Boys/R_tuv pass per L = l_bra + l_ket, whose arguments are all of theirs:
+    # 6-31G** has classes pp, ps, ss (nuclear L = 2, 1, 0) and blocks of L = 4, 3, 2, 2,
+    # 1, 0; STO-3G the one class ss
+    lmaxes, boys, asked = [], [], []
+
+    def hermite(lmax, alpha, pq):
+        lmaxes.append(lmax)
+        return _hermite_coulomb_all(lmax, alpha, pq)
+
+    def counting(mmax, x):
+        boys.append(np.size(x))
+        return boys_table(mmax, x)
+
+    def coulomb(*requests):
+        asked.extend(math.prod(shape) for _, shape, _ in requests)
+        return _coulomb(*requests)
+
+    monkeypatch.setattr(integrals, "_hermite_coulomb_all", hermite)
+    monkeypatch.setattr(integrals, "boys_table", counting)
+    monkeypatch.setattr(integrals, "_coulomb", coulomb)
+    compute_all(load_basis(name), h2((0.7, 1.4, 20.0)))
+    assert lmaxes == passes
+    assert len(boys) == len(passes) and sum(boys) == sum(asked)
 
 
 def random_primitive(rng):
