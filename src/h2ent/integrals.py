@@ -215,7 +215,7 @@ class _ShellPairs:
         ra, rb = (np.repeat(np.stack([pair[k][5] for pair in pairs], -1), sizes, -1)
                   for k in (0, 1))
         p, self.beta, self.l = a + b, b, la + lb
-        center = (a * ra + b * rb) / p
+        center = np.where(ra == rb, ra, (a * ra + b * rb) / p)  # exact on one atom
         self.cube = np.pi / p * np.sqrt(np.pi / p)  # (pi/p)^(3/2)
         self.pair_start = np.cumsum(sizes) - sizes
         self.ia, self.jb = map(np.array, zip(*[(comps_a[i], comps_b[j]) for i, j in self.ij]))

@@ -288,15 +288,15 @@ SCIENCE_PINS = {
         ["0x1.0000000000039p+0", "0x1.fffffffffff8ap-1"]),
     ("sto-3g", 100.0): ("-0x1.1a0a6acf8f416p-1", "-0x1.ddc7a1e305d3cp-1", "0x1.0000000000000p+0",
         ["0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"]),
-    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ap+0", "0x1.161f2f3bd7a54p-3",
-        ["0x1.f83adc0c3268ep+0", "0x1.4a6cd5c451029p-6", "0x1.a084a0646fa59p-8",
-         "0x1.9e4da06cdfc65p-10", "0x1.9e4da06cdfc62p-10", "0x1.ee71035ed1a40p-13",
-         "0x1.732a347515892p-13", "0x1.f24e1dd91607ap-14", "0x1.f24e1dd916074p-14",
-         "0x1.25e1740bc53cbp-16"]),
-    ("6-31gss", 20.0): ("-0x1.720641222c728p-1", "-0x1.fe30c4b3afba4p-1", "0x1.0000003885fa4p+0",
-        ["0x1.fffffffcac35ep-1", "0x1.fffffffcab658p-1", "0x1.1c10b2b82da1fp-32",
-         "0x1.1c10b2b6b8f3cp-32", "0x1.1c10b2b8dd7bep-34", "0x1.1c10b2b8dce4cp-34",
-         "0x1.1c10b2b5ff54dp-34", "0x1.1c10b2b5f9a96p-34",
+    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ep+0", "0x1.161f2f3bd7a65p-3",
+        ["0x1.f83adc0c3268cp+0", "0x1.4a6cd5c451034p-6", "0x1.a084a0646fa5ap-8",
+         "0x1.9e4da06cdfc68p-10", "0x1.9e4da06cdfc5dp-10", "0x1.ee71035ed1b76p-13",
+         "0x1.732a347515877p-13", "0x1.f24e1dd916077p-14", "0x1.f24e1dd91606bp-14",
+         "0x1.25e1740bc5457p-16"]),
+    ("6-31gss", 20.0): ("-0x1.720641222c726p-1", "-0x1.fe30c4b3afba2p-1", "0x1.0000003885fa1p+0",
+        ["0x1.fffffffcac375p-1", "0x1.fffffffcab651p-1", "0x1.1c10b2b83b45ap-32",
+         "0x1.1c10b2b6a87ebp-32", "0x1.1c10b2b8f7f79p-34", "0x1.1c10b2b8f2bd6p-34",
+         "0x1.1c10b2b5e4687p-34", "0x1.1c10b2b5de71bp-34",
          "0x0.0p+0", "0x0.0p+0"]),
 }
 
@@ -362,14 +362,14 @@ SCAN_CSV = """\
 R_bohr,E_HF,E_FCI,E_corr,entropy_bits,entropy_rescaled,n_1,n_2
 0.69999999999999996,-0.83713029822090257,-0.84632598439675299,0.009195686175850426,\
 0.030791796319806383,0.011155959318651114,1.9936815481731898,0.0063184518268097952
-5.3500000000000005,-0.66899573091398556,-0.93404437345090607,0.26504864253692051,\
+5.3500000000000005,-0.66899573091398534,-0.93404437345090607,0.26504864253692073,\
 0.9922623267003603,0.35949958992742931,1.1034770608194946,0.89652293918050519
 10,-0.59597063485127677,-0.93316371200429715,0.33719307715302038,\
 0.99999992340417276,0.36230294420904802,1.0003258594192819,0.99967414058071868
 20,-0.57086072715460634,-0.93316369911455022,0.36230297195994388,\
 1,0.36230297195994388,1.0000000000000127,0.9999999999999869
 """
-SCAN_JSON_SHA256 = "d51236b72e79f201d990c7a92ecb2eb96b6a607c10b78b9667e762f8e0a66460"
+SCAN_JSON_SHA256 = "7634dd48475d2be1e1360179a424dd7859d15378a0827b654bcb3c06a5159e1b"
 
 
 def test_scan_output_is_pinned_byte_for_byte(tmp_path, capsys):
