@@ -136,24 +136,25 @@ def parse_basis(text, name="custom"):
 
 
 def load_basis(name_or_path, basis_dir=None):
-    """Load a basis by builtin name or file path.
+    """Load a basis by builtin name, file path, or name of a `<name>.gbs` file.
 
-    Search order for named sets: explicit basis_dir, the H2E_BASIS_DIR
-    environment variable, then the packaged data directory.
+    A builtin name is looked up as its file in basis_dir, then in the directory of the
+    H2E_BASIS_DIR environment variable, then in the packaged data directory. Any other
+    name that is not a file is looked up as `<name>.gbs` in those two directories.
     """
     key = str(name_or_path).lower()
     path = Path(name_or_path)
+    dirs = [Path(d) for d in (basis_dir, os.environ.get("H2E_BASIS_DIR")) if d]
     if key in _BUILTIN_FILES:
-        filename = _BUILTIN_FILES[key]
-        for d in (basis_dir, os.environ.get("H2E_BASIS_DIR")):
-            if d and (Path(d) / filename).is_file():
-                path = Path(d) / filename
-                break
-        else:
-            path = _DATA_DIR / filename
-    elif not path.is_file():
-        raise FileNotFoundError(f"unknown basis {name_or_path!r}")
-    return parse_basis(path.read_text(), name=str(name_or_path))
+        candidates = [d / _BUILTIN_FILES[key] for d in dirs + [_DATA_DIR]]
+    elif path.is_file():
+        candidates = [path]
+    else:  # only a plain name, not a path, is looked up
+        candidates = [d / f"{name_or_path}.gbs" for d in dirs] if len(path.parts) == 1 else []
+    for candidate in candidates:
+        if candidate.is_file():
+            return parse_basis(candidate.read_text(), name=str(name_or_path))
+    raise FileNotFoundError(f"unknown basis {name_or_path!r}")
 
 
 class BasisFunction(NamedTuple):

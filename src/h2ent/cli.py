@@ -191,7 +191,8 @@ def _build_parser():
                      description="H2 dissociation scans: HF/FCI energies, "
                                  "occupation entanglement and CHSH demos")
     parser.add_argument("--basis-dir", default=None,
-                        help="directory with basis files (or H2E_BASIS_DIR)")
+                        help="directory searched first for a --basis NAME, as NAME.gbs "
+                             "or a bundled set's file (or H2E_BASIS_DIR)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="dissociation-curve scan")

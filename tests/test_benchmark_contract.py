@@ -59,6 +59,18 @@ def test_scan_workloads_pass_the_gate_at_the_default_seed(tmp_path):
         assert (sample.failed, sample.attempted) == (0, attempted), (name, sample.failed_r)
 
 
+def test_bell_workload_passes_the_gate_at_the_default_seed(tmp_path):
+    # the gate: each grid maximum within CHSH_GRID_TOL of the closed form, the singlet
+    # at least SINGLET_MIN and the product state at most 2
+    workloads = _perfbench("workloads")
+    inputs = workloads.make_inputs("bell", workloads.DEFAULT_SEED)
+    sample = workloads.run_once(inputs, tmp_path / "bell.csv")
+    assert workloads.check(inputs, sample, workloads.load_reference()) == []
+    assert (sample.failed, sample.attempted) == (0, 9)
+    labels = [line.split(",")[0] for line in sample.output.decode().splitlines()]
+    assert len(labels) == 9 and {"singlet", "product", "dissociation"} <= set(labels)
+
+
 # names a scan alone enters, and names only a single point enters: a scan
 # runs its points as one batch, through the stacked SCF and no point span
 SCAN_ONLY = {"cli.run_scan", "cli.emit", "correlation.rescale_entropy"}

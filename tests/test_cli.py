@@ -512,6 +512,24 @@ def test_a_directory_is_an_unknown_basis(tmp_path, capsys):
         assert capsys.readouterr().err == f"computation failed: unknown basis {basis!r}\n"
 
 
+def test_basis_dir_finds_any_named_basis(tmp_path, monkeypatch, capsys):
+    # --basis NAME reads NAME.gbs from --basis-dir or H2E_BASIS_DIR, and a name found
+    # in neither is still an unknown basis
+    (tmp_path / "my.gbs").write_text("H 0\nS 1 1.00\n 1.24 1.0\n****\n")
+    argv = ["point", "-R", "1.4", "--basis", "my"]
+    assert main(["--basis-dir", str(tmp_path)] + argv) == 0
+    found = capsys.readouterr().out
+    assert "E_HF" in found
+    with monkeypatch.context() as m:
+        m.setenv("H2E_BASIS_DIR", str(tmp_path))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == found
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "computation failed: unknown basis 'my'\n"
+    assert main(["--basis-dir", str(tmp_path), "point", "-R", "1.4", "--basis", "other"]) == 2
+    assert capsys.readouterr().err == "computation failed: unknown basis 'other'\n"
+
+
 def test_basis_dir_flag(tmp_path, capsys):
     (tmp_path / "sto-3g.gbs").write_text("H 0\nS 1 1.00\n 1.24 1.0\n****\n")
     code = main(["--basis-dir", str(tmp_path), "point", "-R", "1.4",

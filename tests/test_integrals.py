@@ -17,7 +17,8 @@ from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import run_rhf_batch
 from conftest import helium, stack, take
 from oracles import (eri_block_by_term_pairs, eri_by_gaussian_transform,
-                     hermite_coulomb_by_entry, quadrature_oracle, quadrature_oracle_eri)
+                     hermite_coulomb_by_entry, nuclear_by_gaussian_transform,
+                     quadrature_oracle, quadrature_oracle_eri)
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -320,6 +321,17 @@ def test_compute_all_eris_match_the_gaussian_transform_oracle(name):
         ref = eri_by_gaussian_transform([[ao.functions[m] for m in q] for q in quartets])
         g = compute_all(load_basis(name), mol).eri[0]
         assert np.abs(g[tuple(quartets.T)] - ref).max() < 1e-12, r
+
+
+@pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
+def test_compute_all_nuclear_attraction_matches_the_gaussian_transform_oracle(name):
+    # every AO pair, so every angular class, against the exact one-centre transform
+    for r in (0.3, 1.4, 5.0, 20.0):
+        mol = h2(r)
+        funcs = build_ao_basis(mol, load_basis(name)).functions
+        ref = nuclear_by_gaussian_transform([(f, g) for f in funcs for g in funcs], mol)
+        v = compute_all(load_basis(name), mol).nuclear[0]
+        assert np.abs(v - ref.reshape(v.shape)).max() < 1e-12, r
 
 
 def test_eri_eightfold_symmetry_exact():

@@ -8,7 +8,8 @@ import pytest
 from h2ent.basis import BasisFunction, primitive_norm
 from h2ent.molecule import molecule
 from conftest import random_primitive
-from oracles import eri_by_gaussian_transform, quadrature_oracle, quadrature_oracle_eri
+from oracles import (eri_by_gaussian_transform, nuclear_by_gaussian_transform,
+                     quadrature_oracle, quadrature_oracle_eri)
 
 
 def s_prim(alpha, center=(0.0, 0.0, 0.0)):
@@ -61,6 +62,29 @@ def test_grid_and_transform_eri_oracles_agree():
     exact = eri_by_gaussian_transform(quartets)
     for funcs, e in zip(quartets, exact):
         assert abs(quadrature_oracle_eri(*funcs) - e) < 1e-5
+
+
+def test_nuclear_transform_oracle_closed_forms():
+    # normalized s primitives of exponents a and b on one centre, a proton R away:
+    # -S erf(sqrt(p) R) / R, p = a + b and S = (2 sqrt(ab) / p)^(3/2), and -2 S sqrt(p / pi)
+    # at R = 0
+    for a, b, r in ((0.9, 0.9, 0.0), (0.3, 1.7, 0.0), (0.3, 1.7, 1.4), (18.7, 0.16, 20.0),
+                    (18.7, 18.7, 20.0)):
+        mol = molecule([("H", (0.0, 0.0, r))])
+        p = a + b
+        overlap = (2.0 * math.sqrt(a * b) / p) ** 1.5
+        exact = -overlap * (math.erf(math.sqrt(p) * r) / r if r else 2.0 * math.sqrt(p / math.pi))
+        assert nuclear_by_gaussian_transform([(s_prim(a), s_prim(b))], mol)[0] \
+            == pytest.approx(exact, abs=1e-14)
+
+
+def test_grid_and_transform_nuclear_oracles_agree():
+    # the two nuclear-attraction oracles on random Cartesian pairs, to the grid's 1e-6
+    rng = np.random.default_rng(11)
+    mol = molecule([("H", (0.0, 0.0, -0.7)), ("H", (0.0, 0.0, 0.7))])
+    pairs = [(random_primitive(rng), random_primitive(rng)) for _ in range(4)]
+    for (f, g), v in zip(pairs, nuclear_by_gaussian_transform(pairs, mol)):
+        assert abs(quadrature_oracle(f, g, "nuclear", mol) - v) < 1e-6
 
 
 def test_oracle_rejects_unknown_kind():
