@@ -173,17 +173,21 @@ def _coulomb(*requests):
     A request is (lmax, shape, fill): fill(alpha, pq) writes the request's alpha, of
     `shape`, and P - Q, of (3,) + shape, in place into its slices of its pass's
     arguments. Returns each request's R_tuv, (tuv,) + shape, a view of its pass."""
+    cols, ends = [], {}
+    for lmax, shape, _ in requests:  # each request's columns in its pass's arguments
+        start = ends.get(lmax, 0)
+        ends[lmax] = start + math.prod(shape)
+        cols.append(slice(start, ends[lmax]))
     out = [None] * len(requests)
-    for lmax in sorted({req[0] for req in requests}, reverse=True):
-        mine = [(n, shape, fill) for n, (l, shape, fill) in enumerate(requests) if l == lmax]
-        sizes = [math.prod(shape) for _, shape, _ in mine]
-        at = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-        alpha, pq = np.empty(sum(sizes)), np.empty((3, sum(sizes)))
-        for (_, shape, fill), cols in zip(mine, at):
-            fill(alpha[cols].reshape(shape), pq[:, cols].reshape((3,) + shape))
+    for lmax, size in sorted(ends.items(), reverse=True):
+        alpha, pq = np.empty(size), np.empty((3, size))
+        mine = [n for n, req in enumerate(requests) if req[0] == lmax]
+        for n in mine:
+            _, shape, fill = requests[n]
+            fill(alpha[cols[n]].reshape(shape), pq[:, cols[n]].reshape((3,) + shape))
         rts = _hermite_coulomb_all(lmax, alpha, pq)
-        for (n, shape, _), cols in zip(mine, at):
-            out[n] = rts[:, cols].reshape((-1,) + shape)
+        for n in mine:
+            out[n] = rts[:, cols[n]].reshape((-1,) + requests[n][1])
     return out
 
 
@@ -215,7 +219,9 @@ class _ShellPairs:
         ra, rb = (np.repeat(np.stack([pair[k][5] for pair in pairs], -1), sizes, -1)
                   for k in (0, 1))
         p, self.beta, self.l = a + b, b, la + lb
-        center = np.where(ra == rb, ra, (a * ra + b * rb) / p)  # exact on one atom
+        # on one atom P is that atom exactly: (a A + b A) / p would round, and P - A ~ eps |A|
+        # breaks the inversion symmetry to 1e-10 from R ~ 1e6 Bohr on
+        center = np.where(ra == rb, ra, (a * ra + b * rb) / p)
         self.cube = np.pi / p * np.sqrt(np.pi / p)  # (pi/p)^(3/2)
         self.pair_start = np.cumsum(sizes) - sizes
         self.ia, self.jb = map(np.array, zip(*[(comps_a[i], comps_b[j]) for i, j in self.ij]))
