@@ -310,7 +310,7 @@ def _eri_request(bra, ket):
     def fill(alpha, pq):
         pb, pk = bra.p[qb], ket.p[qk]
         np.divide(pb * pk, pb + pk, out=alpha)
-        np.subtract(bra.center.take(qb, axis=-1), ket.center.take(qk, axis=-1), out=pq)
+        np.subtract(bra.center[..., qb], ket.center[..., qk], out=pq)
     return quartets, (bra.l + ket.l, (bra.center.shape[1], len(qb)), fill)
 
 
@@ -326,8 +326,8 @@ def _eri_contract(bra, ket, quartets, rts):
     mb, mk, first, qb, qk = quartets
     pb, pk = bra.p[qb], ket.p[qk]
     rt = rts[_TUV_ROW[tuple((ket.tuv[:, None] + bra.tuv).transpose(2, 0, 1))]]
-    w = sum(ket.e_ket.take(qk, axis=-1)[:, None] * rt[:, :, None])
-    acc = sum(bra.e.take(qb, axis=-1)[:, :, None] * w[:, None])
+    w = sum(ket.e_ket[..., qk][:, None] * rt[:, :, None])
+    acc = sum(bra.e[..., qb][:, :, None] * w[:, None])
     acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
     out = np.zeros((acc.shape[2], len(bra.start), len(bra.ij), len(ket.start), len(ket.ij)))
     out[:, mb, :, mk] = np.add.reduceat(acc, first, axis=-1).transpose(3, 2, 0, 1)
