@@ -20,22 +20,20 @@ geometry's integrals are its one-point values bit for bit. `_exp` runs numpy's
 exp in place, where it takes one loop at every array size; do not swap it for an
 out-of-place call, which may round differently by size.
 
-The Coulomb kernels compute each unique primitive quartet once: `_ShellPairs`
-merges the (i, j) and (j, i) primitive pairs of a shell paired with itself into
-one distribution, `_quartets` lists only the canonical combos of a diagonal class
-block, and `_eri_contract` contracts them. `compute_all` collects the R_tuv
-requests of every class's nuclear attraction and every class-pair block's ERIs
-and `_coulomb` serves them with one Boys/R_tuv pass per t+u+v limit, writing each
-request's arguments in place into that pass's arrays; every step of the pass is
-elementwise, so a request's values do not depend on its company. A quartet's bra is
-the pair with the larger `_pair_key`; `compute_all` lays its rows out in falling
-key order and mirrors the upper triangle into the lower. The `eri` wrapper orders
-its pairs by the same key, with a center in place of its atom's index, and so
-computes a quartet as `compute_all` does, bit for bit, when the atoms are listed
-in ascending coordinate order, as `h2` lists them.
+The Coulomb kernels compute each unique primitive quartet once: `_ShellPairs` merges
+the (i, j) and (j, i) primitive pairs of a shell paired with itself into one
+distribution, `_quartets` lists only the canonical combos of a diagonal class block,
+and `_eri_contract` contracts them. `compute_all` collects the R_tuv requests of
+every class's nuclear attraction and every class-pair block's ERIs and `_coulomb`
+serves them with one Boys/R_tuv pass per t+u+v limit, on the requests' arguments put
+end to end; every step of the pass is elementwise, so a request's values do not
+depend on its company. A quartet's bra is the pair with the larger `_pair_key`;
+`compute_all` lays its rows out in falling key order and mirrors the upper triangle
+into the lower. The `eri` wrapper orders its pairs by the same key, with a center in
+place of its atom's index, and so computes a quartet as `compute_all` does, bit for
+bit, when the atoms are listed in ascending coordinate order, as `h2` lists them.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -170,24 +168,18 @@ def _hermite_coulomb_all(lmax, alpha, pq):
 def _coulomb(*requests):
     """R_tuv for Coulomb requests, with one `_hermite_coulomb_all` pass per t+u+v limit.
 
-    A request is (lmax, shape, fill): fill(alpha, pq) writes the request's alpha, of
-    `shape`, and P - Q, of (3,) + shape, in place into its slices of its pass's
-    arguments. Returns each request's R_tuv, (tuv,) + shape, a view of its pass."""
-    cols, ends = [], {}
-    for lmax, shape, _ in requests:  # each request's columns in its pass's arguments
-        start = ends.get(lmax, 0)
-        ends[lmax] = start + math.prod(shape)
-        cols.append(slice(start, ends[lmax]))
+    A request is (lmax, alpha, pq): alpha of any shape and P - Q of (3,) + that shape.
+    The passes run in falling lmax, each on its requests' arguments end to end. Returns
+    each request's R_tuv, (tuv,) + alpha's shape, a view of its pass."""
     out = [None] * len(requests)
-    for lmax, size in sorted(ends.items(), reverse=True):
-        alpha, pq = np.empty(size), np.empty((3, size))
+    for lmax in sorted({req[0] for req in requests}, reverse=True):
         mine = [n for n, req in enumerate(requests) if req[0] == lmax]
+        alpha = np.concatenate([requests[n][1] for n in mine], axis=None)  # ravelled
+        pq = np.concatenate([requests[n][2].reshape(3, -1) for n in mine], axis=1)
+        rts, end = _hermite_coulomb_all(lmax, alpha, pq), 0
         for n in mine:
-            _, shape, fill = requests[n]
-            fill(alpha[cols[n]].reshape(shape), pq[:, cols[n]].reshape((3,) + shape))
-        rts = _hermite_coulomb_all(lmax, alpha, pq)
-        for n in mine:
-            out[n] = rts[:, cols[n]].reshape((-1,) + requests[n][1])
+            start, end = end, end + requests[n][1].size
+            out[n] = rts[:, start:end].reshape((-1,) + requests[n][1].shape)
     return out
 
 
@@ -270,10 +262,8 @@ class _ShellPairs:
     def nuclear_request(self, xyz):
         """The Coulomb request of `nuclear` for the nuclei at xyz (3, atoms, G): alpha = p
         and P - C, atom x geometry x distribution."""
-        def fill(alpha, pc):
-            alpha[...] = self.p
-            np.subtract(self.center[:, None], xyz[..., None], out=pc)
-        return self.l, xyz.shape[1:] + self.p.shape, fill
+        pc = self.center[:, None] - xyz[..., None]
+        return self.l, np.broadcast_to(self.p, pc.shape[1:]), pc
 
     def nuclear(self, rts, charges):
         """-sum_C Z_C <a| 1/|r-R_C| |b> in each geometry from the R_tuv of
@@ -306,12 +296,9 @@ def _eri_request(bra, ket):
     and P - Q, geometry x quartet."""
     quartets = _quartets(bra, ket)
     qb, qk = quartets[3:]
-
-    def fill(alpha, pq):
-        pb, pk = bra.p[qb], ket.p[qk]
-        np.divide(pb * pk, pb + pk, out=alpha)
-        np.subtract(bra.center[..., qb], ket.center[..., qk], out=pq)
-    return quartets, (bra.l + ket.l, (bra.center.shape[1], len(qb)), fill)
+    pb, pk = bra.p[qb], ket.p[qk]
+    pq = bra.center[..., qb] - ket.center[..., qk]
+    return quartets, (bra.l + ket.l, np.broadcast_to(pb * pk / (pb + pk), pq.shape[1:]), pq)
 
 
 def _eri_contract(bra, ket, quartets, rts):
@@ -332,12 +319,6 @@ def _eri_contract(bra, ket, quartets, rts):
     out = np.zeros((acc.shape[2], len(bra.start), len(bra.ij), len(ket.start), len(ket.ij)))
     out[:, mb, :, mk] = np.add.reduceat(acc, first, axis=-1).transpose(3, 2, 0, 1)
     return out.reshape(out.shape[0], len(bra.start) * len(bra.ij), -1)
-
-
-def _eri_block(bra, ket):
-    """`_eri_contract` of one class-pair block on its own Coulomb pass."""
-    quartets, request = _eri_request(bra, ket)
-    return _eri_contract(bra, ket, quartets, *_coulomb(request))
 
 
 def _function_key(shell):
@@ -379,7 +360,8 @@ def nuclear_attraction(f, g, mol):
 def eri(f, g, h, k):
     """Two-electron repulsion integral (fg|hk) in chemists' notation."""
     (_, bra), (_, ket) = sorted((_pair(f, g), _pair(h, k)), key=lambda kb: kb[0], reverse=True)
-    return float(_eri_block(bra, ket)[0, 0, 0])
+    quartets, request = _eri_request(bra, ket)
+    return float(_eri_contract(bra, ket, quartets, *_coulomb(request))[0, 0, 0])
 
 
 class IntegralSet(NamedTuple):

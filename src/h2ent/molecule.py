@@ -44,6 +44,8 @@ def h2(r_bohr):
     rs = np.atleast_1d(np.asarray(r_bohr, dtype=float))
     if not np.all((rs > 0) & np.isfinite(rs)):
         raise ValueError(f"internuclear distance must be positive and finite, got {r_bohr}")
+    if rs.max() > 1e100:  # the integrals square R, which overflows from ~1e154 Bohr on
+        raise ValueError(f"internuclear distance must be at most 1e100 Bohr, got {rs.max():g}")
     xyz = np.zeros((len(rs), 2, 3))
     xyz[:, 1, 2] = rs
     return Molecule(("H", "H"), (1, 1), xyz)

@@ -296,9 +296,10 @@ def hermite_coulomb_by_entry(lmax, alpha, pq):
 
 
 def eri_block_by_term_pairs(bra, ket):
-    """`h2ent.integrals._eri_block` of two `_ShellPairs`, one Hermite term pair at a time:
-    the shell-pair combos (bra <= ket when `bra is ket`) and their bra-major distribution
-    quartets are listed by loops, and each combo's sum lands in the block by a loop."""
+    """`h2ent.integrals._eri_contract` of two `_ShellPairs` on the R_tuv of their
+    `_eri_request`, one Hermite term pair at a time: the shell-pair combos (bra <= ket
+    when `bra is ket`) and their bra-major distribution quartets are listed by loops,
+    and each combo's sum lands in the block by a loop."""
     combos = [(mb, mk) for mb in range(len(bra.start))
               for mk in range(mb if bra is ket else 0, len(ket.start))]
     first, qb, qk = [], [], []
@@ -337,9 +338,10 @@ def eri_by_gaussian_transform(quartets, chunk=256):
     square, exp(-p (x1-P)^2 - q (x2-Q)^2 - u^2 (x1-x2)^2) is exp(-|y|^2) in
     y = L^T (x - mu), M = L L^T, times exp(-rho t^2 (P-Q)^2); the polynomial left has
     degree <= 4 in each y, so a 4 x 4 Gauss-Hermite rule is exact. u^2 = rho t^2 / (1 - t^2),
-    rho = pq / (p + q), maps u to t in [0, 1), where a 64-node Gauss-Legendre rule takes
-    the integral. exp(-rho |P-Q|^2 t^2) grows too sharp for that rule at large
-    separations: it holds 1e-12 up to ~20 Bohr, and is 2e-10 to 4e-9 off at 100."""
+    rho = pq / (p + q), maps u to t in [0, 1). A 64-node Gauss-Legendre rule takes t over
+    [0, b], b = min(1, 6.5 / sqrt(rho |P-Q|^2)), past which exp(-rho |P-Q|^2 t^2) < 5e-19,
+    as `nuclear_by_gaussian_transform` does, so the rule resolves that factor at large
+    separations too."""
     seg, coef, expo, center, power = [], [], [], [], []
     for n, funcs in enumerate(quartets):
         for prims in itertools.product(*(zip(f.exponents, f.coefficients) for f in funcs)):
@@ -359,7 +361,7 @@ def _transform_primitives(expo, center, power):
     """(ab|cd) of unnormalised Cartesian primitives: expo (N, 4), center (N, 4, 3) and
     power (N, 4, 3), the last two in (a, b, c, d) order; arrays run over (N, t, axis) and
     then the Gauss-Hermite nodes (y1, y2)."""
-    t, wt = (_LEGENDRE_64[0] + 1.0) / 2.0, _LEGENDRE_64[1] / 2.0
+    s, ws = (_LEGENDRE_64[0] + 1.0) / 2.0, _LEGENDRE_64[1] / 2.0
     y, wy = _HERMITE_4
     a, b, c, d = expo.T
     ca, cb, cc, cd = center.transpose(1, 0, 2)
@@ -367,6 +369,8 @@ def _transform_primitives(expo, center, power):
     rho = p * q / (p + q)
     pc = (a[:, None] * ca + b[:, None] * cb) / p[:, None]
     qc = (c[:, None] * cc + d[:, None] * cd) / q[:, None]
+    top = np.minimum(1.0, 6.5 / np.sqrt(np.maximum(rho * ((pc - qc) ** 2).sum(1), 1e-300)))
+    t, wt = top[:, None] * s, top[:, None] * ws
     k = np.exp(-(a * b / p) * ((ca - cb) ** 2).sum(1) - (c * d / q) * ((cc - cd) ** 2).sum(1))
     p, q = p[:, None], q[:, None]
     u2 = rho[:, None] * t ** 2 / (1.0 - t ** 2)

@@ -464,6 +464,10 @@ def test_scan_rejects_non_finite_distances(tmp_path, capsys):
                               ("--far-point", "nan", "far_point")):
         assert main(["scan", flag, value, "--out", out]) == 1
         assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
+    # a finite R past 1e100 Bohr is rejected too, before its squares overflow
+    for flag in ("--rmax", "--far-point"):
+        assert main(["scan", flag, "1e160", "--out", out]) == 1
+        assert "must be at most 1e100 Bohr, got 1e+160" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -474,6 +478,12 @@ def test_point_rejects_non_finite_distances(capsys):
             h2(r)
     assert main(["point", "-R", "inf"]) == 1
     assert "must be positive and finite, got inf" in capsys.readouterr().err
+    # and so is a finite R past 1e100 Bohr, before its squares overflow
+    for r in (1e160, [1.4, 1e101]):
+        with pytest.raises(ValueError, match="at most 1e100 Bohr"):
+            h2(r)
+    assert main(["point", "-R", "1e160"]) == 1
+    assert "must be at most 1e100 Bohr, got 1e+160" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -245,16 +245,17 @@ def test_dissociation_configurations_equalize(sto3g_curve):
 
 @pytest.fixture(scope="module", params=["sto-3g", "6-31gss"])
 def wide_scan(request):
-    """A scan from 0.01 Bohr to 1e12 Bohr, far past the range the inversion check held
-    before one-centre Gaussian products were exact: (basis name, Curve, failures)."""
-    return request.param, *run_scan([0.01, 1e3, 1e4, 2e6, 1e12], request.param)
+    """A scan from 0.01 Bohr to 1e100 Bohr, the largest R `h2` takes, far past the range
+    the inversion check held before one-centre Gaussian products were exact: (basis
+    name, Curve, failures)."""
+    return request.param, *run_scan([0.01, 1e3, 1e4, 2e6, 1e12, 1e100], request.param)
 
 
 def test_scan_converges_far_outside_the_target_range(wide_scan):
-    # the documented range is 0.3-100 Bohr; every point from 0.01 to 1e12 converges
+    # the documented range is 0.3-100 Bohr; every point from 0.01 to 1e100 converges
     _, curve, failures = wide_scan
     assert failures == []
-    assert curve.r.tolist() == [0.01, 1e3, 1e4, 2e6, 1e12]
+    assert curve.r.tolist() == [0.01, 1e3, 1e4, 2e6, 1e12, 1e100]
 
 
 def test_fci_energy_is_exactly_twice_the_atom_at_dissociation(wide_scan):

@@ -1,7 +1,6 @@
 """Analytic Gaussian integrals against closed forms and the quadrature oracle."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -10,9 +9,9 @@ from numpy.polynomial.legendre import leggauss
 from h2ent import integrals
 from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
 from h2ent.fci import run_fci
-from h2ent.integrals import (_TUV_ROW, IntegralSet, _coulomb, _eri_block, _eri_contract,
-                             _eri_request, _hermite_coulomb_all, _pair, boys_table, compute_all,
-                             eri, kinetic, nuclear_attraction, overlap)
+from h2ent.integrals import (_TUV_ROW, IntegralSet, _coulomb, _eri_contract, _eri_request,
+                             _hermite_coulomb_all, _pair, boys_table, compute_all, eri, kinetic,
+                             nuclear_attraction, overlap)
 from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import run_rhf_batch
 from conftest import helium, stack, take
@@ -224,7 +223,9 @@ def test_eri_block_matches_the_term_by_term_contraction():
                         tuple(int(p) for p in rng.integers(0, 2, 3)), rng.uniform(-1.5, 1.5, 3))
                  if rng.random() < 0.7 else basis[rng.integers(len(basis))] for _ in range(4)]
         bra, ket = _pair(*funcs[:2])[1], _pair(*funcs[2:])[1]
-        assert np.array_equal(_eri_block(bra, ket), eri_block_by_term_pairs(bra, ket)), n
+        quartets, request = _eri_request(bra, ket)
+        out = _eri_contract(bra, ket, quartets, *_coulomb(request))
+        assert np.array_equal(out, eri_block_by_term_pairs(bra, ket)), n
 
 
 def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatch):
@@ -259,7 +260,7 @@ def test_eri_kernel_computes_each_unique_distribution_quartet_once(monkeypatch, 
 
     def eri_request(bra, ket):
         quartets, request = _eri_request(bra, ket)
-        sent.append(math.prod(request[1]))
+        sent.append(request[1].size)
         return quartets, request
 
     monkeypatch.setattr(integrals, "_eri_request", eri_request)
@@ -284,7 +285,7 @@ def test_compute_all_makes_one_coulomb_pass_per_angular_momentum(monkeypatch, na
         return boys_table(mmax, x)
 
     def coulomb(*requests):
-        asked.extend(math.prod(shape) for _, shape, _ in requests)
+        asked.extend(alpha.size for _, alpha, _ in requests)
         return _coulomb(*requests)
 
     monkeypatch.setattr(integrals, "_hermite_coulomb_all", hermite)
@@ -311,9 +312,9 @@ def test_eri_matches_the_gaussian_transform_oracle_on_random_primitives():
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_compute_all_eris_match_the_gaussian_transform_oracle(name):
-    # every unique AO quartet, so every quartet class; the oracle's 64-node t rule
-    # holds 1e-12 up to 20 Bohr (at 100 Bohr it is 2e-10 to 4e-9 off)
-    for r in (0.3, 1.4, 5.0, 20.0):
+    # every unique AO quartet, so every quartet class; the oracle's t range shrinks with
+    # rho |P-Q|^2, so its 64-node rule holds 1e-12 at 100 Bohr too
+    for r in (0.3, 1.4, 5.0, 20.0, 100.0):
         mol = h2(r)
         ao = build_ao_basis(mol, load_basis(name))
         pairs = [(i, j) for i in range(len(ao.functions)) for j in range(i + 1)]
@@ -363,6 +364,16 @@ def test_compute_all_matches_single_calls():
             val = overlap(ao.functions[i], ao.functions[j])
             assert ints.overlap[0, i, j] == val
             assert ints.overlap[0, j, i] == val
+    # the kinetic energy, and the nuclear attraction on its share of the Coulomb passes,
+    # of every AO pair in both bases, on and off the z axis
+    for name in ("sto-3g", "6-31gss"):
+        for mol in (h2(1.4), off_axis_h2(1.4)):
+            funcs = build_ao_basis(mol, load_basis(name)).functions
+            ints = compute_all(load_basis(name), mol)
+            for i, fi in enumerate(funcs):
+                for j, fj in enumerate(funcs):
+                    assert ints.kinetic[0, i, j] == kinetic(fi, fj), (name, i, j)
+                    assert ints.nuclear[0, i, j] == nuclear_attraction(fi, fj, mol), (name, i, j)
 
 
 def off_axis_h2(r):
