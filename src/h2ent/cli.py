@@ -15,8 +15,8 @@ import numpy as np
 
 from . import bell
 from .basis import BasisSet, load_basis
-from .correlation import (correlation_energy, natural_occupations, one_particle_density,
-                          rescale_entropy, von_neumann_entropies)
+from .correlation import (correlation_energy, natural_occupations, rescale_entropy,
+                          von_neumann_entropies)
 from .errors import H2entError, SCFConvergenceError
 from .fci import run_fci
 from .integrals import compute_all
@@ -63,7 +63,7 @@ def _correlate(rs, ints, scf):
         raise SCFConvergenceError(f"SCF did not converge at R = {rs[n]} Bohr "
                                   f"({scf.iterations[n]} iterations)")
     ci = run_fci(ints, scf)
-    occupations = natural_occupations(one_particle_density(ci))
+    occupations = natural_occupations(ci)
     return Curve(np.asarray(rs, float), scf.e_hf, ci.e_fci,
                  correlation_energy(scf.e_hf, ci.e_fci), von_neumann_entropies(occupations),
                  occupations)

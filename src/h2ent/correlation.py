@@ -1,13 +1,12 @@
 """Electron-correlation measures derived from the CI ground state.
 
-The spin-summed one-particle density matrix C C^T + C^T C of the K x K CI
-coefficient matrix C (the alpha plus the beta density), its natural
-occupations in [0, 2], which for the singlet (symmetric C) are 2 sigma_k^2
-from the singular values of C, i.e. the Schmidt decomposition of the
-two-electron state; the occupation-number von Neumann entropy in bits, the
-correlation energy E_HF - E_FCI, and the curve rescaling that anchors the
-entropy to the correlation energy at the largest scanned distance. The
-functions take a batch of geometries on a leading array axis.
+The singlet's symmetric K x K CI coefficient matrix C = U diag(lambda) U^T is the
+Schmidt decomposition of the two-electron state (Lowdin and Shull, Phys. Rev. 101,
+1730 (1956)): the natural occupations are 2 lambda^2, and their von Neumann entropy
+is in bits. Also the correlation energy E_HF - E_FCI, the curve rescaling that
+anchors the entropy to E_corr at the largest scanned distance, and the spin-summed
+density matrix C C^T + C^T C, off the pipeline. The functions take a batch of
+geometries on a leading array axis.
 """
 
 import numpy as np
@@ -23,16 +22,17 @@ def one_particle_density(ci):
     return c @ ct + ct @ c
 
 
-def natural_occupations(gamma):
-    """Descending eigenvalues of a spin-summed density matrix, clipped to [0, 2]; of
-    a stack, one row per matrix, from one stacked call. The matrix must be symmetric
-    to 1e-12, since the eigensolver reads only its lower triangle."""
-    if not np.max(np.abs(gamma - gamma.swapaxes(-1, -2))) <= 1e-12:  # a NaN fails too
-        raise NumericalCheckError("density matrix must be symmetric")
-    vals = np.linalg.eigvalsh(gamma)[..., ::-1]
-    if vals.min() < -1e-8 or vals.max() > 2.0 + 1e-8:
-        raise NumericalCheckError(f"occupations outside [0, 2]: {vals}")
-    return np.clip(vals, 0.0, 2.0)
+def natural_occupations(ci):
+    """Descending natural occupations 2 lambda^2 of a stacked CIResult, (G, K), from
+    one stacked eigvalsh of C. C must be symmetric to 1e-12, since the eigensolver
+    reads only its lower triangle, and sum lambda^2 must be 1 to 1e-12."""
+    c = ci.coefficients
+    if not np.max(np.abs(c - c.swapaxes(-1, -2))) <= 1e-12:  # a NaN fails too
+        raise NumericalCheckError("CI coefficient matrix must be symmetric")
+    lam2 = np.linalg.eigvalsh(c) ** 2
+    if not np.max(np.abs(lam2.sum(-1) - 1.0)) <= 1e-12:
+        raise NumericalCheckError("sum of lambda^2 must be 1")
+    return 2.0 * np.sort(lam2)[..., ::-1]
 
 
 def von_neumann_entropies(occ):

@@ -27,7 +27,8 @@ class Molecule(NamedTuple):
 
 
 def molecule(atoms):
-    """One geometry, from (element, position) pairs with positions in Bohr."""
+    """One geometry, from (element, position) pairs with positions in Bohr, no two
+    atoms more than 1e100 Bohr apart."""
     elements = tuple(element for element, _ in atoms)
     xyz = np.array([[position for _, position in atoms]], dtype=float)
     if not elements or xyz.shape[2:] != (3,) or not np.all(np.isfinite(xyz)):
@@ -35,7 +36,16 @@ def molecule(atoms):
     for element in elements:
         if element not in ELEMENT_CHARGES:
             raise ValueError(f"unknown element {element!r}")
+    with np.errstate(over="ignore"):  # a difference that overflows is inf, rejected
+        d = xyz[0, :, None] - xyz[0, None]
+    _check_distances(np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]))  # no squares
     return Molecule(elements, tuple(ELEMENT_CHARGES[e] for e in elements), xyz)
+
+
+def _check_distances(r):
+    # the integrals square each distance, which overflows from ~1e154 Bohr on
+    if not np.max(r) <= 1e100:
+        raise ValueError(f"internuclear distance must be at most 1e100 Bohr, got {np.max(r):g}")
 
 
 def h2(r_bohr):
@@ -44,8 +54,7 @@ def h2(r_bohr):
     rs = np.atleast_1d(np.asarray(r_bohr, dtype=float))
     if not np.all((rs > 0) & np.isfinite(rs)):
         raise ValueError(f"internuclear distance must be positive and finite, got {r_bohr}")
-    if rs.max() > 1e100:  # the integrals square R, which overflows from ~1e154 Bohr on
-        raise ValueError(f"internuclear distance must be at most 1e100 Bohr, got {rs.max():g}")
+    _check_distances(rs)
     xyz = np.zeros((len(rs), 2, 3))
     xyz[:, 1, 2] = rs
     return Molecule(("H", "H"), (1, 1), xyz)

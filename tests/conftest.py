@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from h2ent.basis import BasisFunction, load_basis, primitive_norm
-from h2ent.correlation import correlation_energy, natural_occupations, one_particle_density
+from h2ent.correlation import correlation_energy, natural_occupations
 from h2ent.fci import run_fci
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, molecule
@@ -66,7 +66,7 @@ def compute_point(r, basis_name):
     scf = run_rhf_batch(ints)
     assert scf.converged[0], f"SCF failed at R={r} ({basis_name})"
     ci = run_fci(ints, scf)
-    occ = natural_occupations(one_particle_density(ci))[0]
+    occ = natural_occupations(ci)[0]
     e_hf, e_fci = scf.e_hf[0], ci.e_fci[0]
     return PointRecord(
         r=float(r), ints=ints, scf=scf, ci=ci, e_hf=e_hf, e_fci=e_fci,

@@ -10,8 +10,9 @@ from h2ent.basis import (BasisSet, Shell, build_ao_basis, load_basis, parse_basi
 from h2ent.cli import main, run_single_point
 from h2ent.errors import (BasisParseError, MissingElementError,
                           UnsupportedShellError)
-from h2ent.integrals import overlap
+from h2ent.integrals import compute_all, overlap
 from h2ent.molecule import ANGSTROM_TO_BOHR, h2, molecule, nuclear_repulsion
+from h2ent.scf import run_rhf_batch
 from conftest import helium, stack
 from oracles import quadrature_oracle
 
@@ -51,6 +52,19 @@ def test_molecule_validates_its_atoms():
     for element in ("X", "h"):  # symbols are matched as written
         with pytest.raises(ValueError, match=f"unknown element '{element}'"):
             molecule([("H", (0.0, 0.0, 0.0)), (element, (0.0, 0.0, 1.4))])
+
+
+def test_molecule_rejects_distances_past_1e100_bohr():
+    # as h2 does, before the integrals square a distance and overflow
+    for far, shown in ((1e160, r"1e\+160"), (1e101, r"1e\+101")):
+        with pytest.raises(ValueError, match=f"must be at most 1e100 Bohr, got {shown}$"):
+            molecule([("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, far))])
+    # a distance that overflows on its own
+    with pytest.raises(ValueError, match="got inf$"):
+        molecule([("H", (0.0, 0.0, -1e308)), ("H", (0.0, 0.0, 1e308))])
+    mol = molecule([("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 1e100))])
+    assert np.array_equal(mol.xyz, h2(1e100).xyz)
+    assert run_rhf_batch(compute_all(load_basis("sto-3g"), mol)).converged.all()
 
 
 def test_batch_ao_basis_is_one_layout_at_the_first_geometry():

@@ -1,4 +1,7 @@
-"""CHSH machinery: the correlation tensor, maximization, reference states."""
+"""CHSH machinery: the correlation tensor, maximization, reference states, and the
+Bell test on computed wave functions."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from h2ent.bell import (CHSHReport, MeasurementSettings, TSIRELSON, TwoQubitState,
                         chsh_max_closed_form, chsh_max_grid, product_updown, singlet)
 from h2ent.cli import _BELL_STATES
+from h2ent.correlation import natural_occupations
 from oracles import chsh_by_trace, correlation_tensor_by_trace, spin_observable
 
 
@@ -206,3 +210,44 @@ def test_chsh_report_checks_the_tsirelson_bound():
         CHSHReport(value=TSIRELSON + 1e-6, settings=s, violated=True)
     with pytest.raises(ValueError, match="Tsirelson"):
         CHSHReport(-np.inf, s, False)
+
+
+def leading_pair_state(occupations):
+    """The renormalised state sqrt(p1)|00> + sqrt(p2)|11> of the two leading natural
+    orbitals, p_k = n_k / (n_1 + n_2) from descending occupations, and (p1, p2).
+
+    In the C[a, b] picture the alpha and the beta electron are two parties, and the
+    Schmidt decomposition of C pairs their natural orbitals; the closed-shell spin
+    factor is a singlet for HF too, so only the orbital part tells HF from CI."""
+    p = occupations[:2] / (occupations[0] + occupations[1])
+    psi = np.zeros(4)
+    psi[0], psi[3] = np.sqrt(p)
+    return TwoQubitState(np.outer(psi, psi)), p
+
+
+def gisin_chsh(p1, p2):
+    """2 sqrt(1 + 4 p1 p2), the CHSH maximum of sqrt(p1)|00> + sqrt(p2)|11> (Gisin,
+    Phys. Lett. A 154, 201 (1991))."""
+    return 2.0 * np.sqrt(1.0 + 4.0 * p1 * p2)
+
+
+@pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
+def test_computed_ci_states_violate_chsh_and_hf_does_not(curve, request):
+    records = request.getfixturevalue(curve)[0]
+    values = []
+    for rec in records:
+        state, (p1, p2) = leading_pair_state(rec.occupations)
+        report = chsh_max_grid(state)
+        assert abs(report.value - gisin_chsh(p1, p2)) <= 1e-12, rec.r
+        assert report.violated, rec.r
+        values.append(report.value)
+    if curve == "sto3g_curve":  # the R of the records ascend
+        assert np.all(np.diff(values) >= 0.0), values
+    # the HF determinant C = e0 e0^T, occupations (2, 0, ...), is a product state
+    k = len(records[0].occupations)
+    c = np.zeros((1, k, k))
+    c[0, 0, 0] = 1.0
+    occupations = natural_occupations(SimpleNamespace(coefficients=c))[0]
+    assert occupations.tolist() == [2.0] + [0.0] * (k - 1)
+    report = chsh_max_grid(leading_pair_state(occupations)[0])
+    assert abs(report.value - 2.0) <= 1e-12 and not report.violated

@@ -75,6 +75,8 @@ def test_bell_workload_passes_the_gate_at_the_default_seed(tmp_path):
 # runs its points as one batch, through the stacked SCF and no point span
 SCAN_ONLY = {"cli.run_scan", "cli.emit", "correlation.rescale_entropy"}
 POINT_ONLY = {"scf.run_rhf", "cli.run_single_point"}
+# traced names that neither path enters: the occupations come from C itself
+OFF_PIPELINE = {"correlation.one_particle_density"}
 
 
 def _traced_stretch_scan(tmp_path):
@@ -107,10 +109,9 @@ def test_a_traced_stretch_scan_enters_every_scan_layer(tmp_path):
     # so none carries an R
     trace = _traced_stretch_scan(tmp_path)
     names = [s.name for s in trace]
-    assert set(names) == _non_bell_targets() - POINT_ONLY
+    assert set(names) == _non_bell_targets() - POINT_ONLY - OFF_PIPELINE
     for name in ("integrals.compute_all", "fci.run_fci", "fci.mo_transform",
-                 "fci.build_hamiltonian", "correlation.one_particle_density",
-                 "correlation.natural_occupations"):
+                 "fci.build_hamiltonian", "correlation.natural_occupations"):
         (span,) = [s for s in trace if s.name == name]
         assert span.r is None, name
         while span.parent is not None:
@@ -120,7 +121,7 @@ def test_a_traced_stretch_scan_enters_every_scan_layer(tmp_path):
 
 def test_a_traced_single_point_enters_every_point_layer():
     trace = _traced_single_point()
-    assert {s.name for s in trace} == _non_bell_targets() - SCAN_ONLY
+    assert {s.name for s in trace} == _non_bell_targets() - SCAN_ONLY - OFF_PIPELINE
     assert trace[0].name == "cli.run_single_point" and trace[0].r == 1.4
     assert all(s.r == 1.4 for s in trace)
     (scf,) = [s for s in trace if s.name == "scf.run_rhf"]

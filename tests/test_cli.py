@@ -102,12 +102,14 @@ def test_single_point_enters_each_traced_layer_once(monkeypatch):
         return wrapper
 
     for owner, name in ((fci, "build_hamiltonian"), (fci, "mo_transform"),
+                        (correlation, "natural_occupations"),
                         (correlation, "one_particle_density")):
         original = getattr(owner, name)
         patch_everywhere(monkeypatch, original, counting(name, original))
     run_single_point(1.4, "sto-3g")
+    # the occupations come from C itself: no density matrix is formed
     assert calls == {"build_hamiltonian": 1, "mo_transform": 1,
-                     "one_particle_density": 1}
+                     "natural_occupations": 1}
 
 
 def test_run_scan_propagates_programming_errors(monkeypatch):
@@ -194,33 +196,53 @@ def test_scan_point_with_a_singular_overlap_fails_alone(monkeypatch):
     assert_rows_kept(curve, before, bad_r)
 
 
-def nan_coefficient(bad_r):
-    # run_fci with a NaN in one CI coefficient of the geometries at bad_r, told
-    # apart by their nuclear repulsion
+def broken_ci(bad_r, break_c):
+    # run_fci with the CI coefficients of the geometries at bad_r, told apart by
+    # their nuclear repulsion, replaced by break_c of them
     def run_fci(ints, scf):
         ci = fci.run_fci(ints, scf)
-        c = ci.coefficients.copy()
-        c[ints.e_nuclear == nuclear_repulsion(h2(bad_r)), 0, 1] = np.nan
-        return ci._replace(coefficients=c)
+        bad = ints.e_nuclear == nuclear_repulsion(h2(bad_r))
+        c = ci.coefficients
+        return ci._replace(coefficients=np.where(bad[:, None, None], break_c(c), c))
     return run_fci
 
 
-def test_scan_point_with_a_nan_ci_coefficient_fails_alone(monkeypatch):
-    # the density matrix's symmetry check is a computation failure of that point
+def nan_coefficient(c):
+    c = c.copy()
+    c[:, 0, 1] = np.nan
+    return c
+
+
+def unnormalised(c):
+    return 2.0 ** 0.5 * c
+
+
+def assert_scan_point_fails_alone(monkeypatch, break_c, message):
+    # the occupations' checks on C are a computation failure of that point
     rs = grid(n_points=4, far_point=20.0)
     before, _ = run_scan(rs, "sto-3g")
     assert len(before.r) == len(rs) == 5
     bad_r = rs[3]
-    monkeypatch.setattr(cli, "run_fci", nan_coefficient(bad_r))
+    monkeypatch.setattr(cli, "run_fci", broken_ci(bad_r, break_c))
     curve, failures = run_scan(rs, "sto-3g")
-    assert failures == [(bad_r, "density matrix must be symmetric")]
+    assert failures == [(bad_r, message)]
     assert_rows_kept(curve, before, bad_r)
 
 
+def test_scan_point_with_a_nan_ci_coefficient_fails_alone(monkeypatch):
+    assert_scan_point_fails_alone(monkeypatch, nan_coefficient,
+                                  "CI coefficient matrix must be symmetric")
+
+
+def test_scan_point_with_an_unnormalised_ci_vector_fails_alone(monkeypatch):
+    assert_scan_point_fails_alone(monkeypatch, unnormalised, "sum of lambda^2 must be 1")
+
+
 def test_nan_ci_coefficient_at_a_point_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_fci", nan_coefficient(1.4))
+    monkeypatch.setattr(cli, "run_fci", broken_ci(1.4, nan_coefficient))
     assert main(["point", "-R", "1.4"]) == 2
-    assert "computation failed: density matrix must be symmetric" in capsys.readouterr().err
+    assert "computation failed: CI coefficient matrix must be symmetric" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
@@ -258,11 +280,10 @@ def test_scan_memory_is_bounded_by_the_batch():
 
 
 def test_numerical_check_failure_exit_2(monkeypatch, capsys):
-    # occupations outside [0, 2] are a computation failure, not a usage error
-    monkeypatch.setattr(cli, "one_particle_density",
-                        lambda ci: np.diag([2.5, -0.5]))
+    # a CI vector that is not normalised is a computation failure, not a usage error
+    monkeypatch.setattr(cli, "run_fci", broken_ci(1.4, unnormalised))
     assert main(["point", "-R", "1.4"]) == 2
-    assert "occupations outside [0, 2]" in capsys.readouterr().err
+    assert "computation failed: sum of lambda^2 must be 1" in capsys.readouterr().err
 
 
 def test_run_single_point_values():
@@ -288,16 +309,20 @@ SCIENCE_PINS = {
         ["0x1.0000000000039p+0", "0x1.fffffffffff8ap-1"]),
     ("sto-3g", 100.0): ("-0x1.1a0a6acf8f416p-1", "-0x1.ddc7a1e305d3cp-1", "0x1.0000000000000p+0",
         ["0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"]),
-    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ep+0", "0x1.161f2f3bd7a65p-3",
-        ["0x1.f83adc0c3268cp+0", "0x1.4a6cd5c451034p-6", "0x1.a084a0646fa5ap-8",
-         "0x1.9e4da06cdfc68p-10", "0x1.9e4da06cdfc5dp-10", "0x1.ee71035ed1b76p-13",
-         "0x1.732a347515877p-13", "0x1.f24e1dd916077p-14", "0x1.f24e1dd91606bp-14",
-         "0x1.25e1740bc5457p-16"]),
-    ("6-31gss", 20.0): ("-0x1.720641222c726p-1", "-0x1.fe30c4b3afba2p-1", "0x1.0000003885fa1p+0",
-        ["0x1.fffffffcac375p-1", "0x1.fffffffcab651p-1", "0x1.1c10b2b83b45ap-32",
-         "0x1.1c10b2b6a87ebp-32", "0x1.1c10b2b8f7f79p-34", "0x1.1c10b2b8f2bd6p-34",
+    # Re-pinned when the occupations came from eigvalsh of C, not of C C^T + C^T C:
+    # E_HF and E_FCI unchanged; occupations moved by at most 1.3e-17 (R = 1.4) and
+    # 1.2e-16 (R = 20), the entropies by 5.6e-17 and 4.4e-16, and the two smallest at
+    # R = 20, which clipped to 0 from gamma, now read 2.8e-21.
+    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ep+0", "0x1.161f2f3bd7a63p-3",
+        ["0x1.f83adc0c3268cp+0", "0x1.4a6cd5c451035p-6", "0x1.a084a0646fa4bp-8",
+         "0x1.9e4da06cdfc61p-10", "0x1.9e4da06cdfc5fp-10", "0x1.ee71035ed1b95p-13",
+         "0x1.732a3475158a0p-13", "0x1.f24e1dd916074p-14", "0x1.f24e1dd916061p-14",
+         "0x1.25e1740bc5473p-16"]),
+    ("6-31gss", 20.0): ("-0x1.720641222c726p-1", "-0x1.fe30c4b3afba2p-1", "0x1.0000003885fa3p+0",
+        ["0x1.fffffffcac376p-1", "0x1.fffffffcab650p-1", "0x1.1c10b2b83b805p-32",
+         "0x1.1c10b2b6a86d9p-32", "0x1.1c10b2b8f7f75p-34", "0x1.1c10b2b8f2bd1p-34",
          "0x1.1c10b2b5e4687p-34", "0x1.1c10b2b5de71bp-34",
-         "0x0.0p+0", "0x0.0p+0"]),
+         "0x1.ae0b504554f75p-69", "0x1.ae093938cdfa0p-69"]),
 }
 
 

@@ -1,16 +1,19 @@
-"""Density matrices, natural occupations, entropy and closed-form correlation."""
+"""Natural occupations, density matrices, entropy and closed-form correlation."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from h2ent.bell import chsh_max_grid
 from h2ent.cli import run_scan, scan_grid
 from h2ent.correlation import (correlation_energy, natural_occupations,
                                one_particle_density, rescale_entropy,
                                von_neumann_entropies)
 from h2ent.errors import NumericalCheckError
+from h2ent.fci import mo_transform
 from oracles import von_neumann_entropy
+from test_bell import leading_pair_state
 from test_fci import annihilation_matrix, embed
 
 
@@ -19,33 +22,47 @@ def ci_state(coefficients):
     return SimpleNamespace(coefficients=np.asarray(coefficients, float)[None])
 
 
+def annihilate(i, state):
+    """a_i on a Fock-space vector held as {occupation bits: amplitude}, by the rule of
+    `annihilation_matrix`: clear bit i, sign (-1)^(occupied bits below i)."""
+    return {bits ^ (1 << i): (-1.0) ** bin(bits & ((1 << i) - 1)).count("1") * amp
+            for bits, amp in state.items() if bits >> i & 1}
+
+
 def brute_force_opdm(coefficients):
-    """gamma_pq = <Psi|a+_p a_q|Psi> summed over spin, via dense operators."""
+    """gamma_pq = <Psi|a+_p a_q|Psi> = <a_p Psi|a_q Psi> summed over spin, with the
+    operators applied to the sparse Fock-space vector of the K x K coefficients."""
     k = coefficients.shape[0]
-    ann = [annihilation_matrix(i, 2 * k) for i in range(2 * k)]
-    x = np.zeros(1 << (2 * k))
-    x[embed(k)] = coefficients.ravel()
+    ann = [annihilate(i, dict(zip(embed(k), coefficients.ravel()))) for i in range(2 * k)]
     gamma = np.zeros((k, k))
     for p in range(k):
         for q in range(k):
-            for sigma in (0, 1):
-                op = ann[p + sigma * k].T @ ann[q + sigma * k]
-                gamma[p, q] += x @ op @ x
+            for sigma in (0, k):
+                bra, ket = ann[p + sigma], ann[q + sigma]
+                gamma[p, q] += sum(amp * bra.get(bits, 0.0) for bits, amp in ket.items())
     return gamma
 
 
-def test_opdm_requires_symmetry():
-    with pytest.raises(NumericalCheckError):
-        natural_occupations(np.array([[1.0, 0.1], [0.0, 1.0]]))
+def two_configuration_c(delta=0.0):
+    """The symmetric, normalised C of cos(0.3)|11> + sin(0.3)|22>, C[1, 0] moved by delta."""
+    return [[np.cos(0.3), 0.0], [delta, np.sin(0.3)]]
 
 
-def test_opdm_symmetry_bound_is_absolute():
+def test_natural_occupations_require_a_symmetric_c():
+    with pytest.raises(NumericalCheckError, match="CI coefficient matrix must be symmetric"):
+        natural_occupations(ci_state(two_configuration_c(0.1)))
+
+
+def test_symmetric_c_bound_is_absolute():
     # within the relative tolerance allclose applies by default
     with pytest.raises(NumericalCheckError, match="symmetric"):
-        natural_occupations(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
-    natural_occupations(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
-    with pytest.raises(NumericalCheckError, match="symmetric"):
-        natural_occupations(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        natural_occupations(ci_state(two_configuration_c(1e-6)))
+    natural_occupations(ci_state(two_configuration_c(1e-13)))
+    for i, j in ((0, 1), (0, 0)):  # a NaN off or on the diagonal
+        c = np.array(two_configuration_c())
+        c[i, j] = np.nan
+        with pytest.raises(NumericalCheckError, match="symmetric"):
+            natural_occupations(ci_state(c))
 
 
 def test_single_determinant_density():
@@ -69,6 +86,14 @@ def test_density_matches_fock_space_oracle(k, seed):
     gamma = one_particle_density(ci_state(c))[0]
     assert np.allclose(gamma, brute_force_opdm(c), atol=1e-12)
     assert np.trace(gamma) == pytest.approx(2.0, abs=1e-12)
+    # the sparse a_i of the oracle is the dense Fock-space matrix's
+    x = np.zeros(1 << (2 * k))
+    x[embed(k)] = c.ravel()
+    for i in range(2 * k):
+        y = np.zeros_like(x)
+        for bits, amp in annihilate(i, {bits: x[bits] for bits in embed(k)}).items():
+            y[bits] = amp
+        assert np.array_equal(annihilation_matrix(i, 2 * k) @ x, y), i
 
 
 @pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
@@ -82,14 +107,36 @@ def test_occupations_are_the_schmidt_coefficients(curve, request):
         assert np.abs(rec.occupations - 2.0 * sigma ** 2).max() <= 1e-12, rec.r
 
 
-def test_natural_occupations_descending_and_bounded():
-    occ = natural_occupations(np.diag([0.3, 1.7]))
-    assert np.allclose(occ, [1.7, 0.3])
-    assert occ.sum() == pytest.approx(2.0)
-    with pytest.raises(NumericalCheckError):
-        natural_occupations(np.diag([2.5, 0.0]))
-    with pytest.raises(NumericalCheckError):
-        natural_occupations(np.diag([-0.2, 1.0]))
+@pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
+def test_occupations_are_the_eigenvalues_of_the_fock_space_density(curve, request):
+    for rec in request.getfixturevalue(curve)[0]:
+        gamma = brute_force_opdm(rec.ci.coefficients[0])
+        assert np.abs(rec.occupations - np.linalg.eigvalsh(gamma)[::-1]).max() <= 1e-14, rec.r
+
+
+def test_natural_occupations_descending_and_normalised():
+    c = np.array(two_configuration_c())
+    occ = natural_occupations(ci_state(c[::-1, ::-1]))[0]
+    assert occ == pytest.approx([2 * np.cos(0.3) ** 2, 2 * np.sin(0.3) ** 2], abs=1e-15)
+    assert occ.sum() == pytest.approx(2.0, abs=1e-15)
+    # sum lambda^2 = 1 to an absolute 1e-12
+    natural_occupations(ci_state((1.0 + 4e-13) * c))
+    for scale in (1.0 + 1e-12, 1.1, 0.0):
+        with pytest.raises(NumericalCheckError, match="sum of lambda\\^2 must be 1"):
+            natural_occupations(ci_state(scale * c))
+
+
+def test_two_orbital_model_ties_entropy_and_chsh_to_the_correlation_energy(sto3g_curve):
+    # in the minimal basis the CI matrix is [[0, K12], [K12, 2 Delta]] with
+    # K12 = (sigma_g sigma_u|sigma_u sigma_g), so c1/c0 = -E_corr/K12 (Szabo and
+    # Ostlund); with x = E_corr/K12 the weights are 1/(1 + x^2) and x^2/(1 + x^2)
+    for rec in sto3g_curve[0]:
+        k12 = mo_transform(rec.ints, rec.scf.mo_coefficients)[1][0, 0, 1, 1, 0]
+        x2 = (rec.e_corr / k12) ** 2
+        p, q = 1.0 / (1.0 + x2), x2 / (1.0 + x2)
+        assert abs(rec.entropy + p * np.log2(p) + q * np.log2(q)) <= 1e-12, rec.r
+        chsh = chsh_max_grid(leading_pair_state(rec.occupations)[0]).value
+        assert abs(chsh - 2.0 * np.sqrt(1.0 + 4.0 * x2 / (1.0 + x2) ** 2)) <= 1e-12, rec.r
 
 
 def test_entropy_reference_values():
@@ -108,7 +155,7 @@ def test_stacked_entropies_are_the_per_row_entropies_bit_for_bit(curve, request)
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 def test_scan_entropies_are_the_per_row_entropies_bit_for_bit(name):
-    # past ~20 Bohr up to two of the 6-31G** occupations clip to 0
+    # past ~20 Bohr the two smallest 6-31G** occupations fall below 1e-18
     curve, _ = run_scan(scan_grid(0.3, 100.0, 40, log_grid=True), name)
     assert curve.entropy.tolist() == [von_neumann_entropy(occ) for occ in curve.occupations]
 
