@@ -20,18 +20,25 @@ geometry's integrals are its one-point values bit for bit. `_exp` runs numpy's
 exp in place, where it takes one loop at every array size; do not swap it for an
 out-of-place call, which may round differently by size.
 
-The Coulomb kernels compute each unique primitive quartet once: `_ShellPairs` merges
-the (i, j) and (j, i) primitive pairs of a shell paired with itself into one
-distribution, `_quartets` lists only the canonical combos of a diagonal class block,
-and `_eri_contract` contracts them. `compute_all` collects the R_tuv requests of
-every class's nuclear attraction and every class-pair block's ERIs and `_coulomb`
-serves them with one Boys/R_tuv pass per t+u+v limit, on the requests' arguments put
-end to end; every step of the pass is elementwise, so a request's values do not
-depend on its company. A quartet's bra is the pair with the larger `_pair_key`;
-`compute_all` lays its rows out in falling key order and mirrors the upper triangle
-into the lower. The `eri` wrapper orders its pairs by the same key, with a center in
-place of its atom's index, and so computes a quartet as `compute_all` does, bit for
-bit, when the atoms are listed in ascending coordinate order, as `h2` lists them.
+The Coulomb kernels compute each primitive quartet once up to the permutations that
+map an integral onto itself: `_ShellPairs` merges the (i, j) and (j, i) primitive pairs
+of a shell paired with itself into one distribution, and `_quartets` lists only the
+canonical combos of a diagonal class block. In an s-s block a shell pair's combo with
+itself keeps only the canonical triangle of its distribution quartets, (q1|q2) and
+(q2|q1) being one value there, and `_eri_contract` weights the off-diagonal ones by 2.
+A p-type combo with itself keeps both orientations: (q1|q2) of component pairs (a, b)
+is (q2|q1) of (b, a), another entry of the block.
+
+`compute_all` collects the R_tuv requests of every class's nuclear attraction and
+every class-pair block's ERIs and `_coulomb` serves them with one Boys/R_tuv pass per
+t+u+v limit, on the requests' arguments put end to end; every step of the pass is
+elementwise, so a request's values do not depend on its company. A quartet's bra is
+the pair with the larger `_pair_key`; `compute_all` lays its rows out in falling key
+order and mirrors the upper triangle into the lower. The `eri` wrapper orders its
+pairs by the same key, with a center in place of its atom's index, and takes one pair
+as both bra and ket when the keys are equal, and so computes a quartet as
+`compute_all` does, bit for bit, when the atoms are listed in ascending coordinate
+order, as `h2` lists them.
 """
 
 from typing import NamedTuple
@@ -86,7 +93,6 @@ def boys_table(mmax, x):
     idx = np.flatnonzero(small)
     if idx.size:
         xs = flat.take(idx)
-        expx = _exp(-xs)
         if xs.min() < 0:
             raise ValueError(f"Boys function argument must be non-negative, got {xs.min()}")
         k = np.rint(xs / _BOYS_STEP).astype(np.intp)
@@ -99,7 +105,8 @@ def boys_table(mmax, x):
             fm += grid[j - 1]
         col = np.empty((mmax + 1, idx.size))
         col[mmax] = fm
-        x2 = 2.0 * xs
+        if mmax:  # e^-x and 2x feed the recursion alone
+            expx, x2 = _exp(-xs), 2.0 * xs
         for m in range(mmax, 0, -1):
             f = np.multiply(x2, col[m], out=col[m - 1])
             f += expx
@@ -108,10 +115,10 @@ def boys_table(mmax, x):
     idx = np.flatnonzero(~small)
     if idx.size:
         xl = flat.take(idx)
-        expx = _exp(-xl)
         col = np.empty((mmax + 1, idx.size))
         col[0] = 0.5 * np.sqrt(np.pi / xl)
-        x2 = 2.0 * xl
+        if mmax:
+            expx, x2 = _exp(-xl), 2.0 * xl
         for m in range(mmax):
             f = np.multiply(2 * m + 1, col[m], out=col[m + 1])
             f -= expx
@@ -120,7 +127,7 @@ def boys_table(mmax, x):
     return out.reshape((mmax + 1,) + x.shape)
 
 
-_LMAX = _BOYS_MMAX  # t+u+v of R_tuv, as far as the Boys table reaches
+_LMAX = 12  # t+u+v of R_tuv: 4 in s/p bases, 12 for four functions of powers <= 1 per axis
 _TUV = [(t, u, n - t - u)
         for n in range(_LMAX + 1) for t in range(n + 1) for u in range(n + 1 - t)]
 _TUV_ROW = np.zeros((_LMAX + 1,) * 3, dtype=np.intp)  # the row of R_tuv in `_TUV` order
@@ -149,14 +156,21 @@ _LEVELS = _recursion_levels()
 
 
 def _hermite_coulomb_all(lmax, alpha, pq):
-    """R_tuv for t+u+v <= lmax, stacked in `_TUV` order; pq = P - Q, shape (3, ...), with
-    alpha broadcasting into its other axes.
+    """R_tuv for t+u+v <= lmax (lmax <= 12), stacked in `_TUV` order; pq = P - Q, shape
+    (3, ...), with alpha broadcasting into its other axes.
 
     Built one t+u+v level at a time, each level an array of R^n_tuv, n <= lmax - L,
-    for all its tuv: R^n_tuv = pq_d R^(n+1)_(tuv-e_d) + (tuv_d - 1) R^(n+1)_(tuv-2e_d)."""
-    fn = boys_table(lmax, alpha * sum(c * c for c in pq))
+    for all its tuv: R^n_tuv = pq_d R^(n+1)_(tuv-e_d) + (tuv_d - 1) R^(n+1)_(tuv-2e_d).
+    Level 0 is R^n_000 = (-2 alpha)^n F_n, so at lmax 0 R_000 is the Boys row itself."""
+    if lmax > _LMAX:
+        raise ValueError(f"R_tuv order {lmax} is above the tabulated {_LMAX}")
+    fn = boys_table(lmax, alpha * (pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2]))
+    if not lmax:
+        return fn
     alpha = -2.0 * alpha
-    levels = [np.stack([alpha ** n * fn[n] for n in range(lmax + 1)])[None]]
+    for n in range(1, lmax + 1):
+        fn[n] *= alpha ** n
+    levels = [fn[None]]
     for d, low1, high, low2, factor in _LEVELS[:lmax]:
         r = pq[d][:, None] * levels[-1][low1, 1:]
         if high.size:
@@ -278,8 +292,11 @@ def _quartets(bra, ket):
 
     A combo is a (bra member, ket member): in a diagonal block (`bra is ket`) those with
     bra <= ket in member order, in which shell-pair keys fall; elsewhere all of them. A
-    combo's quartets are bra-major. Returns the combos' members, each combo's first
-    quartet, and each quartet's bra and ket distribution."""
+    combo's quartets are bra-major. In an s-s diagonal block a shell pair's combo with
+    itself keeps those with bra <= ket distribution, weight 2 off the diagonal; a p-type
+    one keeps both orientations (module docstring). Returns the combos' members, each
+    combo's first quartet, each quartet's bra and ket distribution, and the weights (1
+    or one per quartet)."""
     members = np.arange(len(bra.count))
     mb, mk = (np.nonzero(members[:, None] <= members) if bra is ket else
               np.divmod(np.arange(len(bra.count) * len(ket.count)), len(ket.count)))
@@ -288,14 +305,21 @@ def _quartets(bra, ket):
     first = np.cumsum(size) - size
     at = np.repeat(np.array([first, width, bra.start[mb], ket.start[mk]]), size, axis=1)
     qb, qk = np.divmod(np.arange(at.shape[1]) - at[0], at[1])
-    return mb, mk, first, at[2] + qb, at[3] + qk
+    qb, qk, weight = at[2] + qb, at[3] + qk, 1
+    if bra is ket and not bra.l:
+        own = np.repeat(mb == mk, size)
+        keep = ~own | (qb <= qk)
+        size = np.add.reduceat(keep, first)
+        first = np.cumsum(size) - size
+        qb, qk, weight = qb[keep], qk[keep], np.where(own & (qb < qk), 2.0, 1.0)[keep]
+    return mb, mk, first, qb, qk, weight
 
 
 def _eri_request(bra, ket):
     """`_quartets(bra, ket)` and the Coulomb request of their R_tuv: alpha = pq/(p + q)
     and P - Q, geometry x quartet."""
     quartets = _quartets(bra, ket)
-    qb, qk = quartets[3:]
+    qb, qk = quartets[3:5]
     pb, pk = bra.p[qb], ket.p[qk]
     pq = bra.center[..., qb] - ket.center[..., qk]
     return quartets, (bra.l + ket.l, np.broadcast_to(pb * pk / (pb + pk), pq.shape[1:]), pq)
@@ -308,14 +332,15 @@ def _eri_contract(bra, ket, quartets, rts):
 
     R_(tuv+t'u'v') is gathered for every (ket term, bra term) at once, contracted with the
     ket and then the bra coefficients, and each combo's quartets are summed in one
-    `reduceat`. Python's `sum` over a leading axis adds term after term, whatever the
-    other axes' lengths; numpy's sum turns pairwise when they are all 1."""
-    mb, mk, first, qb, qk = quartets
+    `reduceat`, each quartet scaled by its weight in the prefactor (a factor 2 is exact).
+    Python's `sum` over a leading axis adds term after term, whatever the other axes'
+    lengths; numpy's sum turns pairwise when they are all 1."""
+    mb, mk, first, qb, qk, weight = quartets
     pb, pk = bra.p[qb], ket.p[qk]
     rt = rts[_TUV_ROW[tuple((ket.tuv[:, None] + bra.tuv).transpose(2, 0, 1))]]
     w = sum(ket.e_ket[..., qk][:, None] * rt[:, :, None])
     acc = sum(bra.e[..., qb][:, :, None] * w[:, None])
-    acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
+    acc = acc * (2.0 * np.pi ** 2.5 * weight / (pb * pk * np.sqrt(pb + pk)))
     out = np.zeros((acc.shape[2], len(bra.start), len(bra.ij), len(ket.start), len(ket.ij)))
     out[:, mb, :, mk] = np.add.reduceat(acc, first, axis=-1).transpose(3, 2, 0, 1)
     return out.reshape(out.shape[0], len(bra.start) * len(bra.ij), -1)
@@ -359,7 +384,9 @@ def nuclear_attraction(f, g, mol):
 
 def eri(f, g, h, k):
     """Two-electron repulsion integral (fg|hk) in chemists' notation."""
-    (_, bra), (_, ket) = sorted((_pair(f, g), _pair(h, k)), key=lambda kb: kb[0], reverse=True)
+    pairs = dict([_pair(f, g), _pair(h, k)])  # equal keys: one pair, combined with itself
+    keys = sorted(pairs, reverse=True)
+    bra, ket = pairs[keys[0]], pairs[keys[-1]]
     quartets, request = _eri_request(bra, ket)
     return float(_eri_contract(bra, ket, quartets, *_coulomb(request))[0, 0, 0])
 

@@ -87,7 +87,7 @@ def run_rhf_batch(ints):
         return 2.0 * c @ c.swapaxes(-1, -2)
 
     def energy(d, f, h, e_nuc):
-        return 0.5 * np.sum(d * (h + f), axis=(-2, -1)) + e_nuc
+        return 0.5 * np.add.reduce(d * (h + f), axis=(-2, -1)) + e_nuc
 
     n = len(hcore)
     final_d = np.empty_like(hcore)
@@ -101,7 +101,7 @@ def run_rhf_batch(ints):
         e_total = energy(d, f, h, en)
         d_new = occupied_density(f, xl)
         delta_e = e_total - e_old
-        rms_d = np.sqrt(np.mean((d_new - d) ** 2, axis=(-2, -1)))
+        rms_d = np.sqrt(np.add.reduce((d_new - d) ** 2, axis=(-2, -1)) / d.shape[-1] ** 2)
         d, e_old = d_new, e_total
         done = (np.abs(delta_e) < ENERGY_TOLERANCE) & (rms_d < DENSITY_TOLERANCE) & (it > 1)
         if done.any():

@@ -299,16 +299,20 @@ def eri_block_by_term_pairs(bra, ket):
     """`h2ent.integrals._eri_contract` of two `_ShellPairs` on the R_tuv of their
     `_eri_request`, one Hermite term pair at a time: the shell-pair combos (bra <= ket
     when `bra is ket`) and their bra-major distribution quartets are listed by loops,
-    and each combo's sum lands in the block by a loop."""
+    and each combo's sum lands in the block by a loop. An s-s shell pair's combo with
+    itself lists its quartets with i <= j, those with i < j weighted 2."""
     combos = [(mb, mk) for mb in range(len(bra.start))
               for mk in range(mb if bra is ket else 0, len(ket.start))]
-    first, qb, qk = [], [], []
+    first, qb, qk, weight = [], [], [], []
     for mb, mk in combos:
         first.append(len(qb))
+        triangle = bra is ket and bra.l == 0 and mb == mk
         for i in range(bra.start[mb], bra.start[mb] + bra.count[mb]):
             for j in range(ket.start[mk], ket.start[mk] + ket.count[mk]):
-                qb.append(i)
-                qk.append(j)
+                if not triangle or i <= j:
+                    qb.append(i)
+                    qk.append(j)
+                    weight.append(2.0 if triangle and i < j else 1.0)
     pb, pk = bra.p[qb], ket.p[qk]
     rts = hermite_coulomb_by_entry(bra.l + ket.l, pb * pk / (pb + pk),
                                    bra.center[..., qb] - ket.center[..., qk])
@@ -317,7 +321,7 @@ def eri_block_by_term_pairs(bra, ket):
     for eb, (t, u, v) in zip(bra.e, bra.tuv):
         w = sum(e * rts[(t + s, u + r, v + q)] for e, (s, r, q) in zip(ek, ket.tuv))
         acc = acc + eb[..., qb][:, None] * w
-    acc = acc * (2.0 * np.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk)))
+    acc = acc * (2.0 * np.pi ** 2.5 * np.array(weight) / (pb * pk * np.sqrt(pb + pk)))
     sums = np.add.reduceat(acc, first, axis=-1)
     out = np.zeros((acc.shape[2], len(bra.start), len(bra.ij), len(ket.start), len(ket.ij)))
     for n, (mb, mk) in enumerate(combos):

@@ -7,7 +7,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from h2ent import integrals
-from h2ent.basis import BasisFunction, build_ao_basis, load_basis, primitive_norm
+from h2ent.basis import (BasisFunction, build_ao_basis, load_basis, parse_basis,
+                         primitive_norm)
 from h2ent.fci import run_fci
 from h2ent.integrals import (_TUV_ROW, IntegralSet, _coulomb, _eri_contract, _eri_request,
                              _hermite_coulomb_all, _pair, boys_table, compute_all, eri, kinetic,
@@ -124,11 +125,18 @@ def test_boys_table_is_pinned_bit_for_bit(m):
 
 @pytest.mark.parametrize("lmax", range(17))
 def test_hermite_coulomb_levels_match_the_entrywise_recursion(lmax):
+    # every order the Boys table serves: up to t+u+v = 12, all that integrals of
+    # functions with powers <= 1 per axis read, the levels match bit for bit; above it
+    # the kernel refuses what the entrywise recursion would still build
     rng = np.random.default_rng(lmax)
     for shape in ((1, 4, 3), (6, 2, 5)):  # (geometries, bra, ket), one geometry too
         alpha = rng.uniform(0.05, 3.0, shape[1:])
         pq = rng.uniform(-4.0, 4.0, (3,) + shape)
         pq[:, 0, 0, 0] = 0.0  # coincident centers
+        if lmax > 12:
+            with pytest.raises(ValueError, match=f"R_tuv order {lmax} is above"):
+                _hermite_coulomb_all(lmax, alpha, pq)
+            continue
         levels = _hermite_coulomb_all(lmax, alpha, pq)
         entries = hermite_coulomb_by_entry(lmax, alpha, pq)
         assert levels.shape == (len(entries),) + shape
@@ -230,8 +238,9 @@ def test_eri_block_matches_the_term_by_term_contraction():
 
 def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatch):
     # every class block of a batch, bit for bit: the diagonal ones hold several shell
-    # pairs, where only the canonical triangle of combos is computed and a twin's
-    # combo with itself holds both orientations
+    # pairs, where only the canonical triangle of combos is computed; a shell pair's
+    # combo with itself holds both orientations in a p-type block and the weighted
+    # canonical triangle of its quartets in the s-s block
     blocks = []
 
     def kept(bra, ket, quartets, rts):
@@ -248,14 +257,17 @@ def test_eri_blocks_of_compute_all_match_the_term_by_term_contraction(monkeypatc
         assert np.array_equal(out, eri_block_by_term_pairs(bra, ket))
 
 
-@pytest.mark.parametrize("name, per_geometry", [("sto-3g", 297), ("6-31gss", 1630)])
+@pytest.mark.parametrize("name, per_geometry", [("sto-3g", 231), ("6-31gss", 1552)])
 def test_eri_kernel_computes_each_unique_distribution_quartet_once(monkeypatch, name,
                                                                   per_geometry):
     # the Boys arguments the ERI blocks ask for: one per distribution quartet of the
     # canonical shell-pair combos, a twin's (i, j) and (j, i) primitive pairs being one
-    # distribution. STO-3G: shell pairs AA, AB, BB with 6, 9, 6 distributions and combos
-    # AA-AA, AA-AB, AA-BB, AB-AB, AB-BB, BB-BB, 36 + 54 + 36 + 81 + 54 + 36 = 297 of the
-    # 27 x 27 = 729 primitive quartets; 6-31G**: 1630 of 2875 (the full class blocks)
+    # distribution, and an s-s combo of a shell pair with itself keeping the n(n+1)/2
+    # quartets of its canonical triangle. STO-3G: shell pairs AA, AB, BB with 6, 9, 6
+    # distributions and combos AA-AA, AA-AB, AA-BB, AB-AB, AB-BB, BB-BB,
+    # 21 + 54 + 36 + 45 + 54 + 21 = 231 of the 27 x 27 = 729 primitive quartets;
+    # 6-31G**: 1552 of 2875, the full class blocks' 1630 less the 78 mirrored quartets
+    # of the ss class's ten self-combos (6, 3, 9, 3, 1, 3, 1, 6, 3, 1 distributions)
     sent = []
 
     def eri_request(bra, ket):
@@ -333,6 +345,30 @@ def test_compute_all_nuclear_attraction_matches_the_gaussian_transform_oracle(na
         ref = nuclear_by_gaussian_transform([(f, g) for f in funcs for g in funcs], mol)
         v = compute_all(load_basis(name), mol).nuclear[0]
         assert np.abs(v - ref.reshape(v.shape)).max() < 1e-12, r
+
+
+# contracted p shells, which the bundled bases lack (their p shells have one primitive):
+# a p-type shell pair's combo with itself then holds several distributions, and (q1|q2)
+# of component pairs (a, b) is (q2|q1) of (b, a), so it must keep both orientations
+CONTRACTED_P = {
+    "p2": "H 0\nS 1 1.00\n 0.5 1.0\nP 2 1.00\n 1.1 0.5\n 0.3 0.6\n****\n",
+    "sp3": "H 0\nSP 3 1.00\n 2.9412494 -0.09996723 0.15591627\n"
+           " 0.6834831 0.39951283 0.60768372\n 0.2222899 0.70011547 0.39195739\n****\n",
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACTED_P))
+def test_compute_all_matches_the_gaussian_transform_oracles_with_contracted_p_shells(name):
+    basis = parse_basis(CONTRACTED_P[name], name)
+    for mol in (h2(1.4), off_axis_h2(1.4)):
+        funcs = build_ao_basis(mol, basis).functions
+        ints = compute_all(basis, mol)
+        pairs = [(i, j) for i in range(len(funcs)) for j in range(i + 1)]
+        quartets = np.array([ij + kl for x, ij in enumerate(pairs) for kl in pairs[:x + 1]])
+        ref = eri_by_gaussian_transform([[funcs[m] for m in q] for q in quartets])
+        assert np.abs(ints.eri[0][tuple(quartets.T)] - ref).max() < 1e-12
+        ref = nuclear_by_gaussian_transform([(f, g) for f in funcs for g in funcs], mol)
+        assert np.abs(ints.nuclear[0] - ref.reshape(len(funcs), -1)).max() < 1e-12
 
 
 def test_eri_eightfold_symmetry_exact():
