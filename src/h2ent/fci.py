@@ -2,18 +2,18 @@
 
 With one alpha and one beta electron in K spatial orbitals, every CI state is
 a K x K coefficient matrix C[a, b] over the determinants a+_(a alpha)
-a+_(b beta)|0>, alpha before beta, flattened as a*K + b. In that basis
+a+_(b beta)|0>, alpha before beta. With chemists' ERIs, and no sign,
 
-    H = h (x) 1 + 1 (x) h + (ac|bd),   row (a, b), column (c, d),
+    H[(a, b), (c, d)] = h_ac delta_bd + delta_ac h_bd + (ac|bd).
 
-with chemists' ERIs; no sign enters. The ground state is a gerade singlet, so
-H is diagonalised only in that block: C symmetric, and C[a, b] = 0 unless MOs
-a and b share their inversion parity. No triplet can then compete with it. The
-SVD of C is the Schmidt decomposition of the two-electron state.
+The ground state is a gerade singlet, so H is diagonalised only in that block:
+C symmetric, and C[a, b] = 0 unless MOs a and b share their inversion parity. No
+triplet can then compete with it. The block is gathered at its pairs a <= b, and no
+K^2 x K^2 array is built. The SVD of C is the Schmidt decomposition of the state.
 
 Every function takes a batch of geometries on a leading array axis, in stacked
-records or arrays, and works on it with one stacked BLAS or LAPACK call per
-step; one geometry is a batch of one.
+records or arrays, and works on it with stacked BLAS and LAPACK calls and
+whole-array gathers; one geometry is a batch of one.
 """
 
 from typing import NamedTuple
@@ -49,30 +49,28 @@ def mo_transform(ints, c):
     return h, g
 
 
-def singlet_gerade_basis(parity):
-    """Orthonormal vec(E_aa), vec(E_ab + E_ba)/sqrt(2), a < b of equal parity, as the
-    columns of one (K^2, M) array, from the (K,) parities of the K MOs."""
-    k = len(parity)
-    a, b = np.triu_indices(k)  # the pairs a <= b in row-major order
-    same = parity[a] == parity[b]
-    a, b = a[same], b[same]
-    w = np.where(a == b, 1.0, 0.5 ** 0.5)
-    basis = np.zeros((k * k, len(a)))
-    column = np.arange(len(a))
-    basis[a * k + b, column] = w
-    basis[b * k + a, column] = w
-    return basis
+def singlet_gerade_pairs(parity):
+    """The equal-parity MO pairs a <= b in row-major order, from the (K,) MO parities, and
+    their weights u, 1/2 if a = b else 1/sqrt(2): the orthonormal basis u vec(E_ab + E_ba)."""
+    a, b = np.nonzero(np.triu(parity[:, None] == parity))
+    return a, b, np.where(a == b, 0.5, 0.5 ** 0.5)
 
 
-def build_hamiltonian(h, g, basis):
-    """The block B^T H B of the K^2 x K^2 Hamiltonian on vec(C), B from
-    `singlet_gerade_basis`; h (..., K, K), g (..., K, K, K, K), B (K^2, M)."""
-    k = h.shape[-1]
-    one = np.eye(k)
-    # h (x) 1 + 1 (x) h + g[a, c, b, d], each indexed [a, b, c, d]
-    ham = (h[..., :, None, :, None] * one[None, :, None, :]
-           + one[:, None, :, None] * h[..., None, :, None, :] + g.swapaxes(-3, -2))
-    return basis.T @ ham.reshape(h.shape[:-2] + (k * k, k * k)) @ basis
+def build_hamiltonian(h, g, pairs):
+    """The (..., M, M) block on `singlet_gerade_pairs` from h (..., K, K), g (..., K, K, K, K):
+    u_i u_j times the sum of H[(p, q), (r, s)] over both orientations of pairs i and j."""
+    a, b, u = pairs
+    k, lead = h.shape[-1], h.shape[:-2]
+    r, s = np.stack([a, b]), np.stack([b, a])  # (orientation, pair)
+    p, q = r[:, :, None, None], s[:, :, None, None]
+    pr, qs = p * k + r, q * k + s  # flat indices, rows (p, q) by columns (r, s)
+    # a delta of 0 reads a 0 appended to h at k * k: no product array the size of x
+    h = np.concatenate([h.reshape(lead + (-1,)), np.zeros(lead + (1,))], -1)
+    x = h.take(np.where(q == s, pr, k * k), -1)  # h_pr delta_qs
+    x += h.take(np.where(p == r, qs, k * k), -1)  # delta_pr h_qs
+    x += g.reshape(lead + (-1,)).take(pr * k * k + qs, -1)
+    x = (x[..., 0, :, 0, :] + x[..., 0, :, 1, :]) + (x[..., 1, :, 0, :] + x[..., 1, :, 1, :])
+    return u[:, None] * u * x  # pairwise, so four equal terms sum exactly
 
 
 def run_fci(ints, scf):
@@ -83,13 +81,13 @@ def run_fci(ints, scf):
     """
     if not np.all(scf.converged):
         raise SCFConvergenceError("FCI requires a converged SCF reference")
-    c = scf.mo_coefficients
-    n, k = c.shape[:2]
-    h, g = mo_transform(ints, c)
-    basis = singlet_gerade_basis(scf.parity[0])  # one parity row for the batch
-    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, basis))
-    c = (basis @ vecs[..., :1]).reshape(n, k, k)
-    flat = c.reshape(n, -1)
+    h, g = mo_transform(ints, scf.mo_coefficients)
+    a, b, u = pairs = singlet_gerade_pairs(scf.parity[0])  # one parity row for the batch
+    vals, vecs = np.linalg.eigh(build_hamiltonian(h, g, pairs))
+    c = np.zeros(h.shape)  # (G, K, K)
+    c[:, a, b] = u * vecs[..., 0]
+    c = c + c.swapaxes(1, 2)  # a diagonal entry gets both halves, exactly: u = 1/2
+    flat = c.reshape(len(c), -1)
     largest = np.take_along_axis(flat, np.abs(flat).argmax(-1)[:, None], -1)
     c = np.where(largest[:, :, None] < 0, -c, c)
     return CIResult(e_fci=vals[:, 0] + ints.e_nuclear, coefficients=c)

@@ -34,11 +34,11 @@ every class-pair block's ERIs and `_coulomb` serves them with one Boys/R_tuv pas
 t+u+v limit, on the requests' arguments put end to end; every step of the pass is
 elementwise, so a request's values do not depend on its company. A quartet's bra is
 the pair with the larger `_pair_key`; `compute_all` lays its rows out in falling key
-order and mirrors the upper triangle into the lower. The `eri` wrapper orders its
-pairs by the same key, with a center in place of its atom's index, and takes one pair
-as both bra and ket when the keys are equal, and so computes a quartet as
-`compute_all` does, bit for bit, when the atoms are listed in ascending coordinate
-order, as `h2` lists them.
+order and reads every quartet from the upper triangle, the earlier row first. The
+`eri` wrapper orders its pairs by the same key, with a center in place of its atom's
+index, and takes one pair as both bra and ket when the keys are equal, and so
+computes a quartet as `compute_all` does, bit for bit, when the atoms are listed in
+ascending coordinate order, as `h2` lists them.
 """
 
 from typing import NamedTuple
@@ -457,8 +457,6 @@ def compute_all(basis, mols):
     # fall in `_pair_key` order, so a quartet's bra is the earlier row, and the upper
     # triangle holds every entry computed with it (the lower, a twin's other orientation)
     src = row[np.minimum.outer(rank, rank), np.maximum.outer(rank, rank)]
-    r = np.arange(offsets[-1])
-    g = np.where(r[:, None] <= r, g, g.transpose(0, 2, 1))
     # P = D = diag((-1)^l) for one atom, [[0, D], [D, 0]] for two: atom B's
     # functions mirror atom A's in build order
     signs = np.array([(-1.0) ** sum(f.powers) for f in ao.functions])
@@ -470,6 +468,7 @@ def compute_all(basis, mols):
     if any(np.max(np.abs(p @ m @ p.T - m)) > 1e-10 for m in (s, hcore)):
         raise SymmetryError("no inversion symmetry: the engine handles one atom or two "
                             "identical atoms")
-    g = np.take(g.reshape(n_geom, -1), src[:, :, None, None] * offsets[-1] + src, axis=1)
+    lo, hi = (f(src[:, :, None, None], src) for f in (np.minimum, np.maximum))
+    g = np.take(g.reshape(n_geom, -1), lo * offsets[-1] + hi, axis=1)
     return IntegralSet(overlap=s, kinetic=t, nuclear=v, hcore=hcore, eri=g,
                        inversion=np.broadcast_to(p, s.shape), e_nuclear=nuclear_repulsion(mols))

@@ -65,7 +65,8 @@ def nuclear_repulsion(mol):
     in Hartree."""
     e = np.zeros(len(mol.xyz))
     for i, j in combinations(range(len(mol.charges)), 2):
-        r = np.sqrt(np.sum((mol.xyz[:, i] - mol.xyz[:, j]) ** 2, axis=-1))
+        d = mol.xyz[:, i] - mol.xyz[:, j]
+        r = np.hypot(np.hypot(d[:, 0], d[:, 1]), d[:, 2])  # no squares to underflow
         if not np.all(r > 0.0):
             raise ValueError(f"coincident nuclei {i} and {j}")
         e += mol.charges[i] * mol.charges[j] / r

@@ -25,7 +25,12 @@ without the J - K/2 supermatrix of `h2ent.scf`.
 
 Two-electron CI: the Hamiltonian on all K^2 determinants, triplets and
 ungerade states included, of which `h2ent.fci` diagonalises only the
-singlet-gerade block.
+singlet-gerade block; dense annihilation operators over the whole Fock space,
+with the place of each determinant in it, which fix every fermionic sign
+without the Kronecker form.
+
+Leading-pair state: the two-qubit state of the two leading natural orbitals,
+renormalised, on which the Bell tests run CHSH.
 
 Hermite Coulomb integrals: R_tuv by the McMurchie-Davidson recursion one
 entry at a time, where `h2ent.integrals` builds a whole t+u+v level at once,
@@ -45,6 +50,7 @@ import itertools
 
 import numpy as np
 
+from h2ent.bell import TwoQubitState
 from h2ent.integrals import boys_table
 
 
@@ -270,6 +276,35 @@ def determinant_hamiltonian(h, g):
     k = h.shape[0]
     one = np.eye(k)
     return np.kron(h, one) + np.kron(one, h) + g.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+
+
+def annihilation_matrix(i, n_spin_orbitals):
+    """Dense a_i over the occupation-number basis (bit i set = occupied)."""
+    dim = 1 << n_spin_orbitals
+    m = np.zeros((dim, dim))
+    for state in range(dim):
+        if state >> i & 1:
+            below = bin(state & ((1 << i) - 1)).count("1")
+            m[state ^ (1 << i), state] = -1.0 if below % 2 else 1.0
+    return m
+
+
+def embed(k):
+    """Fock-space index of each CI index a*K + b: alpha bit a, beta bit K + b."""
+    return [(1 << a) | (1 << (k + b)) for a in range(k) for b in range(k)]
+
+
+def leading_pair_state(occupations):
+    """The renormalised state sqrt(p1)|00> + sqrt(p2)|11> of the two leading natural
+    orbitals, p_k = n_k / (n_1 + n_2) from descending occupations, and (p1, p2).
+
+    In the C[a, b] picture the alpha and the beta electron are two parties, and the
+    Schmidt decomposition of C pairs their natural orbitals; the closed-shell spin
+    factor is a singlet for HF too, so only the orbital part tells HF from CI."""
+    p = occupations[:2] / (occupations[0] + occupations[1])
+    psi = np.zeros(4)
+    psi[0], psi[3] = np.sqrt(p)
+    return TwoQubitState(np.outer(psi, psi)), p
 
 
 def fock_by_einsum(hcore, d, eri):

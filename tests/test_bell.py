@@ -10,7 +10,8 @@ from h2ent.bell import (CHSHReport, MeasurementSettings, TSIRELSON, TwoQubitStat
                         chsh_max_closed_form, chsh_max_grid, product_updown, singlet)
 from h2ent.cli import _BELL_STATES
 from h2ent.correlation import natural_occupations
-from oracles import chsh_by_trace, correlation_tensor_by_trace, spin_observable
+from oracles import (chsh_by_trace, correlation_tensor_by_trace, leading_pair_state,
+                     spin_observable)
 
 
 def random_unit_vectors(n, rng):
@@ -210,19 +211,6 @@ def test_chsh_report_checks_the_tsirelson_bound():
         CHSHReport(value=TSIRELSON + 1e-6, settings=s, violated=True)
     with pytest.raises(ValueError, match="Tsirelson"):
         CHSHReport(-np.inf, s, False)
-
-
-def leading_pair_state(occupations):
-    """The renormalised state sqrt(p1)|00> + sqrt(p2)|11> of the two leading natural
-    orbitals, p_k = n_k / (n_1 + n_2) from descending occupations, and (p1, p2).
-
-    In the C[a, b] picture the alpha and the beta electron are two parties, and the
-    Schmidt decomposition of C pairs their natural orbitals; the closed-shell spin
-    factor is a singlet for HF too, so only the orbital part tells HF from CI."""
-    p = occupations[:2] / (occupations[0] + occupations[1])
-    psi = np.zeros(4)
-    psi[0], psi[3] = np.sqrt(p)
-    return TwoQubitState(np.outer(psi, psi)), p
 
 
 def gisin_chsh(p1, p2):

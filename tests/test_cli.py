@@ -318,16 +318,20 @@ SCIENCE_PINS = {
     # R = 20, which clipped to 0 from gamma, now read 2.8e-21. Re-pinned at R = 1.4 with
     # the canonical s-s triangle: E_HF and E_FCI unchanged; the entropy moved by 1.7e-16
     # and the occupations by at most 4.4e-16.
-    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ep+0", "0x1.161f2f3bd7a69p-3",
-        ["0x1.f83adc0c3268ap+0", "0x1.4a6cd5c451021p-6", "0x1.a084a0646fa63p-8",
-         "0x1.9e4da06cdfc5fp-10", "0x1.9e4da06cdfc54p-10", "0x1.ee71035ed1ab1p-13",
-         "0x1.732a347515879p-13", "0x1.f24e1dd916067p-14", "0x1.f24e1dd91605fp-14",
-         "0x1.25e1740bc53fdp-16"]),
+    # Re-pinned when the CI block was gathered at its pairs, not projected from the
+    # K^2 x K^2 Hamiltonian: E_HF unchanged; at R = 1.4 E_FCI moved by 4.4e-16, the
+    # entropy by 6.7e-16 and the occupations by at most 8.9e-16; at R = 20 E_FCI and the
+    # entropy are unchanged and the occupations moved by at most 1.2e-15.
+    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028cp+0", "0x1.161f2f3bd7a51p-3",
+        ["0x1.f83adc0c3268ep+0", "0x1.4a6cd5c451021p-6", "0x1.a084a0646fa5dp-8",
+         "0x1.9e4da06cdfc61p-10", "0x1.9e4da06cdfc58p-10", "0x1.ee71035ed1aa9p-13",
+         "0x1.732a34751588ap-13", "0x1.f24e1dd916080p-14", "0x1.f24e1dd916076p-14",
+         "0x1.25e1740bc53fbp-16"]),
     ("6-31gss", 20.0): ("-0x1.720641222c726p-1", "-0x1.fe30c4b3afba2p-1", "0x1.0000003885fa3p+0",
-        ["0x1.fffffffcac376p-1", "0x1.fffffffcab650p-1", "0x1.1c10b2b83b805p-32",
-         "0x1.1c10b2b6a86d9p-32", "0x1.1c10b2b8f7f75p-34", "0x1.1c10b2b8f2bd1p-34",
-         "0x1.1c10b2b5e4687p-34", "0x1.1c10b2b5de71bp-34",
-         "0x1.ae0b504554f75p-69", "0x1.ae093938cdfa0p-69"]),
+        ["0x1.fffffffcac36bp-1", "0x1.fffffffcab653p-1", "0x1.1c10b2b836d54p-32",
+         "0x1.1c10b2b6ad179p-32", "0x1.1c10b2b8eea51p-34", "0x1.1c10b2b8e96b0p-34",
+         "0x1.1c10b2b5e7eb9p-34", "0x1.1c10b2b5e7a08p-34",
+         "0x1.ae0b44901d4a2p-69", "0x1.ae0960e39c154p-69"]),
 }
 
 
@@ -514,6 +518,18 @@ def test_point_rejects_non_finite_distances(capsys):
             h2(r)
     assert main(["point", "-R", "1e160"]) == 1
     assert "must be at most 1e100 Bohr, got 1e+160" in capsys.readouterr().err
+
+
+def test_a_tiny_distance_fails_alone_on_its_overlap(capsys):
+    # below ~1.5e-162 Bohr R^2 underflows to 0; the nuclear repulsion is still finite
+    # there, and the point fails on its overlap, as the nearly coincident AOs make it
+    assert nuclear_repulsion(h2([1e-200]))[0] == 1e200
+    curve, failures = run_scan([1e-200, 1.0], "sto-3g")
+    assert curve.r.tolist() == [1.0]
+    assert [r for r, _ in failures] == [1e-200]
+    assert failures[0][1].startswith("overlap matrix nearly singular")
+    assert main(["point", "-R", "1e-200"]) == 2
+    assert capsys.readouterr().err.startswith("computation failed: overlap matrix")
 
 
 def test_import_loads_no_scipy():

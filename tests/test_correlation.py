@@ -12,9 +12,7 @@ from h2ent.correlation import (correlation_energy, natural_occupations,
                                von_neumann_entropies)
 from h2ent.errors import NumericalCheckError
 from h2ent.fci import mo_transform
-from oracles import von_neumann_entropy
-from test_bell import leading_pair_state
-from test_fci import annihilation_matrix, embed
+from oracles import annihilation_matrix, embed, leading_pair_state, von_neumann_entropy
 
 
 def ci_state(coefficients):

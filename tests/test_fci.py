@@ -4,9 +4,13 @@ The determinant-space oracle (`oracles.determinant_hamiltonian`) is
 cross-checked against a brute-force second-quantized construction: dense
 creation/annihilation matrices over the full Fock space, which fix every
 fermionic sign independently of the Kronecker form. The block Hamiltonian of
-the package is checked against the projected Fock-space Hamiltonian, and its
-ground state against the lowest eigenvalue over every determinant.
+the package, gathered at its pairs, is checked against the projected Fock-space
+Hamiltonian and the projected determinant-space one, through a dense basis built
+here from the pairs, and its ground state against the lowest eigenvalue over
+every determinant.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +18,11 @@ import pytest
 from h2ent.basis import load_basis
 from h2ent.cli import run_scan
 from h2ent.errors import SCFConvergenceError
-from h2ent.fci import build_hamiltonian, mo_transform, run_fci, singlet_gerade_basis
+from h2ent.fci import build_hamiltonian, mo_transform, run_fci, singlet_gerade_pairs
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import run_rhf_batch, symmetric_orthogonalizer
-from oracles import determinant_hamiltonian
+from oracles import annihilation_matrix, determinant_hamiltonian, embed
 
 
 def mo_integrals(ints, c):
@@ -27,15 +31,14 @@ def mo_integrals(ints, c):
     return h[0], g[0]
 
 
-def annihilation_matrix(i, n_spin_orbitals):
-    """Dense a_i over the occupation-number basis (bit i set = occupied)."""
-    dim = 1 << n_spin_orbitals
-    m = np.zeros((dim, dim))
-    for state in range(dim):
-        if state >> i & 1:
-            below = bin(state & ((1 << i) - 1)).count("1")
-            m[state ^ (1 << i), state] = -1.0 if below % 2 else 1.0
-    return m
+def dense_basis(pairs, k):
+    """The (K^2, M) columns u vec(E_ab + E_ba) of the pairs, at index a*K + b."""
+    a, b, u = pairs
+    basis = np.zeros((k, k, len(u)))
+    column = np.arange(len(u))
+    basis[a, b, column] += u
+    basis[b, a, column] += u  # a diagonal entry gets both halves
+    return basis.reshape(k * k, -1)
 
 
 def fock_space_hamiltonian(h, g):
@@ -68,11 +71,6 @@ def fock_space_hamiltonian(h, g):
     return ham
 
 
-def embed(k):
-    """Fock-space index of each CI index a*K + b: alpha bit a, beta bit K + b."""
-    return [(1 << a) | (1 << (k + b)) for a in range(k) for b in range(k)]
-
-
 def random_mo_integrals(k, seed):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(k, k))
@@ -100,7 +98,8 @@ def test_hamiltonian_matches_fock_space_oracle(k, seed):
 def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
     h, g = random_mo_integrals(k, seed)
     parity = np.random.default_rng(seed).choice([1.0, -1.0], size=k)
-    b = singlet_gerade_basis(parity)
+    pairs = singlet_gerade_pairs(parity)
+    b = dense_basis(pairs, k)
     # B spans the singlet-gerade space: vec(C) with C = C^T and C[a, b] = 0
     # unless parity[a] = parity[b], the image of (1 + swap)/2 (1 + P x P)/2
     swap = np.eye(k * k).reshape(k, k, k * k).transpose(1, 0, 2).reshape(k * k, k * k)
@@ -109,19 +108,47 @@ def test_block_hamiltonian_is_the_projected_fock_space_hamiltonian(k, seed):
     assert np.allclose(b @ b.T, projector, rtol=0.0, atol=1e-15)
     idx = embed(k)
     big = fock_space_hamiltonian(h, g)[np.ix_(idx, idx)]
-    assert np.allclose(build_hamiltonian(h, g, b), b.T @ big @ b, rtol=0.0, atol=1e-12)
+    assert np.allclose(build_hamiltonian(h, g, pairs), b.T @ big @ b, rtol=0.0, atol=1e-12)
 
 
 def test_singlet_gerade_basis_is_one_column_per_equal_parity_pair():
-    # the MOs come gerade first, then ungerade, in every geometry: one basis
+    # the MOs come gerade first, then ungerade, in every geometry: one set of pairs
     parity = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
-    b = singlet_gerade_basis(parity)
-    assert b.shape == (25, 9)  # 3 * 4 / 2 + 2 * 3 / 2 pairs
-    pairs = [(i, j) for i in range(5) for j in range(i, 5) if parity[i] == parity[j]]
-    for column, (i, j) in zip(b.T, pairs):  # columns in row-major pair order
+    a, b, u = pairs = singlet_gerade_pairs(parity)
+    expected = [(i, j) for i in range(5) for j in range(i, 5) if parity[i] == parity[j]]
+    assert list(zip(a.tolist(), b.tolist())) == expected  # row-major pair order
+    assert len(expected) == 9  # 3 * 4 / 2 + 2 * 3 / 2 pairs
+    assert u.tolist() == [0.5 if i == j else 0.5 ** 0.5 for i, j in expected]
+    for column, (i, j) in zip(dense_basis(pairs, 5).T, expected):
         c = column.reshape(5, 5)
         assert c[i, j] == c[j, i] == (1.0 if i == j else 0.5 ** 0.5)
         assert np.count_nonzero(c) == (1 if i == j else 2)
+
+
+@pytest.mark.parametrize("curve", ["sto3g_curve", "pol_curve"])
+def test_gathered_block_is_the_projected_determinant_hamiltonian(curve, request):
+    for rec in request.getfixturevalue(curve)[0]:
+        h, g = mo_transform(rec.ints, rec.scf.mo_coefficients)
+        pairs = singlet_gerade_pairs(rec.scf.parity[0])
+        b = dense_basis(pairs, h.shape[-1])
+        projected = b.T @ determinant_hamiltonian(h[0], g[0]) @ b
+        assert np.abs(build_hamiltonian(h, g, pairs)[0] - projected).max() <= 1e-14, rec.r
+
+
+def test_block_build_holds_less_than_the_mo_eris():
+    # the block is gathered at its M ~ K^2 / 4 pairs: no K^2 x K^2 array, so the
+    # traced peak of the 41-geometry 6-31G** batch stays below the ERIs it reads
+    ints = compute_all(load_basis("6-31gss"), h2(np.geomspace(0.3, 100.0, 41)))
+    scf = run_rhf_batch(ints)
+    h, g = mo_transform(ints, scf.mo_coefficients)
+    pairs = singlet_gerade_pairs(scf.parity[0])
+    tracemalloc.start()
+    try:
+        build_hamiltonian(h, g, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.nbytes, (peak, g.nbytes)
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
@@ -158,14 +185,14 @@ def sto3g_solution():
 def test_hf_diagonal_reproduces_scf_energy(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_integrals(ints, scf.mo_coefficients[0])
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[0]))
+    ham = build_hamiltonian(h, g, singlet_gerade_pairs(scf.parity[0]))
     assert ham[0, 0] + nuclear_repulsion(mol)[0] == pytest.approx(scf.e_hf[0], abs=1e-10)
 
 
 def test_double_excitation_coupling_is_exchange_integral(sto3g_solution):
     mol, ints, scf = sto3g_solution
     h, g = mo_integrals(ints, scf.mo_coefficients[0])
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[0]))
+    ham = build_hamiltonian(h, g, singlet_gerade_pairs(scf.parity[0]))
     # block column 0 is C[0, 0] (sigma_g^2) and column 1 is C[1, 1] (sigma_u^2)
     assert ham[0, 1] == pytest.approx(g[0, 1, 0, 1], abs=1e-12)
 
@@ -175,7 +202,7 @@ def test_ground_state_matches_two_by_two_closed_form(sto3g_solution):
     # closed-shell configurations; its lower eigenvalue is available in closed form
     mol, ints, scf = sto3g_solution
     h, g = mo_integrals(ints, scf.mo_coefficients[0])
-    ham = build_hamiltonian(h, g, singlet_gerade_basis(scf.parity[0]))
+    ham = build_hamiltonian(h, g, singlet_gerade_pairs(scf.parity[0]))
     assert ham.shape == (2, 2)
     a, b, c = ham[0, 0], ham[1, 1], ham[0, 1]
     lower = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + c * c)
