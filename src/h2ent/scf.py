@@ -7,7 +7,8 @@ near-degenerate sigma_g and sigma_u cannot mix. The MOs come in parity blocks,
 gerade then ungerade, each in ascending energy, so every geometry of a layout has
 the same parity row. The SCF reads the IntegralSet alone and puts two electrons on
 its nuclei (one H atom is H-). `run_rhf_batch` iterates a batch of geometries in
-lockstep and returns one stacked SCFResult; `run_rhf` is its batch of one.
+lockstep, each in the stacked arrays to the end (a converged one holds its density),
+and its last step is its one stacked SCFResult; `run_rhf` is its batch of one.
 """
 
 from typing import NamedTuple
@@ -65,13 +66,16 @@ def run_rhf(ints):
 def run_rhf_batch(ints):
     """Roothaan RHF of two electrons at each geometry of an IntegralSet's batch.
 
-    The geometries iterate in lockstep, one stacked call per step; each keeps its own
-    convergence test and iteration count and leaves the iteration when it converges,
-    so its result does not depend on the batch. One stacked SCFResult; a geometry that
-    reaches MAX_ITERATIONS has converged False. A singular overlap raises
-    LinearDependenceError.
+    Step 0 is the core-Hamiltonian guess; step k builds F and E from the density of
+    iteration k - 1 and diagonalises F's gerade block, giving the density of iteration
+    k, which each geometry judges by its own test. The geometries step in lockstep,
+    one stacked call per step. A converged geometry holds its density, so later steps
+    give its F, E and orbitals again, bit for bit, and its result does not depend on
+    the batch. The step after the last geometry converges, or step MAX_ITERATIONS + 1,
+    is the report; a geometry that reaches MAX_ITERATIONS has converged False. One
+    stacked SCFResult; a singular overlap raises LinearDependenceError.
     """
-    hcore, e_nuc = ints.hcore, ints.e_nuclear
+    hcore = ints.hcore
     jk = coulomb_exchange(ints.eri)
     x = symmetric_orthogonalizer(ints.overlap)
     # P commutes with X = S^(-1/2), so X maps P's +1 and -1 eigenvectors to
@@ -81,43 +85,29 @@ def run_rhf_batch(ints):
     n_u = np.count_nonzero(parity < 0)
     xg, xu = x @ u[:, n_u:], x @ u[:, :n_u]
 
-    def occupied_density(f, xg):  # D = 2 c c^T of the lowest gerade orbital c
-        vecs = np.linalg.eigh(xg.swapaxes(-1, -2) @ f @ xg)[1]
-        c = xg @ vecs[..., :1]
-        return 2.0 * c @ c.swapaxes(-1, -2)
-
-    def energy(d, f, h, e_nuc):
-        return 0.5 * np.add.reduce(d * (h + f), axis=(-2, -1)) + e_nuc
+    def gerade(f):  # F's gerade eigenpairs, and D = 2 c c^T of the lowest orbital c
+        eg, vg = np.linalg.eigh(xg.swapaxes(-1, -2) @ f @ xg)
+        c = xg @ vg[..., :1]
+        return eg, vg, 2.0 * c @ c.swapaxes(-1, -2)
 
     n = len(hcore)
-    final_d = np.empty_like(hcore)
     iterations = np.full(n, MAX_ITERATIONS)
     converged = np.zeros(n, dtype=bool)
-    live = np.arange(n)  # the geometries still iterating, and below their arrays
-    h, g2, xl, en = hcore, jk, xg, e_nuc
-    d, e_old = occupied_density(h, xl), np.zeros(n)
-    for it in range(1, MAX_ITERATIONS + 1):
-        f = build_fock(h, d, g2)
-        e_total = energy(d, f, h, en)
-        d_new = occupied_density(f, xl)
-        delta_e = e_total - e_old
+    d, e_old = gerade(hcore)[2], np.zeros(n)
+    for it in range(1, MAX_ITERATIONS + 2):
+        f = build_fock(hcore, d, jk)
+        e_total = 0.5 * np.add.reduce(d * (hcore + f), axis=(-2, -1)) + ints.e_nuclear
+        eg, vg, d_new = gerade(f)
+        if converged.all() or it > MAX_ITERATIONS:
+            break
         rms_d = np.sqrt(np.add.reduce((d_new - d) ** 2, axis=(-2, -1)) / d.shape[-1] ** 2)
-        d, e_old = d_new, e_total
-        done = (np.abs(delta_e) < ENERGY_TOLERANCE) & (rms_d < DENSITY_TOLERANCE) & (it > 1)
-        if done.any():
-            final_d[live[done]], iterations[live[done]] = d[done], it
-            converged[live[done]] = True
-            keep = ~done
-            live, d, e_old, h, g2, xl, en = (a[keep] for a in (live, d, e_old, h, g2, xl, en))
-            if not live.size:
-                break
-    final_d[live] = d
+        done = (np.abs(e_total - e_old) < ENERGY_TOLERANCE) & (rms_d < DENSITY_TOLERANCE) \
+            & (it > 1) & ~converged
+        d, e_old = np.where(converged[:, None, None], d, d_new), e_total
+        iterations[done], converged[done] = it, True
 
-    # final energy from the last density for a consistent report
-    f = build_fock(hcore, final_d, jk)
-    e_total = energy(final_d, f, hcore, e_nuc)
-    (eg, cg), (eu, cu) = (np.linalg.eigh(b.swapaxes(-1, -2) @ f @ b) for b in (xg, xu))
-    eps, c = np.concatenate((eg, eu), -1), np.concatenate((xg @ cg, xu @ cu), -1)
+    eu, vu = np.linalg.eigh(xu.swapaxes(-1, -2) @ f @ xu)
+    eps, c = np.concatenate((eg, eu), -1), np.concatenate((xg @ vg, xu @ vu), -1)
     par = np.concatenate((np.ones_like(eg), -np.ones_like(eu)), -1)
     return SCFResult(mo_coefficients=c, orbital_energies=eps, parity=par, e_hf=e_total,
                      iterations=iterations, converged=converged)
