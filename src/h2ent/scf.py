@@ -6,9 +6,9 @@ is the lowest of F in the gerade space of the inversion P, so a stretched bond's
 near-degenerate sigma_g and sigma_u cannot mix. The MOs come in parity blocks,
 gerade then ungerade, each in ascending energy, so every geometry of a layout has
 the same parity row. The SCF reads the IntegralSet alone and puts two electrons on
-its nuclei (one H atom is H-). `run_rhf_batch` iterates a batch of geometries in
-lockstep, each in the stacked arrays to the end (a converged one holds its density),
-and its last step is its one stacked SCFResult; `run_rhf` is its batch of one.
+its nuclei (one H atom is H-), so F comes from the ERIs and its one occupied orbital c.
+`run_rhf_batch` steps a batch of geometries in lockstep, each stacked to the end (a
+converged one holds its c); its last step is its SCFResult, and `run_rhf` a batch of one.
 """
 
 from typing import NamedTuple
@@ -42,17 +42,12 @@ def symmetric_orthogonalizer(s):
     return vecs * vals[..., None, :] ** -0.5 @ vecs.swapaxes(-1, -2)
 
 
-def coulomb_exchange(eri):
-    """J - K/2 as a K^2 x K^2 supermatrix on vec(D), of one ERI tensor or a stack:
-    (J - K/2)_mn = sum_ls D_ls [(mn|sl) - (ml|sn)/2]."""
+def build_fock(hcore, c, eri):
+    """F = Hcore + 2(mn|cc) - (mc|nc) of the doubly occupied orbital c (..., K, 1),
+    by matmuls on the ERIs, which keep a stack's geometries apart; stacks broadcast."""
     k = eri.shape[-1]
-    jk = eri.swapaxes(-1, -2) - 0.5 * np.moveaxis(eri, -1, -3)
-    return jk.reshape(eri.shape[:-4] + (k * k, k * k))
-
-
-def build_fock(hcore, d, jk):
-    """F = Hcore + (J - K/2) D, with jk from `coulomb_exchange`; stacks broadcast."""
-    return hcore + (jk @ d.reshape(d.shape[:-2] + (-1, 1))).reshape(d.shape)
+    y = (eri.reshape(eri.shape[:-4] + (k ** 3, k)) @ c).reshape(eri.shape[:-1])  # (mn|lc)
+    return hcore + ((2.0 * y - y.swapaxes(-1, -2)) @ c[..., None, :, :])[..., 0]
 
 
 def run_rhf(ints):
@@ -66,17 +61,17 @@ def run_rhf(ints):
 def run_rhf_batch(ints):
     """Roothaan RHF of two electrons at each geometry of an IntegralSet's batch.
 
-    Step 0 is the core-Hamiltonian guess; step k builds F and E from the density of
-    iteration k - 1 and diagonalises F's gerade block, giving the density of iteration
-    k, which each geometry judges by its own test. The geometries step in lockstep,
-    one stacked call per step. A converged geometry holds its density, so later steps
-    give its F, E and orbitals again, bit for bit, and its result does not depend on
-    the batch. The step after the last geometry converges, or step MAX_ITERATIONS + 1,
-    is the report; a geometry that reaches MAX_ITERATIONS has converged False. One
-    stacked SCFResult; a singular overlap raises LinearDependenceError.
+    Step 0 is the core-Hamiltonian guess; step k builds F and E from the occupied
+    orbital c of iteration k - 1 and diagonalises F's gerade block, giving the c and
+    D = 2cc^T of iteration k, which each geometry judges by its own test. The
+    geometries step in lockstep, one stacked call per step. A converged geometry holds
+    its c and D, so later steps give its F, E and orbitals again, bit for bit: its
+    result does not depend on the batch. The report, one stacked SCFResult, is the step
+    after the last geometry converges, or step MAX_ITERATIONS + 1; a geometry that
+    reaches MAX_ITERATIONS has converged False. A singular overlap raises
+    LinearDependenceError.
     """
-    hcore = ints.hcore
-    jk = coulomb_exchange(ints.eri)
+    hcore, eri = ints.hcore, ints.eri
     x = symmetric_orthogonalizer(ints.overlap)
     # P commutes with X = S^(-1/2), so X maps P's +1 and -1 eigenvectors to
     # orthonormal gerade and ungerade AO coefficient bases; eigh puts -1 first.
@@ -85,25 +80,26 @@ def run_rhf_batch(ints):
     n_u = np.count_nonzero(parity < 0)
     xg, xu = x @ u[:, n_u:], x @ u[:, :n_u]
 
-    def gerade(f):  # F's gerade eigenpairs, and D = 2 c c^T of the lowest orbital c
+    def gerade(f):  # F's gerade eigenpairs, its lowest orbital c (G, K, 1) and 2cc^T
         eg, vg = np.linalg.eigh(xg.swapaxes(-1, -2) @ f @ xg)
         c = xg @ vg[..., :1]
-        return eg, vg, 2.0 * c @ c.swapaxes(-1, -2)
+        return eg, vg, c, 2.0 * c @ c.swapaxes(-1, -2)
 
     n = len(hcore)
     iterations = np.full(n, MAX_ITERATIONS)
     converged = np.zeros(n, dtype=bool)
-    d, e_old = gerade(hcore)[2], np.zeros(n)
+    (c, d), e_old = gerade(hcore)[2:], np.zeros(n)
     for it in range(1, MAX_ITERATIONS + 2):
-        f = build_fock(hcore, d, jk)
+        f = build_fock(hcore, c, eri)
         e_total = 0.5 * np.add.reduce(d * (hcore + f), axis=(-2, -1)) + ints.e_nuclear
-        eg, vg, d_new = gerade(f)
+        eg, vg, c_new, d_new = gerade(f)
         if converged.all() or it > MAX_ITERATIONS:
             break
         rms_d = np.sqrt(np.add.reduce((d_new - d) ** 2, axis=(-2, -1)) / d.shape[-1] ** 2)
         done = (np.abs(e_total - e_old) < ENERGY_TOLERANCE) & (rms_d < DENSITY_TOLERANCE) \
             & (it > 1) & ~converged
-        d, e_old = np.where(converged[:, None, None], d, d_new), e_total
+        hold = converged[:, None, None]
+        c, d, e_old = np.where(hold, c, c_new), np.where(hold, d, d_new), e_total
         iterations[done], converged[done] = it, True
 
     eu, vu = np.linalg.eigh(xu.swapaxes(-1, -2) @ f @ xu)

@@ -13,7 +13,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from h2ent.basis import BasisFunction, load_basis, primitive_norm
+from h2ent.basis import BasisFunction, load_basis, parse_basis, primitive_norm
 from h2ent.correlation import correlation_energy, natural_occupations
 from h2ent.fci import run_fci
 from h2ent.integrals import compute_all
@@ -45,6 +45,17 @@ def random_primitive(rng, max_l=1):
     powers = tuple(int(p) for p in rng.integers(0, max_l + 1, 3))
     return BasisFunction(center, powers, (alpha,),
                          (primitive_norm(alpha, powers),))
+
+
+def ladder_basis(n_s, n_p):
+    """H with n_s s exponents 0.04 * 3^k and n_p p exponents 0.3 * 3^k, one primitive
+    each, parsed from generated Gaussian94 text: K = n_s + 3 n_p per atom, and each
+    rung's functions contain the rung below."""
+    lines = ["H 0"]
+    for label, count, first in (("S", n_s, 0.04), ("P", n_p, 0.3)):
+        for k in range(count):
+            lines += [f"{label} 1 1.00", f" {first * 3.0 ** k!r} 1.0"]
+    return parse_basis("\n".join(lines + ["****", ""]), f"ladder-{n_s}s{n_p}p")
 
 
 @dataclass(frozen=True)

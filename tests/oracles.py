@@ -20,8 +20,8 @@ CHSH value: E(a,b) + E(d,b) + E(d,c) - E(a,c) from those four traces.
 Occupation entropy: -sum_k (n_k/2) log2(n_k/2) of one occupation array, over its
 positive entries, where `h2ent.correlation` takes a stack of rows in one pass.
 
-Fock matrix: J and K as two separate index contractions of the AO ERIs,
-without the J - K/2 supermatrix of `h2ent.scf`.
+Fock matrix: J and K as two separate index contractions of the AO ERIs with a
+general density D, where `h2ent.scf` contracts them with its one occupied orbital.
 
 Two-electron CI: the Hamiltonian on all K^2 determinants, triplets and
 ungerade states included, of which `h2ent.fci` diagonalises only the

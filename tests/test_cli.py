@@ -322,16 +322,21 @@ SCIENCE_PINS = {
     # K^2 x K^2 Hamiltonian: E_HF unchanged; at R = 1.4 E_FCI moved by 4.4e-16, the
     # entropy by 6.7e-16 and the occupations by at most 8.9e-16; at R = 20 E_FCI and the
     # entropy are unchanged and the occupations moved by at most 1.2e-15.
-    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028cp+0", "0x1.161f2f3bd7a51p-3",
-        ["0x1.f83adc0c3268ep+0", "0x1.4a6cd5c451021p-6", "0x1.a084a0646fa5dp-8",
-         "0x1.9e4da06cdfc61p-10", "0x1.9e4da06cdfc58p-10", "0x1.ee71035ed1aa9p-13",
-         "0x1.732a34751588ap-13", "0x1.f24e1dd916080p-14", "0x1.f24e1dd916076p-14",
-         "0x1.25e1740bc53fbp-16"]),
-    ("6-31gss", 20.0): ("-0x1.720641222c726p-1", "-0x1.fe30c4b3afba2p-1", "0x1.0000003885fa3p+0",
-        ["0x1.fffffffcac36bp-1", "0x1.fffffffcab653p-1", "0x1.1c10b2b836d54p-32",
-         "0x1.1c10b2b6ad179p-32", "0x1.1c10b2b8eea51p-34", "0x1.1c10b2b8e96b0p-34",
-         "0x1.1c10b2b5e7eb9p-34", "0x1.1c10b2b5e7a08p-34",
-         "0x1.ae0b44901d4a2p-69", "0x1.ae0960e39c154p-69"]),
+    # Re-pinned when the SCF built F from the ERIs and its occupied orbital c, not from
+    # a J - K/2 supermatrix on D = 2cc^T: at R = 1.4 E_HF unchanged, E_FCI moved by
+    # 4.4e-16, the entropy by 1.3e-15 and the occupations by at most 1.3e-15; at R = 20
+    # E_HF by 5.6e-16, E_FCI by 6.7e-16, the entropy by 2.2e-16 and the occupations by
+    # at most 6.7e-16. The STO-3G pins did not move.
+    ("6-31gss", 1.4): ("-0x1.219bd9e2b9000p+0", "-0x1.2a477eec5028ap+0", "0x1.161f2f3bd7a7fp-3",
+        ["0x1.f83adc0c32688p+0", "0x1.4a6cd5c451031p-6", "0x1.a084a0646fa85p-8",
+         "0x1.9e4da06cdfc6dp-10", "0x1.9e4da06cdfc58p-10", "0x1.ee71035ed1b4dp-13",
+         "0x1.732a347515883p-13", "0x1.f24e1dd91605dp-14", "0x1.f24e1dd916043p-14",
+         "0x1.25e1740bc5484p-16"]),
+    ("6-31gss", 20.0): ("-0x1.720641222c72bp-1", "-0x1.fe30c4b3afb9cp-1", "0x1.0000003885fa4p+0",
+        ["0x1.fffffffcac365p-1", "0x1.fffffffcab650p-1", "0x1.1c10b2b8239c4p-32",
+         "0x1.1c10b2b6b70a1p-32", "0x1.1c10b2b8dbc53p-34", "0x1.1c10b2b8dabd2p-34",
+         "0x1.1c10b2b607fe5p-34", "0x1.1c10b2b607530p-34",
+         "0x1.ae0aef6f9b98ep-69", "0x1.ae09b00be0ddcp-69"]),
 }
 
 
@@ -425,6 +430,14 @@ def test_main_scan_and_determinism(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "wrote 3 points" in capsys.readouterr().out
+
+
+def test_scan_that_cannot_write_its_output_exits_2(tmp_path, capsys):
+    # the computation succeeds and the write fails: a computation failure, no file
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["scan", "--points", "2", "--far-point", "0", "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_scan_angstrom_and_json(tmp_path):

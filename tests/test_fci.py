@@ -22,6 +22,7 @@ from h2ent.fci import build_hamiltonian, mo_transform, run_fci, singlet_gerade_p
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, molecule, nuclear_repulsion
 from h2ent.scf import run_rhf_batch, symmetric_orthogonalizer
+from conftest import ladder_basis
 from oracles import annihilation_matrix, determinant_hamiltonian, embed
 
 
@@ -293,3 +294,31 @@ def test_fci_energy_is_exactly_twice_the_atom_at_dissociation(wide_scan):
     x = symmetric_orthogonalizer(ints.overlap[0])
     e_h = np.linalg.eigvalsh(x @ ints.hcore[0] @ x)[0]
     assert np.abs(curve.e_fci[1:] - 2.0 * e_h).max() <= 1e-13
+
+
+# Exact H2 energies at R = 1.4 Bohr: the Hartree-Fock limit (Kolos & Roothaan, Rev. Mod.
+# Phys. 32, 219 (1960)) and the Born-Oppenheimer energy (Kolos & Wolniewicz, J. Chem.
+# Phys. 49, 404 (1968)). The exact curve's minimum lies within ~1e-6 Eh of the latter,
+# so every R is bounded by E_EXACT_MIN; -1 is no large-R bound, since the exact energy
+# dips below it by the dispersion term.
+E_HF_LIMIT_14 = -1.1336296
+E_EXACT_14 = -1.1744757
+E_EXACT_MIN = -1.1745
+
+
+def test_nested_basis_ladder_is_variational():
+    # each rung of the generated ladder holds every function of the rung below, so
+    # E_HF and E_FCI cannot rise from one rung to the next at any R; at 8s3p E_HF(1.4)
+    # is -1.1334318 and E_FCI(1.4) -1.1720245, still above both exact bounds
+    rs = [0.7, 1.4, 3.0, 6.0, 20.0]
+    e_hf, e_fci = [], []
+    for n_s, n_p in ((3, 0), (4, 1), (5, 1), (6, 2), (7, 2), (8, 3)):
+        curve, failures = run_scan(rs, ladder_basis(n_s, n_p))
+        assert failures == [] and curve.r.tolist() == rs, (n_s, n_p, failures)
+        e_hf.append(curve.e_hf)
+        e_fci.append(curve.e_fci)
+    e_hf, e_fci = np.array(e_hf), np.array(e_fci)
+    assert np.all(np.diff(e_hf, axis=0) <= 0.0) and np.all(np.diff(e_fci, axis=0) <= 0.0)
+    assert np.all(e_fci <= e_hf)
+    assert np.all(e_hf[:, 1] >= E_HF_LIMIT_14) and np.all(e_fci[:, 1] >= E_EXACT_14)
+    assert np.all(e_fci >= E_EXACT_MIN)

@@ -1,5 +1,7 @@
 """Restricted Hartree-Fock solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -10,9 +12,8 @@ from h2ent.cli import main
 from h2ent.errors import LinearDependenceError, SymmetryError
 from h2ent.integrals import compute_all
 from h2ent.molecule import h2, molecule, nuclear_repulsion
-from h2ent.scf import (build_fock, coulomb_exchange, run_rhf, run_rhf_batch,
-                       symmetric_orthogonalizer)
-from conftest import SWEEP_R, helium, stack, take
+from h2ent.scf import build_fock, run_rhf, run_rhf_batch, symmetric_orthogonalizer
+from conftest import SWEEP_R, helium, ladder_basis, stack, take
 from oracles import fock_by_einsum
 
 
@@ -46,25 +47,40 @@ def test_density_shape_and_trace(h2_sto3g):
 
 def test_fock_with_zero_density_is_hcore(h2_sto3g):
     _, ints = h2_sto3g
-    f = build_fock(ints.hcore[0], np.zeros((2, 2)), coulomb_exchange(ints.eri[0]))
+    f = build_fock(ints.hcore[0], np.zeros((2, 1)), ints.eri[0])  # c = 0, so D = 0
     assert np.array_equal(f, ints.hcore[0])
 
 
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
-def test_supermatrix_fock_matches_einsum_oracle(name):
-    # a random symmetric density, one geometry and a stack of two
+def test_fock_of_an_orbital_matches_einsum_oracle(name):
+    # a random occupied orbital c, one geometry and a stack of two, against J - K/2
+    # of D = 2cc^T
     rng = np.random.default_rng(7)
     ints = compute_all(load_basis(name), h2([1.4, 3.7]))
     k = ints.hcore.shape[-1]
-    d = rng.normal(size=(2, k, k))
-    d = d + d.swapaxes(-1, -2)
-    stacked = build_fock(ints.hcore, d, coulomb_exchange(ints.eri))
+    c = rng.normal(size=(2, k, 1))
+    stacked = build_fock(ints.hcore, c, ints.eri)
     for n in range(2):
         hcore, eri = ints.hcore[n], ints.eri[n]
-        oracle = fock_by_einsum(hcore, d[n], eri)
-        assert np.allclose(build_fock(hcore, d[n], coulomb_exchange(eri)), oracle,
-                           rtol=0.0, atol=1e-13)
-        assert np.array_equal(stacked[n], build_fock(hcore, d[n], coulomb_exchange(eri)))
+        oracle = fock_by_einsum(hcore, 2.0 * c[n] @ c[n].T, eri)
+        one = build_fock(hcore, c[n], eri)
+        assert np.allclose(one, oracle, rtol=0.0, atol=1e-13)
+        assert np.array_equal(stacked[n], one)
+
+
+def test_scf_holds_less_than_one_geometry_of_eris():
+    # F comes from the ERIs and the occupied orbital by matmuls, with no K^4 or
+    # K^2 x K^2 array: at 6s2p (K = 24) a J - K/2 supermatrix per geometry peaked at
+    # 4.05 times one geometry's ERIs
+    ints = compute_all(ladder_basis(6, 2), h2([1.4, 3.0]))
+    assert ints.eri.shape[-1] == 24
+    tracemalloc.start()
+    try:
+        run_rhf_batch(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ints.eri[0].nbytes, (peak, ints.eri[0].nbytes)
 
 
 def test_helium_closed_form():
@@ -137,7 +153,7 @@ def test_nonconvergence_is_reported_not_raised(h2_sto3g, monkeypatch):
 @pytest.mark.parametrize("name", ["sto-3g", "6-31gss"])
 @pytest.mark.parametrize("max_iterations", [200, 8])
 def test_batch_results_are_one_point_results(name, max_iterations, monkeypatch):
-    # the geometries iterate in lockstep and a converged one holds its density
+    # the geometries iterate in lockstep and a converged one holds its orbital
     # until the batch ends: a result, its iteration count included, does not
     # depend on the batch it is in. In 6-31G** R = 0.01 needs 13 iterations and
     # the sweep 7 to 10, so converged geometries ride along for up to 6 steps
